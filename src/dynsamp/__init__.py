@@ -2,8 +2,8 @@
 
 Simulate a tensor signal evolving by repeated t-products with a known
 operator, sample it sparsely in space and time, and recover the initial
-signal by solving per-column frequency-domain least-squares systems, with
-conditioning diagnostics along the way.
+signal by solving real spatial-domain per-column least-squares systems,
+with conditioning diagnostics along the way.
 """
 
 from .tensor3 import (

@@ -11,7 +11,10 @@ def resolve_threads(requested: int | None = None) -> int:
     threads = requested if requested else (os.cpu_count() or 1)
     cap = os.environ.get("DYNSAMP_THREADS")
     if cap is not None:
-        threads = min(threads, max(1, int(cap)))
+        try:
+            threads = min(threads, max(1, int(cap)))
+        except ValueError:
+            raise ValueError(f"DYNSAMP_THREADS must be an integer, got {cap!r}") from None
     return max(1, threads)
 
 

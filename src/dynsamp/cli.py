@@ -66,6 +66,13 @@ def _load_config_file(path: str | None) -> dict:
     return raw
 
 
+def _threads() -> int:
+    try:
+        return resolve_threads()
+    except ValueError as err:
+        raise ConfigError(str(err)) from None
+
+
 def _merge_flags(raw: dict, args, keys) -> dict:
     merged = dict(raw)
     for key in keys:
@@ -162,6 +169,9 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_reconstruct(args) -> int:
+    if args.tol is not None and not 0.0 < args.tol < 1.0:
+        raise ConfigError(f"--tol must lie in (0, 1), got {args.tol}")
+    threads = _threads()
     dataset = Path(args.dataset)
     if not dataset.is_dir():
         raise FileNotFoundError(f"dataset directory not found: {dataset}")
@@ -180,7 +190,7 @@ def cmd_reconstruct(args) -> int:
         tol=args.tol,
         allow_partial=args.allow_partial,
         ground_truth=truth,
-        threads=resolve_threads(),
+        threads=threads,
     )
 
     out = Path(args.out) if args.out else dataset
@@ -210,7 +220,7 @@ def cmd_experiment(args) -> int:
     if merged.get("out") is None:
         raise ConfigError("experiment needs --out (or 'out' in the config)")
     cfg = config_from_dict(merged)
-    paths = write_experiment(cfg, threads=resolve_threads())
+    paths = write_experiment(cfg, threads=_threads())
     print(f"wrote {paths['csv']}, {paths['svg']}, {paths['manifest']}")
     return 0
 

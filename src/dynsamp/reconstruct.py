@@ -1,25 +1,23 @@
 """Recover the initial signal from masked space-time samples.
 
-Taking the tube DFT of every observation turns the recovery problem into p
-independent complex least-squares systems, one per second-mode column j.  The
-unknown of system j is the stacked frequency-domain column
+Under the t-product every lateral slice F[:, j, :] evolves independently by
+the same real matrix bcirc(A), so recovery splits into p independent
+least-squares systems, one per second-mode column j.  The unknown of system
+j is the spatial column
 
-    x(j) = [Xhat[:, j, 0]; ...; Xhat[:, j, n-1]]  (length m*n),
+    x(j) = vec(F[:, j, :])  (F order, length m*n),
 
-and each time step t contributes the block equation
+and every sample (t, i, k) of column j contributes the row of bcirc(A)^t
+that produces entry (i, k) of the column at step t.  The stack of powers
+bcirc(A)^0, ..., bcirc(A)^(T-1) is computed once per (operator, T) by
+evolving the m*n unit-basis slab; column j's matrix is the subset of its
+rows that the mask selects, and its right-hand side is the observed values
+at the same entries, in the same order.  Real operators and observations
+give a real system and a real estimate.
 
-    (1/n) * C(j) * D(t) * x(j) = b(j, t),
-
-where D(t) is block-diagonal with the t-th powers of the operator's DFT
-slices, C(j) is the mask-convolution matrix (an n-by-n grid of m-by-m
-diagonal blocks: applied to x viewed as an (m, n) slab it circularly
-convolves row i with the mask-DFT tube (i, j)), and b(j, t) stacks the DFT
-of observation t over the depth frequencies of column j.  The 1/n factor
-comes from expressing entrywise masking as a tube convolution of DFTs.
-
-Columns with no samples yield an exactly zero matrix and cannot be
-recovered; they raise ``UnrecoverableColumnError`` unless the caller asks
-for a partial estimate with those columns zero-filled and flagged.
+Columns with no samples yield an empty system and cannot be recovered; they
+raise ``UnrecoverableColumnError`` unless the caller asks for a partial
+estimate with those columns zero-filled and flagged.
 """
 
 from __future__ import annotations
@@ -29,17 +27,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor3 import RealnessError, ShapeMismatchError, Tensor3, _purge_imag
+from .tensor3 import ShapeMismatchError, Tensor3
 from .tensor3 import rel_error as tensor_rel_error
 from .sampling import SampleMask
-from .dynsys import SampleData
+from .dynsys import SampleData, evolve
 from ._parallel import pmap
 
 _EPS = float(np.finfo(np.float64).eps)
 
 
 class UnrecoverableColumnError(Exception):
-    """One or more mask columns carry no samples; their systems are zero."""
+    """One or more mask columns carry no samples; their systems are empty."""
 
     def __init__(self, columns):
         self.columns = tuple(sorted(int(j) for j in columns))
@@ -51,7 +49,8 @@ class UnrecoverableColumnError(Exception):
 class ColumnSystem:
     """Stacked least-squares system for one second-mode column.
 
-    ``matrix`` is (T*m*n, m*n); ``rhs`` has length T*m*n.
+    ``matrix`` is (T*s, m*n) and ``rhs`` has length T*s, where s is the
+    number of samples the mask places in column ``j``.
     """
 
     j: int
@@ -101,75 +100,19 @@ def default_solver_tol(shape) -> float:
     return max(int(shape[0]), int(shape[1])) * _EPS
 
 
+def _check_tol(tol) -> None:
+    if tol is not None and not 0.0 < float(tol) < 1.0:
+        raise ValueError(f"tol must lie in (0, 1), got {tol}")
+
+
+def _rank_kappa(s: np.ndarray, shape, tol) -> tuple[int, float]:
+    """Numerical rank above ``tol * s[0]`` and the kept condition number."""
+    rel = default_solver_tol(shape) if tol is None else float(tol)
+    rank = int(np.count_nonzero(s > rel * s[0]))
+    return rank, float(s[0] / s[rank - 1])
+
+
 # -- system assembly ----------------------------------------------------------
-
-
-def _operator_powers(a: Tensor3, T: int) -> np.ndarray:
-    """(T, n, m, m) array: entry [t, k] is the t-th power of DFT slice k."""
-    m, _, n = a.dims
-    slices = np.fft.fft(a.data, axis=2).transpose(2, 0, 1)
-    powers = np.empty((T, n, m, m), dtype=np.complex128)
-    powers[0] = np.eye(m)
-    for t in range(1, T):
-        powers[t] = powers[t - 1] @ slices
-    return powers
-
-
-def _mask_dft(mask: SampleMask) -> np.ndarray:
-    return np.fft.fft(mask.indicator.astype(np.float64), axis=2)
-
-
-def _mask_conv_matrix(phat: np.ndarray, j: int) -> np.ndarray:
-    """Dense mask-convolution matrix C(j), an (m*n)-by-(m*n) array.
-
-    Grid block (a, b) is diagonal over the first mode, holding entry
-    (a, b) of the circulant of the mask-DFT tube of each row i.
-    """
-    m, _, n = phat.shape
-    tubes = phat[:, j, :]
-    idx = (np.arange(n)[:, None] - np.arange(n)[None, :]) % n
-    circs = tubes[:, idx]  # (m, n, n): circs[i, a, b] = tubes[i, (a-b) % n]
-    out = np.zeros((m * n, m * n), dtype=np.complex128)
-    rows = np.arange(m)
-    for a in range(n):
-        for b in range(n):
-            out[a * m + rows, b * m + rows] = circs[:, a, b]
-    return out
-
-
-def _mask_conv_apply(phat: np.ndarray, j: int, slab: np.ndarray) -> np.ndarray:
-    """Matrix-free action of C(j) on an (m, n) slab.
-
-    Row i of the output is the circular convolution of the mask-DFT tube
-    (i, j) with row i of the slab.  Must agree with the dense form exactly;
-    kept for cross-checks and large-instance use.
-    """
-    tubes = phat[:, j, :]
-    n = slab.shape[1]
-    out = np.zeros_like(slab, dtype=np.complex128)
-    for d in range(n):
-        out += tubes[:, d : d + 1] * np.roll(slab, d, axis=1)
-    return out
-
-
-def _column_matrix(powers: np.ndarray, phat: np.ndarray, j: int) -> np.ndarray:
-    """Stack (1/n) * C(j) * D(t) over t; shape (T*m*n, m*n)."""
-    T, n, m, _ = powers.shape
-    mn = m * n
-    conv = _mask_conv_matrix(phat, j)
-    out = np.empty((T * mn, mn), dtype=np.complex128)
-    for t in range(T):
-        block = out[t * mn : (t + 1) * mn]
-        # D(t) is block-diagonal, so apply it one column-block at a time.
-        for k in range(n):
-            block[:, k * m : (k + 1) * m] = conv[:, k * m : (k + 1) * m] @ powers[t, k]
-    out /= n
-    return out
-
-
-def _column_rhs(obs_dfts: list[np.ndarray], j: int) -> np.ndarray:
-    """Stack the DFT of every observation over depth frequencies of column j."""
-    return np.concatenate([ohat[:, j, :].flatten(order="F") for ohat in obs_dfts])
 
 
 def _check_problem(a: Tensor3, mask: SampleMask, samples: SampleData | None) -> None:
@@ -184,6 +127,38 @@ def _check_problem(a: Tensor3, mask: SampleMask, samples: SampleData | None) -> 
         raise ValueError("mask does not match the mask the samples were taken on")
 
 
+def _column_systems(a: Tensor3, mask: SampleMask, T: int, observations=()):
+    """Return ``build(j) -> ColumnSystem`` for every column of one problem.
+
+    The (T, m*n, m*n) stack of bcirc(A)^t is built once here; ``build``
+    only selects rows.  Without observations the right-hand sides are empty.
+    """
+    m, p, n = mask.dims
+    mn = m * n
+    # Lateral slice q of the basis slab is the unit (m, n) slab with a one at
+    # vec index q = i + m*k, so evolving it yields the columns of bcirc(A)^t.
+    basis = Tensor3(np.eye(mn).reshape(n, m, mn).transpose(1, 2, 0))
+    stack = np.stack(
+        [s.data.transpose(2, 0, 1).reshape(mn, mn) for s in evolve(a, basis, T)]
+    )
+    if a.is_real:
+        stack = stack.real
+    # Row r = i + m*k of both the stack and the selectors is entry (i, k).
+    selectors = mask.indicator.transpose(1, 2, 0).reshape(p, mn)
+    if observations:
+        obs = np.stack([o.data for o in observations])
+        if all(o.is_real for o in observations):
+            obs = obs.real
+        obs = obs.transpose(2, 0, 3, 1).reshape(p, len(observations), mn)
+
+    def build(j: int) -> ColumnSystem:
+        sel = selectors[j]
+        rhs = obs[j][:, sel].ravel() if observations else np.empty(0)
+        return ColumnSystem(j=j, matrix=stack[:, sel, :].reshape(-1, mn), rhs=rhs)
+
+    return build
+
+
 def assemble_column_system(
     a: Tensor3, mask: SampleMask, samples: SampleData, j: int
 ) -> ColumnSystem:
@@ -192,14 +167,7 @@ def assemble_column_system(
     p = mask.dims[1]
     if not 0 <= j < p:
         raise IndexError(f"column {j} out of range for {p} columns")
-    powers = _operator_powers(a, samples.horizon)
-    phat = _mask_dft(mask)
-    obs_dfts = [np.fft.fft(o.data, axis=2) for o in samples.observations]
-    return ColumnSystem(
-        j=j,
-        matrix=_column_matrix(powers, phat, j),
-        rhs=_column_rhs(obs_dfts, j),
-    )
+    return _column_systems(a, mask, samples.horizon, samples.observations)(j)
 
 
 # -- solving -------------------------------------------------------------------
@@ -209,18 +177,17 @@ def solve_column(system: ColumnSystem, tol: float | None = None):
     """Minimum-norm least-squares solution of one column system via SVD.
 
     Returns ``(x, rank, kappa, residual)`` where rank counts singular values
-    above ``tol * sigma_max`` and kappa is the ratio of the largest kept
-    singular value to the smallest.  An all-zero matrix raises
-    ``UnrecoverableColumnError`` -- that column was never sampled.
+    above ``tol * sigma_max`` (``tol`` in (0, 1)) and kappa is the ratio of
+    the largest kept singular value to the smallest.  A system without a
+    nonzero entry raises ``UnrecoverableColumnError`` -- that column was
+    never sampled.
     """
+    _check_tol(tol)
     M, b = system.matrix, system.rhs
     if not M.any():
         raise UnrecoverableColumnError((system.j,))
-    rel = default_solver_tol(M.shape) if tol is None else float(tol)
     u, s, vh = np.linalg.svd(M, full_matrices=False)
-    cutoff = rel * s[0]
-    rank = int(np.count_nonzero(s > cutoff))
-    kappa = float(s[0] / s[rank - 1])
+    rank, kappa = _rank_kappa(s, M.shape, tol)
     coef = (u[:, :rank].conj().T @ b) / s[:rank]
     x = vh[:rank].conj().T @ coef
     residual = float(np.linalg.norm(M @ x - b))
@@ -242,60 +209,45 @@ def reconstruct(
     Columns are independent and may be solved in parallel; the report is
     identical for any thread count.  Unsampled columns raise unless
     ``allow_partial`` is set, in which case they are zero-filled and listed
-    in ``failed_columns``.  When the operator and observations are real, the
-    estimate is reduced to real data provided its imaginary residue is at
-    roundoff level; otherwise the complex estimate is returned as-is so that
-    failed recoveries report their true error.
+    in ``failed_columns``.  The estimate is real when the operator and the
+    observations are.
     """
     start = time.perf_counter()
+    _check_tol(tol)
     _check_problem(a, mask, samples)
     m, p, n = mask.dims
-    powers = _operator_powers(a, samples.horizon)
-    phat = _mask_dft(mask)
-    obs_dfts = [np.fft.fft(o.data, axis=2) for o in samples.observations]
+    build = _column_systems(a, mask, samples.horizon, samples.observations)
 
     def run(j: int):
-        system = ColumnSystem(
-            j=j,
-            matrix=_column_matrix(powers, phat, j),
-            rhs=_column_rhs(obs_dfts, j),
-        )
         try:
-            return ("ok",) + solve_column(system, tol)
+            return solve_column(build(j), tol)
         except UnrecoverableColumnError:
-            return ("failed", float(np.linalg.norm(system.rhs)))
+            return None  # no samples, so no misfit either
 
     results = pmap(run, range(p), threads)
-    failed = [j for j, r in enumerate(results) if r[0] == "failed"]
+    failed = [j for j, r in enumerate(results) if r is None]
     if failed and not allow_partial:
         raise UnrecoverableColumnError(failed)
 
-    xhat = np.zeros((m, p, n), dtype=np.complex128)
+    estimate_data = np.zeros((m, p, n), dtype=np.complex128)
     residuals: list[float] = []
     kappas: list[float | None] = []
     ranks: list[int] = []
     for j, res in enumerate(results):
-        if res[0] == "failed":
-            residuals.append(res[1])
+        if res is None:
+            residuals.append(0.0)
             kappas.append(None)
             ranks.append(0)
             continue
-        _, x, rank, kappa, residual = res
-        xhat[:, j, :] = x.reshape((m, n), order="F")
+        x, rank, kappa, residual = res
+        estimate_data[:, j, :] = x.reshape((m, n), order="F")
         residuals.append(residual)
         kappas.append(kappa)
         ranks.append(rank)
-
-    estimate_data = np.fft.ifft(xhat, axis=2)
-    if a.is_real and all(o.is_real for o in samples.observations):
-        try:
-            estimate_data = _purge_imag(estimate_data, "reconstruct")
-        except RealnessError:
-            pass  # estimate is genuinely non-real; report the honest error
     estimate = Tensor3(estimate_data, copy=False)
 
     solved = [k for k in kappas if k is not None]
-    report = ReconstructionReport(
+    return ReconstructionReport(
         estimate=estimate,
         residuals=residuals,
         kappa=kappas,
@@ -309,7 +261,6 @@ def reconstruct(
         ),
         wall_ms=(time.perf_counter() - start) * 1e3,
     )
-    return report
 
 
 def system_condition(
@@ -320,23 +271,17 @@ def system_condition(
     The right-hand side is irrelevant: kappa(j) depends only on the operator,
     the mask, and the horizon.  Returns ``(kappas, K)``.
     """
+    _check_tol(tol)
     _check_problem(a, mask, None)
-    if int(T) < 1:
-        raise ValueError(f"T must be >= 1, got {T}")
-    p = mask.dims[1]
-    powers = _operator_powers(a, int(T))
-    phat = _mask_dft(mask)
+    build = _column_systems(a, mask, T)
 
     def run(j: int):
-        M = _column_matrix(powers, phat, j)
+        M = build(j).matrix
         if not M.any():
             return None
-        s = np.linalg.svd(M, compute_uv=False)
-        rel = default_solver_tol(M.shape) if tol is None else float(tol)
-        rank = int(np.count_nonzero(s > rel * s[0]))
-        return float(s[0] / s[rank - 1])
+        return _rank_kappa(np.linalg.svd(M, compute_uv=False), M.shape, tol)[1]
 
-    kappas = pmap(run, range(p), threads)
+    kappas = pmap(run, range(mask.dims[1]), threads)
     empty = [j for j, k in enumerate(kappas) if k is None]
     if empty:
         raise UnrecoverableColumnError(empty)

@@ -1,9 +1,11 @@
-"""Brute-force reference implementations used only by the tests.
+"""Reference implementations used only by the tests.
 
-These deliberately avoid the FFT-based code paths: the forward model is
-applied through the explicit block-circulant matrix, one basis tensor at a
-time, so the resulting sampling map is an independent check on the
-frequency-domain solver.
+The brute-force helpers deliberately avoid the FFT-based code paths: the
+forward model is applied through the explicit block-circulant matrix, one
+basis tensor at a time, so the resulting sampling map is an independent check
+on the column solver.  ``frequency_column_matrix`` builds the paper's
+frequency-domain form of each column system, which is unitarily similar to
+the library's spatial one.
 """
 
 import numpy as np
@@ -61,3 +63,43 @@ def brute_force_estimate(a, mask, samples) -> np.ndarray:
     b = stacked_samples(samples)
     x, *_ = np.linalg.lstsq(S, b, rcond=None)
     return x.reshape(mask.dims)
+
+
+def mask_conv_matrix(mask, j: int) -> np.ndarray:
+    """Dense mask-convolution matrix C(j), an (m*n)-by-(m*n) array.
+
+    Grid block (a, b) is diagonal over the first mode, holding entry
+    (a, b) of the circulant of the mask-DFT tube of each row i.
+    """
+    m, _, n = mask.dims
+    tubes = np.fft.fft(mask.indicator.astype(np.float64), axis=2)[:, j, :]
+    idx = (np.arange(n)[:, None] - np.arange(n)[None, :]) % n
+    circs = tubes[:, idx]  # (m, n, n): circs[i, a, b] = tubes[i, (a-b) % n]
+    out = np.zeros((m * n, m * n), dtype=np.complex128)
+    rows = np.arange(m)
+    for a in range(n):
+        for b in range(n):
+            out[a * m + rows, b * m + rows] = circs[:, a, b]
+    return out
+
+
+def frequency_column_matrix(a, mask, T: int, j: int) -> np.ndarray:
+    """Stack (1/n) * C(j) * D(t) over t; shape (T*m*n, m*n), complex.
+
+    D(t) is block-diagonal with the t-th powers of the operator's DFT slices;
+    the unknown is the DFT of column j, stacked over depth frequencies.
+    """
+    m, _, n = a.dims
+    mn = m * n
+    slices = np.fft.fft(a.data, axis=2).transpose(2, 0, 1)
+    power = np.broadcast_to(np.eye(m), (n, m, m))
+    conv = mask_conv_matrix(mask, j)
+    out = np.empty((T * mn, mn), dtype=np.complex128)
+    for t in range(T):
+        if t > 0:
+            power = power @ slices
+        for k in range(n):
+            out[t * mn : (t + 1) * mn, k * m : (k + 1) * m] = (
+                conv[:, k * m : (k + 1) * m] @ power[k]
+            )
+    return out / n

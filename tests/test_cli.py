@@ -141,6 +141,31 @@ def test_reconstruct_unrecoverable_exit_code(tmp_path, capsys):
     assert (tmp_path / "o" / "estimate.t3").exists()
 
 
+def test_reconstruct_rejects_tol_outside_unit_interval(tmp_path, capsys):
+    ds = tmp_path / "ds"
+    assert main(["simulate", "--out", str(ds), "--T", "2"] + SMALL) == 0
+    for bad in ("2", "1", "0", "-0.5", "nan"):
+        assert main(["reconstruct", str(ds), "--tol", bad]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: --tol must lie in (0, 1)")
+        assert len(err.splitlines()) == 1
+    assert not (ds / "report.json").exists()
+    # checked before the dataset is read: a missing dataset is not reached
+    assert main(["reconstruct", str(tmp_path / "nope"), "--tol", "2"]) == 3
+
+
+def test_bad_thread_cap_is_config_error(tmp_path, monkeypatch, capsys):
+    ds = tmp_path / "ds"
+    assert main(["simulate", "--out", str(ds), "--T", "2"] + SMALL) == 0
+    monkeypatch.setenv("DYNSAMP_THREADS", "abc")
+    assert main(["reconstruct", str(ds)]) == 3
+    err = capsys.readouterr().err
+    assert "DYNSAMP_THREADS" in err and len(err.splitlines()) == 1
+    argv = ["experiment", "--kind", "pointwise-gap", "--out", str(tmp_path / "e")]
+    assert main(argv + SMALL) == 3
+    assert "DYNSAMP_THREADS" in capsys.readouterr().err
+
+
 def test_experiment_requires_kind(capsys):
     assert main(["experiment", "--out", "/tmp/x"]) == 3
 

@@ -18,8 +18,12 @@ from dynsamp import (
     solve_column,
     system_condition,
 )
-from dynsamp.reconstruct import _mask_conv_apply, _mask_conv_matrix, _mask_dft
-from oracles import brute_force_estimate, materialized_sampling_map
+from oracles import (
+    brute_force_estimate,
+    frequency_column_matrix,
+    mask_conv_matrix,
+    materialized_sampling_map,
+)
 
 
 def make_instance(m, p, n, T, alpha, seed, sigma=0.0):
@@ -55,10 +59,9 @@ def test_unsampled_column_gives_zero_matrix():
 
 def test_forward_consistency_ground_truth_is_feasible():
     a, f, mask, samples = make_instance(4, 3, 2, 2, 0.7, 500)
-    fhat = np.fft.fft(f.data, axis=2)
     for j in range(3):
         system = assemble_column_system(a, mask, samples, j)
-        xj = fhat[:, j, :].flatten(order="F")
+        xj = f.data[:, j, :].flatten(order="F")
         gap = np.linalg.norm(system.matrix @ xj - system.rhs)
         assert gap <= 1e-9 * max(1.0, np.linalg.norm(system.rhs))
 
@@ -72,23 +75,37 @@ def test_assemble_validates_inputs():
         assemble_column_system(a, other_mask, samples, 0)
 
 
-def test_mask_conv_dense_matches_action_form():
-    mask = bernoulli_mask(5, 4, 6, 0.5, 42)
-    phat = _mask_dft(mask)
-    rng = np.random.Generator(np.random.Philox(key=43))
-    slab = rng.standard_normal((5, 6)) + 1j * rng.standard_normal((5, 6))
-    for j in range(4):
-        dense = _mask_conv_matrix(phat, j)
-        via_matrix = (dense @ slab.flatten(order="F")).reshape((5, 6), order="F")
-        via_action = _mask_conv_apply(phat, j, slab)
-        assert np.allclose(via_matrix, via_action, atol=1e-10)
-
-
 def test_empty_column_has_zero_conv_matrix():
     mask = lattice_mask(3, 4, 5, range(3), [0, 1, 3])
-    phat = _mask_dft(mask)
-    assert not _mask_conv_matrix(phat, 2).any()
-    assert _mask_conv_matrix(phat, 0).any()
+    assert not mask_conv_matrix(mask, 2).any()
+    assert mask_conv_matrix(mask, 0).any()
+
+
+def test_spatial_system_matches_frequency_oracle_singular_values():
+    # (1/n) C(j) D(t) is unitarily similar to the sampled rows of bcirc(A)^t,
+    # so both column systems share their singular values; the T=1 and T=2
+    # instances include rank-deficient columns.
+    deficient = 0
+    for m, p, n, T, alpha, seed in [
+        (4, 3, 2, 1, 0.5, 610),
+        (5, 4, 3, 2, 0.3, 650),
+        (4, 3, 4, 4, 0.6, 660),
+        (6, 3, 2, 5, 0.4, 670),
+    ]:
+        a, f, mask, samples = make_instance(m, p, n, T, alpha, seed)
+        for j in range(p):
+            spatial = assemble_column_system(a, mask, samples, j).matrix
+            if not spatial.any():
+                continue
+            s_freq = np.linalg.svd(
+                frequency_column_matrix(a, mask, T, j), compute_uv=False
+            )
+            s = np.zeros(m * n)
+            s_sp = np.linalg.svd(spatial, compute_uv=False)
+            s[: s_sp.size] = s_sp
+            np.testing.assert_allclose(s, s_freq, rtol=1e-10, atol=1e-12 * s_freq[0])
+            deficient += int(np.count_nonzero(s > 1e-10 * s[0]) < m * n)
+    assert deficient > 0
 
 
 # -- solve_column -----------------------------------------------------------------
@@ -106,8 +123,7 @@ def test_solve_identity_system():
     assert rank == m * n
     assert kappa == pytest.approx(1.0)
     assert residual <= 1e-12
-    fhat = np.fft.fft(f.data, axis=2)
-    assert np.allclose(x, fhat[:, 2, :].flatten(order="F"), atol=1e-10)
+    assert np.allclose(x, f.data[:, 2, :].flatten(order="F"), atol=1e-10)
 
 
 def test_solve_zero_matrix_raises():
@@ -127,12 +143,25 @@ def test_solve_matches_materialized_map_pseudoinverse():
     S = materialized_sampling_map(a, mask, samples.horizon)
     assert np.linalg.matrix_rank(S) == 24  # precondition: unique solution
     brute = brute_force_estimate(a, mask, samples)
-    brute_hat = np.fft.fft(brute, axis=2)
     for j in range(3):
         system = assemble_column_system(a, mask, samples, j)
         x, *_ = solve_column(system)
-        want = brute_hat[:, j, :].flatten(order="F")
+        want = brute[:, j, :].flatten(order="F")
         assert np.linalg.norm(x - want) <= 1e-8 * max(1.0, np.linalg.norm(want))
+
+
+def test_tol_outside_unit_interval_rejected():
+    a, f, mask, samples = make_instance(4, 3, 2, 3, 0.7, 515)
+    system = assemble_column_system(a, mask, samples, 0)
+    for bad in (1.5, 1.0, 0.0, -1e-3, float("nan")):
+        with pytest.raises(ValueError, match="tol"):
+            solve_column(system, tol=bad)
+        with pytest.raises(ValueError, match="tol"):
+            reconstruct(a, mask, samples, tol=bad)
+        with pytest.raises(ValueError, match="tol"):
+            system_condition(a, mask, 3, tol=bad)
+    _, rank, _, _ = solve_column(system, tol=0.5)
+    assert rank >= 1
 
 
 # -- reconstruct ------------------------------------------------------------------
