@@ -11,8 +11,6 @@ from .tensor3 import (
     RealnessError,
     ShapeMismatchError,
     Tensor3,
-    bcirc_oracle,
-    circ,
     dft3,
     facewise,
     fro_norm,
@@ -23,7 +21,6 @@ from .tensor3 import (
     rel_error,
     tpow,
     tprod,
-    tube_conv,
 )
 from .t3io import T3FormatError, dumps_t3, loads_t3, read_t3, write_t3
 from .sampling import (
@@ -54,8 +51,6 @@ __all__ = [
     "RealnessError",
     "ShapeMismatchError",
     "Tensor3",
-    "bcirc_oracle",
-    "circ",
     "dft3",
     "facewise",
     "fro_norm",
@@ -66,7 +61,6 @@ __all__ = [
     "rel_error",
     "tpow",
     "tprod",
-    "tube_conv",
     "T3FormatError",
     "dumps_t3",
     "loads_t3",

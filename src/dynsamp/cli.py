@@ -5,8 +5,9 @@
     dynsamp experiment --kind KIND --out DIR [--config cfg.json] [overrides]
 
 Exit codes: 0 success, 2 unrecoverable columns, 3 configuration error,
-4 I/O or data-file error.  DYNSAMP_THREADS caps worker parallelism; results
-are byte-identical for any thread count.
+4 I/O or data-file error.  DYNSAMP_THREADS caps worker parallelism, the
+only parallel layer: OpenBLAS runs on one thread inside it.  Results are
+byte-identical for any DYNSAMP_THREADS and any OpenBLAS thread count.
 """
 
 from __future__ import annotations

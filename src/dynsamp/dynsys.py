@@ -8,6 +8,7 @@ additive real Gaussian noise, drawn independently per time step.
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -131,19 +132,58 @@ def save_sample_data(directory, samples: SampleData) -> None:
     )
 
 
+def _meta_number(meta: dict, key: str, path, kind):
+    """``meta[key]`` as a finite ``kind`` (int or float), else a one-line error."""
+    value = meta.get(key)
+    if value is None:
+        raise ValueError(f"{path}: missing '{key}'")
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, (int, float))
+        or not math.isfinite(value)
+        or kind(value) != value
+    ):
+        noun = "an integer" if kind is int else "a number"
+        raise ValueError(f"{path}: '{key}' must be {noun}, got {value!r}")
+    return kind(value)
+
+
 def load_sample_data(directory) -> SampleData:
-    """Read a dataset directory written by ``save_sample_data``."""
+    """Read a dataset directory written by ``save_sample_data``.
+
+    A ``meta.json`` that is not a JSON object, lacks a numeric ``T``,
+    ``sigma`` or ``seed``, or whose ``dims`` differ from the mask's raises
+    ``ValueError`` naming the file.
+    """
     directory = Path(directory)
     meta_path = directory / "meta.json"
     if not meta_path.exists():
         raise FileNotFoundError(f"{directory}: missing meta.json")
-    meta = json.loads(meta_path.read_text(encoding="ascii"))
+    try:
+        meta = json.loads(meta_path.read_text(encoding="ascii"))
+    except json.JSONDecodeError as err:
+        raise ValueError(
+            f"{meta_path}: invalid JSON at line {err.lineno}: {err.msg}"
+        ) from None
+    if not isinstance(meta, dict):
+        raise ValueError(f"{meta_path}: expected a JSON object")
+    T = _meta_number(meta, "T", meta_path, int)
+    if T < 1:
+        raise ValueError(f"{meta_path}: 'T' must be at least 1, got {T}")
+    sigma = _meta_number(meta, "sigma", meta_path, float)
+    seed = _meta_number(meta, "seed", meta_path, int)
+    dims = meta.get("dims")
+    if not (isinstance(dims, list) and all(type(d) is int for d in dims)):
+        raise ValueError(f"{meta_path}: 'dims' must be a list of integers, got {dims!r}")
     mask = load_mask(directory / "mask.t3")
-    T = int(meta["T"])
+    if tuple(dims) != mask.dims:
+        raise ValueError(
+            f"{meta_path}: dims {dims} do not match the mask's {list(mask.dims)}"
+        )
     observations = []
     for t in range(T):
         obs_path = directory / f"obs_{t}.t3"
         if not obs_path.exists():
             raise FileNotFoundError(f"{directory}: missing obs_{t}.t3 (T={T})")
         observations.append(read_t3(obs_path))
-    return SampleData(mask, observations, float(meta["sigma"]), int(meta["seed"]))
+    return SampleData(mask, observations, sigma, seed)

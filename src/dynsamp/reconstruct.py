@@ -105,11 +105,10 @@ def _check_tol(tol) -> None:
         raise ValueError(f"tol must lie in (0, 1), got {tol}")
 
 
-def _rank_kappa(s: np.ndarray, shape, tol) -> tuple[int, float]:
-    """Numerical rank above ``tol * s[0]`` and the kept condition number."""
+def _kappa(s: np.ndarray, shape, tol) -> float:
+    """Largest singular value over the smallest one above ``tol * s[0]``."""
     rel = default_solver_tol(shape) if tol is None else float(tol)
-    rank = int(np.count_nonzero(s > rel * s[0]))
-    return rank, float(s[0] / s[rank - 1])
+    return float(s[0] / s[s > rel * s[0]][-1])
 
 
 # -- system assembly ----------------------------------------------------------
@@ -174,24 +173,24 @@ def assemble_column_system(
 
 
 def solve_column(system: ColumnSystem, tol: float | None = None):
-    """Minimum-norm least-squares solution of one column system via SVD.
+    """Minimum-norm least-squares solution of one column system.
 
-    Returns ``(x, rank, kappa, residual)`` where rank counts singular values
-    above ``tol * sigma_max`` (``tol`` in (0, 1)) and kappa is the ratio of
-    the largest kept singular value to the smallest.  A system without a
-    nonzero entry raises ``UnrecoverableColumnError`` -- that column was
-    never sampled.
+    One LAPACK ``gelsd`` call (``np.linalg.lstsq``) returns the solution, the
+    rank and the singular values.  Returns ``(x, rank, kappa, residual)``
+    where rank counts singular values above ``tol * sigma_max`` (``tol`` in
+    (0, 1), default ``default_solver_tol``: the cutoff ``system_condition``
+    applies too) and kappa is the ratio of the largest kept singular value
+    to the smallest.  A system without a nonzero entry raises
+    ``UnrecoverableColumnError`` -- that column was never sampled.
     """
     _check_tol(tol)
     M, b = system.matrix, system.rhs
     if not M.any():
         raise UnrecoverableColumnError((system.j,))
-    u, s, vh = np.linalg.svd(M, full_matrices=False)
-    rank, kappa = _rank_kappa(s, M.shape, tol)
-    coef = (u[:, :rank].conj().T @ b) / s[:rank]
-    x = vh[:rank].conj().T @ coef
+    x, _, rank, s = np.linalg.lstsq(M, b, rcond=tol)
+    rank = int(rank)
     residual = float(np.linalg.norm(M @ x - b))
-    return x, rank, kappa, residual
+    return x, rank, float(s[0] / s[rank - 1]), residual
 
 
 def reconstruct(
@@ -279,7 +278,7 @@ def system_condition(
         M = build(j).matrix
         if not M.any():
             return None
-        return _rank_kappa(np.linalg.svd(M, compute_uv=False), M.shape, tol)[1]
+        return _kappa(np.linalg.svd(M, compute_uv=False), M.shape, tol)
 
     kappas = pmap(run, range(mask.dims[1]), threads)
     empty = [j for j, k in enumerate(kappas) if k is None]

@@ -14,6 +14,7 @@ digits so float64 values round-trip exactly.
 
 from __future__ import annotations
 
+import math
 import os
 import tempfile
 from pathlib import Path
@@ -71,7 +72,7 @@ def write_t3(path, t: Tensor3) -> None:
 
 
 def loads_t3(text: str, path="<string>") -> Tensor3:
-    """Parse T3 v1 text; rejects malformed input with a line-numbered error."""
+    """Parse T3 v1 text; malformed or non-finite input gets a line-numbered error."""
     lines = text.splitlines()
     if not lines:
         raise T3FormatError(path, 1, "empty file, expected T3 header")
@@ -111,6 +112,8 @@ def loads_t3(text: str, path="<string>") -> Tensor3:
             im = float(parts[1]) if ncols == 2 else 0.0
         except ValueError:
             raise T3FormatError(path, offset, f"unparseable number in {raw!r}") from None
+        if not (math.isfinite(re) and math.isfinite(im)):
+            raise T3FormatError(path, offset, f"non-finite value in {raw!r}")
         k, rem = divmod(pos, p * m)
         j, i = divmod(rem, m)
         data[i, j, k] = complex(re, im)

@@ -5,10 +5,13 @@ forward model is applied through the explicit block-circulant matrix, one
 basis tensor at a time, so the resulting sampling map is an independent check
 on the column solver.  ``frequency_column_matrix`` builds the paper's
 frequency-domain form of each column system, which is unitarily similar to
-the library's spatial one.
+the library's spatial one.  ``tube_conv``, ``circ`` and ``bcirc_oracle``
+are direct, FFT-free forms of the t-product algebra.
 """
 
 import numpy as np
+
+from dynsamp.tensor3 import ShapeMismatchError, Tensor3, _check_same_shape
 
 
 def block_circulant(a) -> np.ndarray:
@@ -103,3 +106,58 @@ def frequency_column_matrix(a, mask, T: int, j: int) -> np.ndarray:
                 conv[:, k * m : (k + 1) * m] @ power[k]
             )
     return out / n
+
+
+def tube_conv(a: Tensor3, b: Tensor3) -> Tensor3:
+    """Circular convolution of corresponding tubes, by direct summation.
+
+    out[i,j,c] = sum_d a[i,j,d] * b[i,j,(c-d) mod n].  The direct O(n^2)
+    form keeps real inputs exactly real and is independent of the DFT route
+    (which the tests check it against).
+    """
+    _check_same_shape(a, b, "tube-convolve")
+    n = a.dims[2]
+    out = np.zeros_like(a.data)
+    for d in range(n):
+        out += a.data[:, :, d : d + 1] * np.roll(b.data, d, axis=2)
+    return Tensor3(out, copy=False)
+
+
+def circ(v: np.ndarray) -> np.ndarray:
+    """Circulant matrix with first column v: C[a, b] = v[(a - b) mod n].
+
+    With this convention C @ w is the circular convolution v * w.
+    """
+    v = np.asarray(v)
+    if v.ndim != 1 or v.size < 1:
+        raise ShapeMismatchError(f"circ needs a nonempty vector, got shape {v.shape}")
+    n = v.size
+    idx = (np.arange(n)[:, None] - np.arange(n)[None, :]) % n
+    return v[idx]
+
+
+def bcirc_oracle(a: Tensor3, b: Tensor3) -> Tensor3:
+    """t-product via the explicit block-circulant matrix; FFT-free.
+
+    Builds the (m*n)-by-(p*n) block-circulant matrix of ``a`` (block (r, c)
+    is the frontal slice a[:, :, (r-c) mod n]), applies it to the unfolded
+    ``b`` (frontal slices stacked vertically), and folds the result back.
+    Intended as an independent test oracle for ``tprod``.
+    """
+    ma, pa, na = a.dims
+    pb, qb, nb = b.dims
+    if na != nb or pa != pb:
+        raise ShapeMismatchError(
+            f"bcirc_oracle needs (m,p,n)x(p,q,n), got {a.dims} and {b.dims}"
+        )
+    m, p, q, n = ma, pa, qb, na
+    big = np.zeros((m * n, p * n), dtype=np.complex128)
+    for r in range(n):
+        for c in range(n):
+            big[r * m : (r + 1) * m, c * p : (c + 1) * p] = a.data[:, :, (r - c) % n]
+    unfolded = np.concatenate([b.data[:, :, k] for k in range(n)], axis=0)
+    prod = big @ unfolded
+    out = np.empty((m, q, n), dtype=np.complex128)
+    for k in range(n):
+        out[:, :, k] = prod[k * m : (k + 1) * m, :]
+    return Tensor3(out, copy=False)

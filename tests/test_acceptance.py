@@ -12,7 +12,6 @@ import numpy as np
 from dynsamp import (
     UnrecoverableColumnError,
     assemble_column_system,
-    bcirc_oracle,
     bernoulli_mask,
     evolve,
     fro_norm,
@@ -33,6 +32,7 @@ from dynsamp.experiments import (
     run_experiment,
 )
 from oracles import (
+    bcirc_oracle,
     brute_force_estimate,
     frequency_column_matrix,
     materialized_sampling_map,

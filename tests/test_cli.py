@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -118,6 +121,50 @@ def test_reconstruct_partial_dataset(tmp_path, capsys):
     assert main(["reconstruct", str(out)]) == 4
 
 
+def test_reconstruct_non_finite_observation_is_data_error(tmp_path, capsys):
+    ds = tmp_path / "ds"
+    assert main(["simulate", "--out", str(ds), "--T", "2"] + SMALL) == 0
+    obs = ds / "obs_0.t3"
+    lines = obs.read_text().splitlines()
+    lines[3] = "nan"
+    obs.write_text("\n".join(lines) + "\n")
+    assert main(["reconstruct", str(ds)]) == 4
+    err = capsys.readouterr().err
+    assert f"{obs}: line 4: non-finite value" in err
+    assert len(err.splitlines()) == 1
+
+
+def _edit_meta(ds: Path, **changes) -> None:
+    meta = json.loads((ds / "meta.json").read_text())
+    meta.update(changes)
+    (ds / "meta.json").write_text(
+        json.dumps({k: v for k, v in meta.items() if v is not None})
+    )
+
+
+def test_reconstruct_meta_missing_key_is_data_error(tmp_path, capsys):
+    ds = tmp_path / "ds"
+    assert main(["simulate", "--out", str(ds), "--T", "2"] + SMALL) == 0
+    _edit_meta(ds, sigma=None)
+    assert main(["reconstruct", str(ds)]) == 4
+    err = capsys.readouterr().err
+    assert err == f"error: {ds / 'meta.json'}: missing 'sigma'\n"
+    _edit_meta(ds, sigma="0.1")
+    assert main(["reconstruct", str(ds)]) == 4
+    assert "'sigma' must be a number" in capsys.readouterr().err
+    assert not (ds / "report.json").exists()
+
+
+def test_reconstruct_meta_dims_mismatch_is_data_error(tmp_path, capsys):
+    ds = tmp_path / "ds"
+    assert main(["simulate", "--out", str(ds), "--T", "2"] + SMALL) == 0
+    _edit_meta(ds, dims=[6, 4, 3])
+    assert main(["reconstruct", str(ds)]) == 4
+    err = capsys.readouterr().err
+    assert "dims [6, 4, 3] do not match the mask's [6, 4, 2]" in err
+    assert len(err.splitlines()) == 1
+
+
 def test_reconstruct_unrecoverable_exit_code(tmp_path, capsys):
     m, p, n, T = 5, 4, 2, 3
     a = random_tensor(m, m, n, 31)
@@ -203,3 +250,32 @@ def test_experiment_thread_env_determinism(tmp_path, monkeypatch):
 
 def test_unknown_flag_is_config_error(capsys):
     assert main(["experiment", "--bogus", "1"]) == 3
+
+
+def _cli(args, openblas_threads: int, cwd: Path) -> None:
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(openblas_threads))
+    env.pop("DYNSAMP_THREADS", None)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    subprocess.run(
+        [sys.executable, "-m", "dynsamp.cli", *args], cwd=cwd, env=env, check=True,
+        stdout=subprocess.DEVNULL,
+    )
+
+
+def test_outputs_identical_across_openblas_thread_counts(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(
+        json.dumps({"kind": "optimal-T", "T": [4, 8, 12], "sigma": [1e-3],
+                    "trials": 2, "seed": 5})
+    )
+    outputs = []
+    for blas in (1, 2):
+        ds, exp = tmp_path / f"ds{blas}", tmp_path / f"exp{blas}"
+        _cli(["simulate", "--out", str(ds), "--m", "32", "--n", "6", "--p", "16",
+              "--sigma", "1e-3", "--seed", "3"], blas, tmp_path)
+        _cli(["reconstruct", str(ds)], blas, tmp_path)
+        _cli(["experiment", "--config", str(cfg), "--out", str(exp)], blas, tmp_path)
+        outputs.append((dir_bytes(ds), dir_bytes(exp)))
+    assert "estimate.t3" in outputs[0][0] and "optimal-T.csv" in outputs[0][1]
+    assert outputs[0] == outputs[1]

@@ -6,7 +6,6 @@ import pytest
 from dynsamp import (
     SampleData,
     Tensor3,
-    bcirc_oracle,
     bernoulli_mask,
     evolve,
     fro_norm,
@@ -19,6 +18,8 @@ from dynsamp import (
     tprod,
 )
 from dynsamp.tensor3 import ShapeMismatchError
+
+from oracles import bcirc_oracle
 
 
 def small_instance():

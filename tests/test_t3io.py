@@ -60,6 +60,9 @@ def test_rewrite_is_byte_identical(tmp_path):
         ("T3 1 1 1 1 real\n0.0\n1.0\n", 3),      # too many entries
         ("T3 1 1 1 1 complex\n0.0\n", 2),        # complex needs two values
         ("T3 1 1 1 1 real\n0.0 1.0\n", 2),       # real takes one value
+        ("T3 1 2 1 1 real\n0.0\nnan\n", 3),      # non-finite values
+        ("T3 1 2 1 1 real\n0.0\n-Infinity\n", 3),
+        ("T3 1 1 1 1 complex\n1.0 inf\n", 2),
     ],
 )
 def test_malformed_input_reports_line(text, line):

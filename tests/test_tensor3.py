@@ -5,8 +5,6 @@ from dynsamp import (
     RealnessError,
     ShapeMismatchError,
     Tensor3,
-    bcirc_oracle,
-    circ,
     dft3,
     facewise,
     fro_norm,
@@ -17,9 +15,10 @@ from dynsamp import (
     rel_error,
     tpow,
     tprod,
-    tube_conv,
 )
 from dynsamp.tensor3 import _purge_imag
+
+from oracles import bcirc_oracle, circ, tube_conv
 
 
 def rand(m, p, n, seed):
