@@ -152,8 +152,8 @@ def load_sample_data(directory) -> SampleData:
     """Read a dataset directory written by ``save_sample_data``.
 
     A ``meta.json`` that is not a JSON object, lacks a numeric ``T``,
-    ``sigma`` or ``seed``, or whose ``dims`` differ from the mask's raises
-    ``ValueError`` naming the file.
+    ``sigma`` or ``seed``, has a negative ``sigma``, or whose ``dims`` differ
+    from the mask's raises ``ValueError`` naming the file.
     """
     directory = Path(directory)
     meta_path = directory / "meta.json"
@@ -171,6 +171,8 @@ def load_sample_data(directory) -> SampleData:
     if T < 1:
         raise ValueError(f"{meta_path}: 'T' must be at least 1, got {T}")
     sigma = _meta_number(meta, "sigma", meta_path, float)
+    if sigma < 0:
+        raise ValueError(f"{meta_path}: 'sigma' must be nonnegative, got {sigma}")
     seed = _meta_number(meta, "seed", meta_path, int)
     dims = meta.get("dims")
     if not (isinstance(dims, list) and all(type(d) is int for d in dims)):

@@ -13,7 +13,9 @@ bcirc(A)^0, ..., bcirc(A)^(T-1) is computed once per (operator, T) by
 evolving the m*n unit-basis slab; column j's matrix is the subset of its
 rows that the mask selects, and its right-hand side is the observed values
 at the same entries, in the same order.  Real operators and observations
-give a real system and a real estimate.
+give a real system and a real estimate.  Columns with the same sample
+pattern share their matrix, so each distinct matrix is factored once per
+call and solved for all of its columns' right-hand sides together.
 
 Columns with no samples yield an empty system and cannot be recovered; they
 raise ``UnrecoverableColumnError`` unless the caller asks for a partial
@@ -50,7 +52,9 @@ class ColumnSystem:
     """Stacked least-squares system for one second-mode column.
 
     ``matrix`` is (T*s, m*n) and ``rhs`` has length T*s, where s is the
-    number of samples the mask places in column ``j``.
+    number of samples the mask places in column ``j``.  A (T*s, k) ``rhs``
+    holds the right-hand sides of k columns with the same sample pattern,
+    ``j`` the first of them.
     """
 
     j: int
@@ -105,12 +109,6 @@ def _check_tol(tol) -> None:
         raise ValueError(f"tol must lie in (0, 1), got {tol}")
 
 
-def _kappa(s: np.ndarray, shape, tol) -> float:
-    """Largest singular value over the smallest one above ``tol * s[0]``."""
-    rel = default_solver_tol(shape) if tol is None else float(tol)
-    return float(s[0] / s[s > rel * s[0]][-1])
-
-
 # -- system assembly ----------------------------------------------------------
 
 
@@ -127,10 +125,14 @@ def _check_problem(a: Tensor3, mask: SampleMask, samples: SampleData | None) -> 
 
 
 def _column_systems(a: Tensor3, mask: SampleMask, T: int, observations=()):
-    """Return ``build(j) -> ColumnSystem`` for every column of one problem.
+    """Return ``(groups, build)`` for the column systems of one problem.
 
     The (T, m*n, m*n) stack of bcirc(A)^t is built once here; ``build``
-    only selects rows.  Without observations the right-hand sides are empty.
+    only selects rows.  ``groups`` lists the columns by sample pattern, in
+    order of their first column; the columns of one group share one matrix.
+    ``build(cols)`` takes the columns of one group and returns their system
+    with a (rows, len(cols)) right-hand side, one column per entry of
+    ``cols``.  Without observations the right-hand side has no columns.
     """
     m, p, n = mask.dims
     mn = m * n
@@ -149,13 +151,20 @@ def _column_systems(a: Tensor3, mask: SampleMask, T: int, observations=()):
         if all(o.is_real for o in observations):
             obs = obs.real
         obs = obs.transpose(2, 0, 3, 1).reshape(p, len(observations), mn)
+    groups: dict[bytes, list[int]] = {}
+    for j in range(p):
+        groups.setdefault(selectors[j].tobytes(), []).append(j)
 
-    def build(j: int) -> ColumnSystem:
-        sel = selectors[j]
-        rhs = obs[j][:, sel].ravel() if observations else np.empty(0)
-        return ColumnSystem(j=j, matrix=stack[:, sel, :].reshape(-1, mn), rhs=rhs)
+    def build(cols: list[int]) -> ColumnSystem:
+        sel = selectors[cols[0]]
+        matrix = stack[:, sel, :].reshape(-1, mn)
+        if observations:
+            rhs = obs[cols][:, :, sel].reshape(len(cols), -1).T
+        else:
+            rhs = np.empty((matrix.shape[0], 0))
+        return ColumnSystem(j=cols[0], matrix=matrix, rhs=rhs)
 
-    return build
+    return list(groups.values()), build
 
 
 def assemble_column_system(
@@ -166,31 +175,69 @@ def assemble_column_system(
     p = mask.dims[1]
     if not 0 <= j < p:
         raise IndexError(f"column {j} out of range for {p} columns")
-    return _column_systems(a, mask, samples.horizon, samples.observations)(j)
+    _, build = _column_systems(a, mask, samples.horizon, samples.observations)
+    system = build([j])
+    return ColumnSystem(j=j, matrix=system.matrix, rhs=system.rhs.ravel())
 
 
 # -- solving -------------------------------------------------------------------
 
 
+def _factor_solve(M: np.ndarray, B: np.ndarray, tol: float | None):
+    """Truncated minimum-norm least-squares solution of ``M X = B``.
+
+    One Householder QR of ``[M | B]`` reduces the problem to the square (or,
+    with fewer rows than columns, trapezoidal) factor ``Rm`` of ``M`` and the
+    projected right-hand sides ``C``; ``Rm`` has the singular values of
+    ``M`` (Lawson & Hanson, Solving Least Squares Problems, SIAM 1995).
+    Rank counts singular values above ``tol * s[0]``.  At full rank ``X``
+    comes from back-substitution on ``Rm``, otherwise from the truncated SVD
+    of ``Rm``: the solution LAPACK's ``gelsd`` returns.  Returns
+    ``(X, rank, kappa)``.  When ``B`` has no columns there is nothing to
+    solve, and the values-only SVD of ``M`` itself is cheaper than QR first.
+    """
+    mn = M.shape[1]
+    Rm, C = M, B
+    if B.shape[1]:
+        R = np.linalg.qr(np.concatenate([M, B], axis=1), mode="r")
+        Rm, C = R[:mn, :mn], R[:mn, mn:]
+    s = np.linalg.svd(Rm, compute_uv=False)
+    rel = default_solver_tol(M.shape) if tol is None else float(tol)
+    rank = int(np.count_nonzero(s > rel * s[0]))
+    kappa = float(s[0] / s[rank - 1])
+    if not B.shape[1]:
+        return np.empty((mn, 0)), rank, kappa
+    if rank == mn:
+        # LU of an upper-triangular matrix does not pivot: back-substitution.
+        return np.linalg.solve(Rm, C), rank, kappa
+    u, sv, vh = np.linalg.svd(Rm, full_matrices=False)
+    coef = (u[:, :rank].conj().T @ C) / sv[:rank, None]
+    return vh[:rank].conj().T @ coef, rank, kappa
+
+
 def solve_column(system: ColumnSystem, tol: float | None = None):
     """Minimum-norm least-squares solution of one column system.
 
-    One LAPACK ``gelsd`` call (``np.linalg.lstsq``) returns the solution, the
-    rank and the singular values.  Returns ``(x, rank, kappa, residual)``
-    where rank counts singular values above ``tol * sigma_max`` (``tol`` in
-    (0, 1), default ``default_solver_tol``: the cutoff ``system_condition``
-    applies too) and kappa is the ratio of the largest kept singular value
-    to the smallest.  A system without a nonzero entry raises
-    ``UnrecoverableColumnError`` -- that column was never sampled.
+    Returns ``(x, rank, kappa, residual)`` where rank counts singular values
+    above ``tol * sigma_max`` (``tol`` in (0, 1), default
+    ``default_solver_tol``: the cutoff ``system_condition`` applies too),
+    kappa is the ratio of the largest kept singular value to the smallest,
+    and residual is ``||M x - b||_2``.  A 2-D ``rhs`` of shape (rows, k)
+    holds k right-hand sides that share the matrix: ``x`` is then (m*n, k)
+    and ``residual`` a length-k array, one entry per right-hand side.  A
+    system without a nonzero entry raises ``UnrecoverableColumnError`` --
+    that column was never sampled.
     """
     _check_tol(tol)
     M, b = system.matrix, system.rhs
     if not M.any():
         raise UnrecoverableColumnError((system.j,))
-    x, _, rank, s = np.linalg.lstsq(M, b, rcond=tol)
-    rank = int(rank)
-    residual = float(np.linalg.norm(M @ x - b))
-    return x, rank, float(s[0] / s[rank - 1]), residual
+    B = b.reshape(len(b), -1)
+    x, rank, kappa = _factor_solve(M, B, tol)
+    residual = np.linalg.norm(M @ x - B, axis=0)
+    if b.ndim == 1:
+        return x[:, 0], rank, kappa, float(residual[0])
+    return x, rank, kappa, residual
 
 
 def reconstruct(
@@ -205,44 +252,40 @@ def reconstruct(
 ) -> ReconstructionReport:
     """Solve all column systems and assemble the estimated initial signal.
 
-    Columns are independent and may be solved in parallel; the report is
-    identical for any thread count.  Unsampled columns raise unless
-    ``allow_partial`` is set, in which case they are zero-filled and listed
-    in ``failed_columns``.  The estimate is real when the operator and the
+    Columns are independent; those with the same sample pattern are solved
+    together through one ``solve_column`` call, and the distinct systems may
+    be solved in parallel.  The report is identical for any thread count.
+    Unsampled columns raise unless ``allow_partial`` is set, in which case
+    they are zero-filled and listed in ``failed_columns``.  The estimate is real when the operator and the
     observations are.
     """
     start = time.perf_counter()
     _check_tol(tol)
     _check_problem(a, mask, samples)
     m, p, n = mask.dims
-    build = _column_systems(a, mask, samples.horizon, samples.observations)
+    groups, build = _column_systems(a, mask, samples.horizon, samples.observations)
 
-    def run(j: int):
+    def run(cols: list[int]):
         try:
-            return solve_column(build(j), tol)
+            return solve_column(build(cols), tol)
         except UnrecoverableColumnError:
-            return None  # no samples, so no misfit either
-
-    results = pmap(run, range(p), threads)
-    failed = [j for j, r in enumerate(results) if r is None]
-    if failed and not allow_partial:
-        raise UnrecoverableColumnError(failed)
+            return None
 
     estimate_data = np.zeros((m, p, n), dtype=np.complex128)
-    residuals: list[float] = []
-    kappas: list[float | None] = []
-    ranks: list[int] = []
-    for j, res in enumerate(results):
+    # Failed columns have no samples, so no misfit either: residual 0.0.
+    residuals = [0.0] * p
+    kappas: list[float | None] = [None] * p
+    ranks = [0] * p
+    for cols, res in zip(groups, pmap(run, groups, threads)):
         if res is None:
-            residuals.append(0.0)
-            kappas.append(None)
-            ranks.append(0)
             continue
         x, rank, kappa, residual = res
-        estimate_data[:, j, :] = x.reshape((m, n), order="F")
-        residuals.append(residual)
-        kappas.append(kappa)
-        ranks.append(rank)
+        estimate_data[:, cols, :] = x.T.reshape((len(cols), n, m)).transpose(2, 0, 1)
+        for j, r in zip(cols, residual):
+            residuals[j], kappas[j], ranks[j] = float(r), kappa, rank
+    failed = [j for j, k in enumerate(kappas) if k is None]
+    if failed and not allow_partial:
+        raise UnrecoverableColumnError(failed)
     estimate = Tensor3(estimate_data, copy=False)
 
     solved = [k for k in kappas if k is not None]
@@ -272,15 +315,18 @@ def system_condition(
     """
     _check_tol(tol)
     _check_problem(a, mask, None)
-    build = _column_systems(a, mask, T)
+    groups, build = _column_systems(a, mask, T)
 
-    def run(j: int):
-        M = build(j).matrix
-        if not M.any():
+    def run(cols: list[int]):
+        system = build(cols)
+        if not system.matrix.any():
             return None
-        return _kappa(np.linalg.svd(M, compute_uv=False), M.shape, tol)
+        return _factor_solve(system.matrix, system.rhs, tol)[2]
 
-    kappas = pmap(run, range(mask.dims[1]), threads)
+    kappas: list[float | None] = [None] * mask.dims[1]
+    for cols, kappa in zip(groups, pmap(run, groups, threads)):
+        for j in cols:
+            kappas[j] = kappa
     empty = [j for j, k in enumerate(kappas) if k is None]
     if empty:
         raise UnrecoverableColumnError(empty)

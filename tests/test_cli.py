@@ -155,6 +155,16 @@ def test_reconstruct_meta_missing_key_is_data_error(tmp_path, capsys):
     assert not (ds / "report.json").exists()
 
 
+def test_reconstruct_meta_negative_sigma_is_data_error(tmp_path, capsys):
+    ds = tmp_path / "ds"
+    assert main(["simulate", "--out", str(ds), "--T", "2"] + SMALL) == 0
+    _edit_meta(ds, sigma=-1.0)
+    assert main(["reconstruct", str(ds)]) == 4
+    err = capsys.readouterr().err
+    assert err == f"error: {ds / 'meta.json'}: 'sigma' must be nonnegative, got -1.0\n"
+    assert not (ds / "report.json").exists()
+
+
 def test_reconstruct_meta_dims_mismatch_is_data_error(tmp_path, capsys):
     ds = tmp_path / "ds"
     assert main(["simulate", "--out", str(ds), "--T", "2"] + SMALL) == 0

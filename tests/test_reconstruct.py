@@ -1,7 +1,12 @@
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dynsamp import (
+    ColumnSystem,
     Tensor3,
     UnrecoverableColumnError,
     assemble_column_system,
@@ -162,6 +167,125 @@ def test_tol_outside_unit_interval_rejected():
             system_condition(a, mask, 3, tol=bad)
     _, rank, _, _ = solve_column(system, tol=0.5)
     assert rank >= 1
+
+
+def _gelsd(system, tol):
+    x, _, rank, s = np.linalg.lstsq(system.matrix, system.rhs, rcond=tol)
+    return x, int(rank), float(s[0] / s[rank - 1])
+
+
+@pytest.mark.parametrize(
+    "kind, dims, tol",
+    [
+        ("full-rank", (4, 3, 2, 4, 0.6, 700), None),
+        ("underdetermined", (5, 3, 4, 1, 0.5, 710), None),
+        ("rank-deficient", (4, 3, 2, 4, 0.6, 700), 0.5),
+    ],
+)
+def test_solve_column_matches_gelsd(kind, dims, tol):
+    a, f, mask, samples = make_instance(*dims, sigma=1e-2)
+    mn = dims[0] * dims[2]
+    for j in range(dims[1]):
+        system = assemble_column_system(a, mask, samples, j)
+        rows = system.matrix.shape[0]
+        x, rank, kappa, residual = solve_column(system, tol)
+        x_ref, rank_ref, kappa_ref = _gelsd(system, tol)
+        assert rank == rank_ref
+        assert {
+            "full-rank": rank == mn,
+            "underdetermined": 0 < rows < mn,
+            "rank-deficient": rank < min(rows, mn),
+        }[kind]
+        assert np.linalg.norm(x - x_ref) <= 1e-10 * np.linalg.norm(x_ref)
+        assert kappa == pytest.approx(kappa_ref, rel=1e-10)
+        assert residual == pytest.approx(
+            np.linalg.norm(system.matrix @ x_ref - system.rhs), rel=1e-10
+        )
+
+
+def test_solve_column_2d_rhs_matches_separate_solves():
+    a, f, mask, samples = make_instance(4, 3, 2, 3, 0.6, 720, sigma=1e-2)
+    system = assemble_column_system(a, mask, samples, 1)
+    rng = np.random.default_rng(721)
+    B = np.column_stack([system.rhs, rng.standard_normal((system.rhs.size, 2))])
+    for tol in (None, 0.5):
+        X, rank, kappa, residual = solve_column(ColumnSystem(1, system.matrix, B), tol)
+        assert X.shape == (8, 3) and residual.shape == (3,)
+        for c in range(3):
+            x, r, k, res = solve_column(ColumnSystem(1, system.matrix, B[:, c]), tol)
+            np.testing.assert_allclose(X[:, c], x, rtol=1e-12, atol=1e-12 * np.abs(x).max())
+            assert (rank, kappa) == (r, k)
+            assert residual[c] == pytest.approx(res, rel=1e-12)
+
+
+def _report_json(report) -> str:
+    return json.dumps(report.to_json_dict(), sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize(
+    "mask_of",
+    [
+        lambda m, p, n: bernoulli_mask(m, p, n, 1.0, 1),
+        lambda m, p, n: lattice_mask(m, p, n, [0, 2, 3], range(p)),
+        lambda m, p, n: lattice_mask(m, p, n, [0, 2, 3], [0, 1, 3, 4]),
+    ],
+    ids=["alpha-1", "lattice", "lattice-missing-column"],
+)
+def test_shared_column_patterns_match_per_column_solves(mask_of):
+    m, p, n, T = 4, 5, 3, 3
+    a = random_tensor(m, m, n, 730)
+    f = random_tensor(m, p, n, 731)
+    mask = mask_of(m, p, n)
+    patterns = {mask.indicator[:, j, :].tobytes() for j in range(p)}
+    assert len(patterns) < p  # columns really share a pattern
+    samples = observe(evolve(a, f, T), mask, 1e-2, 732)
+    report = reconstruct(a, mask, samples, allow_partial=True, threads=1)
+    solved = []
+    for j in range(p):
+        system = assemble_column_system(a, mask, samples, j)
+        if not system.matrix.any():
+            assert j in report.failed_columns
+            continue
+        solved.append(j)
+        x, rank, kappa, residual = solve_column(system)
+        np.testing.assert_allclose(
+            report.estimate.data[:, j, :],
+            x.reshape((m, n), order="F"),
+            rtol=1e-12,
+            atol=1e-12 * np.abs(x).max(),
+        )
+        assert report.ranks[j] == rank
+        assert report.kappa[j] == pytest.approx(kappa, rel=1e-12)
+        assert report.residuals[j] == pytest.approx(residual, rel=1e-12)
+    assert report.failed_columns == sorted(set(range(p)) - set(solved))
+    if report.failed_columns:
+        with pytest.raises(UnrecoverableColumnError) as err:
+            system_condition(a, mask, T)
+        assert err.value.columns == tuple(report.failed_columns)
+    else:
+        kappas, K = system_condition(a, mask, T)
+        np.testing.assert_allclose(kappas, report.kappa, rtol=1e-12)
+        assert K == max(kappas)
+    par = reconstruct(a, mask, samples, allow_partial=True, threads=4)
+    assert _report_json(par) == _report_json(report)
+    assert par.estimate.data.tobytes() == report.estimate.data.tobytes()
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    m=st.integers(1, 4),
+    p=st.integers(1, 5),
+    n=st.integers(1, 3),
+    T=st.integers(1, 4),
+    alpha=st.sampled_from([0.2, 0.5, 0.8, 1.0]),
+    seed=st.integers(0, 2**32),
+)
+def test_reconstruct_report_independent_of_thread_count(m, p, n, T, alpha, seed):
+    a, f, mask, samples = make_instance(m, p, n, T, alpha, seed, sigma=1e-3)
+    one = reconstruct(a, mask, samples, allow_partial=True, ground_truth=f, threads=1)
+    three = reconstruct(a, mask, samples, allow_partial=True, ground_truth=f, threads=3)
+    assert _report_json(three) == _report_json(one)
+    assert three.estimate.data.tobytes() == one.estimate.data.tobytes()
 
 
 # -- reconstruct ------------------------------------------------------------------
