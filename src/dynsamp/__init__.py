@@ -7,19 +7,11 @@ with conditioning diagnostics along the way.
 """
 
 from .tensor3 import (
-    REAL_TOL,
-    RealnessError,
     ShapeMismatchError,
     Tensor3,
-    dft3,
-    facewise,
     fro_norm,
-    hadamard,
-    identity_tensor,
-    idft3,
     random_tensor,
     rel_error,
-    tpow,
     tprod,
 )
 from .t3io import T3FormatError, dumps_t3, loads_t3, read_t3, write_t3
@@ -47,19 +39,11 @@ from .reconstruct import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "REAL_TOL",
-    "RealnessError",
     "ShapeMismatchError",
     "Tensor3",
-    "dft3",
-    "facewise",
     "fro_norm",
-    "hadamard",
-    "identity_tensor",
-    "idft3",
     "random_tensor",
     "rel_error",
-    "tpow",
     "tprod",
     "T3FormatError",
     "dumps_t3",

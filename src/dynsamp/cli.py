@@ -144,6 +144,8 @@ def cmd_simulate(args) -> int:
         raise ConfigError(f"alpha must lie in [0, 1], got {alpha}")
     if sigma < 0.0:
         raise ConfigError(f"sigma must be nonnegative, got {sigma}")
+    if seed < 0:
+        raise ConfigError(f"seed must be nonnegative, got {seed}")
 
     out = Path(merged["out"])
     out.mkdir(parents=True, exist_ok=True)

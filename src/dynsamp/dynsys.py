@@ -13,9 +13,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .tensor3 import ShapeMismatchError, Tensor3, _purge_imag, _slicewise_matmul
+from .tensor3 import ShapeMismatchError, Tensor3, _tproducts
 from .sampling import SampleMask, load_mask, project, save_mask
-from .t3io import atomic_write_text, read_t3, write_t3
+from .t3io import atomic_write_text, read_json_object, read_t3, write_t3
 
 
 class SampleData:
@@ -60,8 +60,8 @@ def evolve(a: Tensor3, f: Tensor3, T: int) -> list[Tensor3]:
     """Trajectory [f, a*f, a^2*f, ...] of length T under the t-product.
 
     Element 0 is ``f`` itself.  Later steps are computed incrementally in the
-    frequency domain (one slice-wise product per step) and transformed back,
-    purging roundoff imaginary parts when both inputs are real.
+    frequency domain (one slice-wise product per step); real inputs give a
+    real trajectory.
     """
     ma, pa, na = a.dims
     mf, pf, nf = f.dims
@@ -74,19 +74,7 @@ def evolve(a: Tensor3, f: Tensor3, T: int) -> list[Tensor3]:
     T = int(T)
     if T < 1:
         raise ValueError(f"T must be >= 1, got {T}")
-    out = [f]
-    if T == 1:
-        return out
-    ahat = np.fft.fft(a.data, axis=2)
-    cur = np.fft.fft(f.data, axis=2)
-    real_inputs = a.is_real and f.is_real
-    for t in range(1, T):
-        cur = _slicewise_matmul(ahat, cur)
-        step = np.fft.ifft(cur, axis=2)
-        if real_inputs:
-            step = _purge_imag(step, f"evolve step {t}")
-        out.append(Tensor3(step, copy=False))
-    return out
+    return [f] + [Tensor3(x, copy=False) for x in _tproducts(a.data, f.data, T - 1)]
 
 
 def observe(trajectory, mask: SampleMask, sigma: float, seed: int) -> SampleData:
@@ -159,14 +147,7 @@ def load_sample_data(directory) -> SampleData:
     meta_path = directory / "meta.json"
     if not meta_path.exists():
         raise FileNotFoundError(f"{directory}: missing meta.json")
-    try:
-        meta = json.loads(meta_path.read_text(encoding="ascii"))
-    except json.JSONDecodeError as err:
-        raise ValueError(
-            f"{meta_path}: invalid JSON at line {err.lineno}: {err.msg}"
-        ) from None
-    if not isinstance(meta, dict):
-        raise ValueError(f"{meta_path}: expected a JSON object")
+    meta = read_json_object(meta_path)
     T = _meta_number(meta, "T", meta_path, int)
     if T < 1:
         raise ValueError(f"{meta_path}: 'T' must be at least 1, got {T}")

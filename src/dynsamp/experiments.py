@@ -88,6 +88,8 @@ class ExperimentConfig:
             raise ConfigError(f"dims must be positive, got {self.m} {self.p} {self.n}")
         if self.trials < 1:
             raise ConfigError(f"trials must be >= 1, got {self.trials}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be nonnegative, got {self.seed}")
         for name, grid in (("T", self.Ts), ("alpha", self.alphas), ("sigma", self.sigmas)):
             if not grid:
                 raise ConfigError(f"{name} grid must be nonempty")

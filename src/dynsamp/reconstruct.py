@@ -142,14 +142,10 @@ def _column_systems(a: Tensor3, mask: SampleMask, T: int, observations=()):
     stack = np.stack(
         [s.data.transpose(2, 0, 1).reshape(mn, mn) for s in evolve(a, basis, T)]
     )
-    if a.is_real:
-        stack = stack.real
     # Row r = i + m*k of both the stack and the selectors is entry (i, k).
     selectors = mask.indicator.transpose(1, 2, 0).reshape(p, mn)
     if observations:
         obs = np.stack([o.data for o in observations])
-        if all(o.is_real for o in observations):
-            obs = obs.real
         obs = obs.transpose(2, 0, 3, 1).reshape(p, len(observations), mn)
     groups: dict[bytes, list[int]] = {}
     for j in range(p):
@@ -256,8 +252,8 @@ def reconstruct(
     together through one ``solve_column`` call, and the distinct systems may
     be solved in parallel.  The report is identical for any thread count.
     Unsampled columns raise unless ``allow_partial`` is set, in which case
-    they are zero-filled and listed in ``failed_columns``.  The estimate is real when the operator and the
-    observations are.
+    they are zero-filled and listed in ``failed_columns``.  The estimate is
+    real (float64) when the operator and the observations are.
     """
     start = time.perf_counter()
     _check_tol(tol)
@@ -271,7 +267,8 @@ def reconstruct(
         except UnrecoverableColumnError:
             return None
 
-    estimate_data = np.zeros((m, p, n), dtype=np.complex128)
+    dtype = np.result_type(a.data, *(o.data for o in samples.observations))
+    estimate_data = np.zeros((m, p, n), dtype=dtype)
     # Failed columns have no samples, so no misfit either: residual 0.0.
     residuals = [0.0] * p
     kappas: list[float | None] = [None] * p

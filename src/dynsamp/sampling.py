@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .tensor3 import ShapeMismatchError, Tensor3
-from .t3io import T3FormatError, atomic_write_text, read_t3, write_t3
+from .t3io import T3FormatError, atomic_write_text, read_json_object, read_t3, write_t3
 
 
 class SampleMask:
@@ -152,19 +152,22 @@ def save_mask(path, mask: SampleMask) -> None:
 
 
 def load_mask(path) -> SampleMask:
-    """Read a mask written by ``save_mask``; tolerates a missing sidecar."""
+    """Read a mask written by ``save_mask``; tolerates a missing sidecar.
+
+    A sidecar that is invalid JSON or not a JSON object raises
+    ``ValueError`` naming the file.
+    """
     path = Path(path)
-    t = read_t3(path)
-    values = t.data.real
-    bad = ~((values == 0.0) | (values == 1.0)) | (t.data.imag != 0.0)
+    values = read_t3(path).data
+    bad = ~((values == 0.0) | (values == 1.0))
     if bad.any():
         i, j, k = np.argwhere(bad)[0]
-        m, p, _ = t.dims
+        m, p, _ = values.shape
         line = 2 + k * p * m + j * m + i  # header + (k, j, i)-ordered entries
         raise T3FormatError(path, int(line), "mask entries must be 0 or 1")
     sidecar = path.with_suffix(path.suffix + ".json")
     if sidecar.exists():
-        prov = json.loads(sidecar.read_text(encoding="ascii"))
+        prov = read_json_object(sidecar)
     else:
         prov = {"type": "custom", "exclusions": []}
     return SampleMask(values != 0.0, prov)

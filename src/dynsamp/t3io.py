@@ -14,6 +14,7 @@ digits so float64 values round-trip exactly.
 
 from __future__ import annotations
 
+import json
 import math
 import os
 import tempfile
@@ -50,6 +51,18 @@ def atomic_write_text(path, text: str) -> None:
         raise
 
 
+def read_json_object(path) -> dict:
+    """Parse a JSON object file; invalid JSON or a non-object is a
+    one-line ``ValueError`` naming the file."""
+    try:
+        value = json.loads(Path(path).read_text(encoding="ascii"))
+    except json.JSONDecodeError as err:
+        raise ValueError(f"{path}: invalid JSON at line {err.lineno}: {err.msg}") from None
+    if not isinstance(value, dict):
+        raise ValueError(f"{path}: expected a JSON object")
+    return value
+
+
 def dumps_t3(t: Tensor3) -> str:
     """Serialize a tensor to T3 v1 text."""
     m, p, n = t.dims
@@ -60,7 +73,7 @@ def dumps_t3(t: Tensor3) -> str:
             for i in range(m):
                 v = t.data[i, j, k]
                 if kind == "real":
-                    lines.append(f"{v.real:.17e}")
+                    lines.append(f"{v:.17e}")
                 else:
                     lines.append(f"{v.real:.17e} {v.imag:.17e}")
     return "\n".join(lines) + "\n"

@@ -6,7 +6,9 @@ basis tensor at a time, so the resulting sampling map is an independent check
 on the column solver.  ``frequency_column_matrix`` builds the paper's
 frequency-domain form of each column system, which is unitarily similar to
 the library's spatial one.  ``tube_conv``, ``circ`` and ``bcirc_oracle``
-are direct, FFT-free forms of the t-product algebra.
+are direct, FFT-free forms of the t-product algebra, and ``identity_tensor``
+is the t-product identity.  Real inputs give real (float64) tensors, as in
+the library.
 """
 
 import numpy as np
@@ -18,7 +20,7 @@ def block_circulant(a) -> np.ndarray:
     """(m*n)-by-(m*n) real block-circulant matrix of a real square tensor."""
     assert a.is_real
     m, _, n = a.dims
-    data = a.data.real
+    data = a.data
     big = np.zeros((m * n, m * n))
     for r in range(n):
         for c in range(n):
@@ -57,7 +59,7 @@ def materialized_sampling_map(a, mask, T: int) -> np.ndarray:
 def stacked_samples(samples) -> np.ndarray:
     """Observed values over all steps, ordered to match the sampling map rows."""
     sel = samples.mask.indicator
-    return np.concatenate([obs.data.real[sel] for obs in samples.observations])
+    return np.concatenate([obs.data[sel] for obs in samples.observations])
 
 
 def brute_force_estimate(a, mask, samples) -> np.ndarray:
@@ -117,7 +119,7 @@ def tube_conv(a: Tensor3, b: Tensor3) -> Tensor3:
     """
     _check_same_shape(a, b, "tube-convolve")
     n = a.dims[2]
-    out = np.zeros_like(a.data)
+    out = np.zeros(a.dims, dtype=np.result_type(a.data, b.data))
     for d in range(n):
         out += a.data[:, :, d : d + 1] * np.roll(b.data, d, axis=2)
     return Tensor3(out, copy=False)
@@ -161,3 +163,19 @@ def bcirc_oracle(a: Tensor3, b: Tensor3) -> Tensor3:
     for k in range(n):
         out[:, :, k] = prod[k * m : (k + 1) * m, :]
     return Tensor3(out, copy=False)
+
+
+def identity_tensor(m: int, n: int) -> Tensor3:
+    """(m,m,n) identity of the t-product: eye(m) in slice 0, zeros elsewhere."""
+    if m < 1 or n < 1:
+        raise ValueError(f"identity_tensor needs m, n >= 1, got ({m}, {n})")
+    data = np.zeros((m, m, n))
+    data[:, :, 0] = np.eye(m)
+    return Tensor3(data, copy=False)
+
+
+def random_complex_tensor(m: int, p: int, n: int, seed: int) -> Tensor3:
+    """Tensor with i.i.d. standard complex normal entries (real and imaginary
+    parts drawn in turn from one seeded stream)."""
+    rng = np.random.Generator(np.random.Philox(key=int(seed)))
+    return Tensor3(rng.standard_normal((m, p, n)) + 1j * rng.standard_normal((m, p, n)))

@@ -289,3 +289,33 @@ def test_outputs_identical_across_openblas_thread_counts(tmp_path):
         outputs.append((dir_bytes(ds), dir_bytes(exp)))
     assert "estimate.t3" in outputs[0][0] and "optimal-T.csv" in outputs[0][1]
     assert outputs[0] == outputs[1]
+
+
+def test_simulate_negative_seed_is_config_error(tmp_path, capsys):
+    out = tmp_path / "ds"
+    assert main(["simulate", "--out", str(out), "--seed", "-1"]) == 3
+    assert capsys.readouterr().err == "error: seed must be nonnegative, got -1\n"
+    assert not out.exists()
+
+
+def test_experiment_negative_seed_is_config_error(tmp_path, capsys):
+    out = tmp_path / "exp"
+    argv = ["experiment", "--kind", "condition-vs-T", "--T", "3", "--seed", "-1"]
+    assert main(argv + ["--out", str(out)]) == 3
+    assert capsys.readouterr().err == "error: seed must be nonnegative, got -1\n"
+    assert not out.exists()
+
+
+def test_reconstruct_bad_mask_sidecar_is_data_error(tmp_path, capsys):
+    ds = tmp_path / "ds"
+    assert main(["simulate", "--out", str(ds), "--T", "2"] + SMALL) == 0
+    sidecar = ds / "mask.t3.json"
+    sidecar.write_text("{not json")
+    assert main(["reconstruct", str(ds)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {sidecar}: invalid JSON at line 1")
+    assert len(err.splitlines()) == 1
+    sidecar.write_text("[1, 2]")
+    assert main(["reconstruct", str(ds)]) == 4
+    assert capsys.readouterr().err == f"error: {sidecar}: expected a JSON object\n"
+    assert not (ds / "report.json").exists()

@@ -14,7 +14,6 @@ from dynsamp import (
     evolve,
     exclude_slab,
     fro_norm,
-    identity_tensor,
     lattice_mask,
     observe,
     random_tensor,
@@ -26,8 +25,10 @@ from dynsamp import (
 from oracles import (
     brute_force_estimate,
     frequency_column_matrix,
+    identity_tensor,
     mask_conv_matrix,
     materialized_sampling_map,
+    random_complex_tensor,
 )
 
 
@@ -49,7 +50,8 @@ def test_full_mask_identity_operator_gives_identity_matrix():
     mask = bernoulli_mask(m, p, n, 1.0, 1)
     samples = observe(evolve(a, f, 1), mask, 0.0, 1)
     system = assemble_column_system(a, mask, samples, 0)
-    assert np.array_equal(system.matrix, np.eye(m * n).astype(complex))
+    assert system.matrix.dtype == np.float64
+    assert np.array_equal(system.matrix, np.eye(m * n))
 
 
 def test_unsampled_column_gives_zero_matrix():
@@ -300,7 +302,22 @@ def test_full_mask_single_step_recovers_exactly():
     report = reconstruct(a, mask, samples, ground_truth=f)
     assert report.rel_error <= 1e-10
     assert report.failed_columns == []
-    assert report.estimate.is_real
+    assert report.estimate.data.dtype == np.float64
+
+
+@pytest.mark.parametrize("kinds", ["complex-complex", "complex-real", "real-complex"])
+def test_complex_problem_recovers_exactly(kinds):
+    make = {"real": random_tensor, "complex": random_complex_tensor}
+    left, right = (make[k] for k in kinds.split("-"))
+    m, p, n = 5, 4, 3
+    a, f = left(m, m, n, 560), right(m, p, n, 561)
+    mask = bernoulli_mask(m, p, n, 0.6, 562)
+    samples = observe(evolve(a, f, 4), mask, 0.0, 563)
+    assert all(obs.data.dtype == np.complex128 for obs in samples.observations[1:])
+    report = reconstruct(a, mask, samples, ground_truth=f)
+    assert report.estimate.data.dtype == np.complex128
+    assert report.ranks == [m * n] * p
+    assert report.rel_error <= 1e-10
 
 
 def test_paper_scale_recovery():

@@ -10,7 +10,7 @@ def test_round_trip_real(tmp_path):
     write_t3(path, t)
     back = read_t3(path)
     assert back.dims == t.dims
-    assert back.is_real
+    assert back.data.dtype == np.float64
     assert np.array_equal(back.data, t.data)
 
 

@@ -2,23 +2,22 @@ import numpy as np
 import pytest
 
 from dynsamp import (
-    RealnessError,
     ShapeMismatchError,
     Tensor3,
-    dft3,
-    facewise,
+    evolve,
     fro_norm,
-    hadamard,
-    identity_tensor,
-    idft3,
     random_tensor,
     rel_error,
-    tpow,
     tprod,
 )
-from dynsamp.tensor3 import _purge_imag
 
-from oracles import bcirc_oracle, circ, tube_conv
+from oracles import (
+    bcirc_oracle,
+    circ,
+    identity_tensor,
+    random_complex_tensor,
+    tube_conv,
+)
 
 
 def rand(m, p, n, seed):
@@ -27,6 +26,16 @@ def rand(m, p, n, seed):
 
 def max_abs_diff(a, b):
     return float(np.max(np.abs(a.data - b.data)))
+
+
+def dft(t):
+    """Unnormalized DFT of every tube, as a plain array."""
+    return np.fft.fft(t.data, axis=2)
+
+
+def idft(arr):
+    """Inverse of ``dft``, back as a tensor."""
+    return Tensor3(np.fft.ifft(arr, axis=2))
 
 
 # -- construction and access --------------------------------------------------
@@ -57,6 +66,11 @@ def test_realness_detection():
     assert Tensor3(np.ones((2, 2, 2))).is_real
     assert not Tensor3(np.ones((2, 2, 2)) * (1 + 1e-14j)).is_real
     assert Tensor3(np.ones((2, 2, 2)) + 0j).is_real
+    # the storage dtype carries the decision
+    assert Tensor3(np.arange(8).reshape(2, 2, 2)).data.dtype == np.float64
+    assert Tensor3(np.ones((2, 2, 2), dtype=np.complex64)).data.dtype == np.float64
+    assert Tensor3(np.ones((2, 2, 2)) + 0j).data.dtype == np.float64
+    assert Tensor3(np.ones((2, 2, 2)) * (1 + 1e-14j)).data.dtype == np.complex128
 
 
 def test_immutability():
@@ -70,38 +84,6 @@ def test_immutability():
 def test_non_3way_rejected():
     with pytest.raises(ShapeMismatchError):
         Tensor3(np.zeros((2, 2)))
-
-
-# -- dft3 / idft3 --------------------------------------------------------------
-
-
-def test_dft3_of_constant_tube():
-    n, c = 5, 2.5
-    t = Tensor3(np.full((1, 1, n), c))
-    that = dft3(t)
-    expected = np.zeros(n, dtype=complex)
-    expected[0] = n * c
-    assert np.allclose(that.tube(0, 0), expected, atol=1e-12)
-
-
-def test_dft3_depth_one_is_identity():
-    t = rand(3, 2, 1, 10)
-    assert max_abs_diff(dft3(t), t) == 0.0
-
-
-def test_dft3_round_trip():
-    t = rand(3, 2, 4, 11)
-    rt = idft3(dft3(t))
-    assert max_abs_diff(rt, t) <= 1e-12 * fro_norm(t)
-
-
-def test_dft3_conjugate_symmetry_for_real_input():
-    t = rand(3, 4, 6, 12)
-    that = dft3(t)
-    for k in range(1, 6):
-        assert np.allclose(
-            that.frontal_slice(k), np.conj(that.frontal_slice(6 - k)), atol=1e-12
-        )
 
 
 # -- tprod ---------------------------------------------------------------------
@@ -160,33 +142,32 @@ def test_tprod_real_inputs_give_real_output():
     assert c.is_real
 
 
-# -- tpow ----------------------------------------------------------------------
+def test_real_operands_take_the_half_spectrum(monkeypatch):
+    def full_fft(*args, **kwargs):
+        raise AssertionError("full complex FFT on real operands")
+
+    monkeypatch.setattr(np.fft, "fft", full_fft)
+    monkeypatch.setattr(np.fft, "ifft", full_fft)
+    a, b = rand(3, 3, 4, 7), rand(3, 2, 4, 8)
+    want = bcirc_oracle(a, b)
+    assert max_abs_diff(tprod(a, b), want) <= 1e-10 * fro_norm(want)
+    assert evolve(a, b, 3)[2].data.dtype == np.float64
 
 
-def test_tpow_zero_is_identity():
-    a = rand(3, 3, 4, 30)
-    assert max_abs_diff(tpow(a, 0), identity_tensor(3, 4)) == 0.0
-
-
-def test_tpow_one_is_input():
-    a = rand(3, 3, 4, 31)
-    assert max_abs_diff(tpow(a, 1), a) == 0.0
-
-
-def test_tpow_matches_iterated_tprod():
-    a = rand(2, 2, 3, 32)
-    want = tprod(a, tprod(a, a))
-    assert max_abs_diff(tpow(a, 3), want) <= 1e-10 * max(1.0, fro_norm(want))
-
-
-def test_tpow_requires_square():
-    with pytest.raises(ShapeMismatchError):
-        tpow(rand(2, 3, 4, 33), 2)
-
-
-def test_tpow_rejects_negative():
-    with pytest.raises(ValueError):
-        tpow(rand(2, 2, 2, 34), -1)
+@pytest.mark.parametrize("kinds", ["complex-complex", "complex-real", "real-complex"])
+def test_tprod_complex_operands_match_block_circulant_oracle(kinds):
+    make = {"real": rand, "complex": random_complex_tensor}
+    left, right = (make[k] for k in kinds.split("-"))
+    rng = np.random.Generator(np.random.Philox(key=998))
+    for trial in range(20):
+        m, p, q = (int(v) for v in rng.integers(1, 6, size=3))
+        n = int(rng.integers(1, 7))
+        a = left(m, p, n, 5000 + trial)
+        b = right(p, q, n, 6000 + trial)
+        got = tprod(a, b)
+        assert got.data.dtype == np.complex128
+        want = bcirc_oracle(a, b)
+        assert max_abs_diff(got, want) <= 1e-10 * fro_norm(want)
 
 
 # -- identity tensor -----------------------------------------------------------
@@ -198,42 +179,14 @@ def test_identity_tensor_scalar_case():
 
 
 def test_identity_tensor_dft_slices_are_identity():
-    that = dft3(identity_tensor(2, 3))
+    that = dft(identity_tensor(2, 3))
     for k in range(3):
-        assert np.allclose(that.frontal_slice(k), np.eye(2), atol=1e-14)
+        assert np.allclose(that[:, :, k], np.eye(2), atol=1e-14)
 
 
 def test_identity_tensor_rejects_bad_dims():
     with pytest.raises(ValueError):
         identity_tensor(0, 3)
-
-
-# -- hadamard ------------------------------------------------------------------
-
-
-def test_hadamard_ones_and_zero():
-    b = rand(3, 2, 4, 40)
-    ones = Tensor3(np.ones((3, 2, 4)))
-    zero = Tensor3(np.zeros((3, 2, 4)))
-    assert max_abs_diff(hadamard(ones, b), b) == 0.0
-    assert fro_norm(hadamard(zero, b)) == 0.0
-
-
-def test_hadamard_mask_projection_semantics():
-    b = rand(3, 2, 4, 41)
-    keep = np.zeros((3, 2, 4))
-    keep[0, 1, 2] = 1.0
-    keep[2, 0, 0] = 1.0
-    out = hadamard(Tensor3(keep), b)
-    assert out[0, 1, 2] == b[0, 1, 2]
-    assert out[2, 0, 0] == b[2, 0, 0]
-    zeroed = out.data[keep == 0.0]
-    assert np.all(zeroed == 0.0)
-
-
-def test_hadamard_shape_mismatch():
-    with pytest.raises(ShapeMismatchError):
-        hadamard(rand(2, 2, 2, 1), rand(2, 2, 3, 1))
 
 
 # -- tube_conv -----------------------------------------------------------------
@@ -250,55 +203,36 @@ def test_tube_conv_matches_dft_route():
     a = rand(3, 2, 5, 51)
     b = rand(3, 2, 5, 52)
     got = tube_conv(a, b)
-    want = idft3(hadamard(dft3(a), dft3(b)))
+    want = idft(dft(a) * dft(b))
     assert max_abs_diff(got, want) <= 1e-10 * max(1.0, fro_norm(got))
 
 
 def test_tube_conv_convolution_theorem_forward():
     a = rand(3, 2, 5, 53)
     b = rand(3, 2, 5, 54)
-    left = dft3(tube_conv(a, b))
-    right = hadamard(dft3(a), dft3(b))
-    assert max_abs_diff(left, right) <= 1e-10 * max(1.0, fro_norm(left))
+    left = dft(tube_conv(a, b))
+    right = dft(a) * dft(b)
+    assert np.max(np.abs(left - right)) <= 1e-10 * max(1.0, np.linalg.norm(left))
 
 
 def test_entrywise_product_as_scaled_convolution_of_dfts():
-    # a (.) b == idft3(dft3(a) tube-conv dft3(b)) / n
+    # a (.) b == idft(dft(a) tube-conv dft(b)) / n
     a = rand(3, 2, 5, 55)
     b = rand(3, 2, 5, 56)
     n = 5
-    want = hadamard(a, b)
-    got = idft3(tube_conv(dft3(a), dft3(b))) * (1.0 / n)
+    want = Tensor3(a.data * b.data)
+    got = idft(tube_conv(Tensor3(dft(a)), Tensor3(dft(b))).data) * (1.0 / n)
     assert max_abs_diff(got, want) <= 1e-10 * max(1.0, fro_norm(want))
 
 
-# -- facewise ------------------------------------------------------------------
+# -- DFT route -----------------------------------------------------------------
 
 
-def test_facewise_with_dft_of_identity():
-    x = rand(4, 3, 5, 60)
-    xhat = dft3(x)
-    ihat = dft3(identity_tensor(4, 5))
-    assert max_abs_diff(facewise(ihat, xhat), xhat) <= 1e-12 * max(1.0, fro_norm(xhat))
-
-
-def test_facewise_depth_one_is_matrix_product():
-    a = rand(2, 3, 1, 61)
-    b = rand(3, 4, 1, 62)
-    c = facewise(a, b)
-    assert np.allclose(c.frontal_slice(0), a.frontal_slice(0) @ b.frontal_slice(0))
-
-
-def test_tprod_equals_idft_facewise_dft():
+def test_tprod_equals_inverse_dft_of_slicewise_products():
     a = rand(3, 3, 4, 63)
     b = rand(3, 2, 4, 64)
-    want = idft3(facewise(dft3(a), dft3(b)))
+    want = idft(np.einsum("ipk,pqk->iqk", dft(a), dft(b)))
     assert max_abs_diff(tprod(a, b), want) <= 1e-10
-
-
-def test_facewise_mismatch():
-    with pytest.raises(ShapeMismatchError):
-        facewise(rand(2, 3, 4, 1), rand(2, 3, 4, 2))
 
 
 # -- circ ----------------------------------------------------------------------
@@ -369,22 +303,6 @@ def test_fro_norm():
     assert fro_norm(t) == pytest.approx(np.sqrt(8 * 9))
 
 
-# -- realness purge ------------------------------------------------------------
-
-
-def test_purge_drops_roundoff_residue():
-    arr = np.ones((2, 2, 2), dtype=complex) + 1e-13j
-    out = _purge_imag(arr, "test")
-    assert out.dtype == np.float64
-    assert np.array_equal(out, np.ones((2, 2, 2)))
-
-
-def test_purge_raises_on_large_residue():
-    arr = np.ones((2, 2, 2), dtype=complex) + 0.5j
-    with pytest.raises(RealnessError):
-        _purge_imag(arr, "test")
-
-
 # -- random tensors ------------------------------------------------------------
 
 
@@ -392,6 +310,6 @@ def test_random_tensor_reproducible_and_real():
     a = random_tensor(3, 4, 5, 123)
     b = random_tensor(3, 4, 5, 123)
     c = random_tensor(3, 4, 5, 124)
-    assert a.is_real
+    assert a.is_real and a.data.dtype == np.float64
     assert np.array_equal(a.data, b.data)
     assert not np.array_equal(a.data, c.data)
