@@ -1,8 +1,15 @@
+import hashlib
 import json
 
+import numpy as np
 import pytest
 
+from dynsamp import bernoulli_mask, evolve, exclude_slab, observe, random_tensor, reconstruct
 from dynsamp.experiments import (
+    STREAM_MASK,
+    STREAM_NOISE,
+    STREAM_OPERATOR,
+    STREAM_SIGNAL,
     ConfigError,
     ExperimentConfig,
     config_from_dict,
@@ -166,3 +173,106 @@ def test_experiment_config_validate_direct():
     cfg.trials = 0
     with pytest.raises(ConfigError):
         cfg.validate()
+
+
+# Small fixed CSV per kind; series values are out of lexical order on purpose.
+PLOT_CSVS = {
+    "recovery-vs-alpha": (
+        "alpha,mean_rel_err,std_rel_err\n"
+        "0.1,0.9,0.05\n0.5,0.2,0.01\n1.0,1e-15,0.0\n"
+    ),
+    "pointwise-gap": "index,abs_gap\n0,1e-12\n1,0.0\n2,0.3\n3,2e-09\n",
+    "optimal-T": (
+        "T,sigma,mean_rel_err\n"
+        "1,0.0,0.5\n1,1e-05,0.6\n1,0.0001,0.7\n"
+        "3,0.0,1e-10\n3,1e-05,0.0001\n3,0.0001,0.001\n"
+    ),
+    "condition-vs-T": "T,K\n1,1.5\n2,30.0\n4,1000000.0\n",
+    "conjecture-dim2": "excluded_j,rel_err\n0,0.31\n1,0.27\n2,0.4\n",
+    "slab-dim1-dim3": (
+        "mode,excluded_index,rel_err\n"
+        "1,0,1e-13\n1,1,2e-12\n1,2,0.0\n3,0,5e-14\n3,1,1e-12\n"
+    ),
+}
+
+# SHA-256 of each plot of PLOT_CSVS; the plot is pure Python, so portable.
+PLOT_SHA256 = {
+    "recovery-vs-alpha": "abfbe16f202862fc52268a7c1c4c936497c3db2d10c84d6f448af5cb1424d640",
+    "pointwise-gap": "5fad9839028be25a89f544df233f6f15afcbdf89b5d8abfe781fb6add7abf2a3",
+    "optimal-T": "3f662ca995a78f4e61f7bfe311ba6617cdaf63fddb7be03b509f9f71f09d5594",
+    "condition-vs-T": "4d5f17b4b665b90a670281a28895a116449932e35d2c69cd4db9c3c43691baaf",
+    "conjecture-dim2": "d09d06e7073a73c11ec24a081da811c3c7ce5d6bcc6ea270016598e81fe28be8",
+    "slab-dim1-dim3": "d9e52c58cf01bd942581093244d2ded1aafee39cfee6dd60983655ba0e0257cf",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(PLOT_CSVS))
+def test_plot_bytes_are_pinned(kind, tmp_path):
+    csv_path, svg_path = tmp_path / "in.csv", tmp_path / "out.svg"
+    csv_path.write_text(PLOT_CSVS[kind])
+    plot_from_csv(kind, csv_path, svg_path)
+    assert hashlib.sha256(svg_path.read_bytes()).hexdigest() == PLOT_SHA256[kind]
+
+
+def test_plot_rejects_unknown_kind(tmp_path):
+    csv_path = tmp_path / "in.csv"
+    csv_path.write_text(PLOT_CSVS["condition-vs-T"])
+    with pytest.raises(ConfigError, match="no-such-kind"):
+        plot_from_csv("no-such-kind", csv_path, tmp_path / "out.svg")
+
+
+def _hand_error(cfg, mask, T, sigma, noise_key):
+    """One reconstruction error rebuilt from SEED_RULE alone."""
+    m, p, n = cfg.m, cfg.p, cfg.n
+    a = random_tensor(m, m, n, derive_seed(cfg.seed, STREAM_OPERATOR))
+    f = random_tensor(m, p, n, derive_seed(cfg.seed, STREAM_SIGNAL))
+    samples = observe(
+        evolve(a, f, T), mask, sigma, derive_seed(cfg.seed, STREAM_NOISE, *noise_key)
+    )
+    return reconstruct(a, mask, samples, ground_truth=f, allow_partial=True).rel_error
+
+
+def _hand_mask(cfg, alpha, grid_index=0, trial=0):
+    seed = derive_seed(cfg.seed, STREAM_MASK, grid_index, trial)
+    return bernoulli_mask(cfg.m, cfg.p, cfg.n, alpha, seed)
+
+
+def test_seed_rule_regenerates_a_recovery_vs_alpha_row():
+    cfg = config_from_dict(
+        {"kind": "recovery-vs-alpha", "alpha": [0.3, 0.7], "sigma": 1e-3, **SMALL}
+    )
+    errs = np.array([
+        _hand_error(cfg, _hand_mask(cfg, 0.7, 1, r), 5, 1e-3, (1, r))
+        for r in range(cfg.trials)
+    ])
+    want = {"alpha": 0.7, "mean_rel_err": float(errs.mean()), "std_rel_err": float(errs.std())}
+    assert run_experiment(cfg).rows[1] == want
+
+
+def test_seed_rule_regenerates_an_optimal_T_row():
+    cfg = config_from_dict(
+        {"kind": "optimal-T", "T": [2, 4], "sigma": [0.0, 1e-3], "alpha": 0.8, **SMALL}
+    )
+    # masks depend on the trial only; noise on the sigma index and the trial
+    errs = np.array([
+        _hand_error(cfg, _hand_mask(cfg, 0.8, 0, r), 2, 1e-3, (1, r))
+        for r in range(cfg.trials)
+    ])
+    want = {"T": 2, "sigma": 1e-3, "mean_rel_err": float(errs.mean())}
+    assert run_experiment(cfg).rows[1] == want
+
+
+def test_seed_rule_regenerates_a_conjecture_dim2_row():
+    cfg = config_from_dict({"kind": "conjecture-dim2", "sigma": 1e-3, **SMALL})
+    mask = exclude_slab(_hand_mask(cfg, 1.0), 2, 3)
+    want = {"excluded_j": 3, "rel_err": _hand_error(cfg, mask, 5, 1e-3, (3, 0))}
+    assert run_experiment(cfg).rows[3] == want
+
+
+def test_seed_rule_regenerates_a_slab_dim1_dim3_row():
+    cfg = config_from_dict(
+        {"kind": "slab-dim1-dim3", "alpha": 0.6, "T": 3, "sigma": 1e-3, **SMALL}
+    )
+    mask = exclude_slab(_hand_mask(cfg, 0.6), 3, 1)
+    want = {"mode": 3, "excluded_index": 1, "rel_err": _hand_error(cfg, mask, 3, 1e-3, (3, 1))}
+    assert run_experiment(cfg).rows[cfg.m + 1] == want
