@@ -26,10 +26,8 @@ from .sampling import (
 )
 from .dynsys import SampleData, evolve, load_sample_data, observe, save_sample_data
 from .reconstruct import (
-    ColumnSystem,
     ReconstructionReport,
     UnrecoverableColumnError,
-    assemble_column_system,
     default_solver_tol,
     reconstruct,
     solve_column,
@@ -62,10 +60,8 @@ __all__ = [
     "load_sample_data",
     "observe",
     "save_sample_data",
-    "ColumnSystem",
     "ReconstructionReport",
     "UnrecoverableColumnError",
-    "assemble_column_system",
     "default_solver_tol",
     "reconstruct",
     "solve_column",

@@ -30,8 +30,10 @@ from .experiments import (
     STREAM_OPERATOR,
     STREAM_SIGNAL,
     ConfigError,
+    as_int,
     config_from_dict,
     derive_seed,
+    parse_value,
     write_experiment,
 )
 from ._parallel import resolve_threads
@@ -132,12 +134,10 @@ def cmd_simulate(args) -> int:
     merged = _merge_flags(merged, args, _SIMULATE_KEYS)
     if merged.get("out") is None:
         raise ConfigError("simulate needs --out (or 'out' in the config)")
-    try:
-        m, p, n, T = (int(merged[k]) for k in ("m", "p", "n", "T"))
-        alpha, sigma = float(merged["alpha"]), float(merged["sigma"])
-        seed = int(merged["seed"])
-    except (TypeError, ValueError) as err:
-        raise ConfigError(f"bad config value: {err}") from None
+    m, p, n, T, seed = (
+        parse_value(k, merged[k], as_int) for k in ("m", "p", "n", "T", "seed")
+    )
+    alpha, sigma = (parse_value(k, merged[k], float) for k in ("alpha", "sigma"))
     if min(m, p, n) < 1 or T < 1:
         raise ConfigError(f"dims and T must be positive, got m={m} p={p} n={n} T={T}")
     if not 0.0 <= alpha <= 1.0:

@@ -12,8 +12,10 @@ from __future__ import annotations
 import csv
 import io
 import json
+import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -24,15 +26,6 @@ from .reconstruct import reconstruct, system_condition
 from .svgplot import render_plot
 from .t3io import atomic_write_text
 from ._parallel import pmap
-
-EXPERIMENT_KINDS = (
-    "recovery-vs-alpha",
-    "pointwise-gap",
-    "optimal-T",
-    "condition-vs-T",
-    "conjecture-dim2",
-    "slab-dim1-dim3",
-)
 
 # Stream labels for seed derivation; see derive_seed.
 STREAM_OPERATOR, STREAM_SIGNAL, STREAM_MASK, STREAM_NOISE = 0, 1, 2, 3
@@ -53,10 +46,6 @@ def derive_seed(base: int, stream: int, grid_index: int = 0, trial: int = 0) -> 
         entropy=int(base), spawn_key=(int(stream), int(grid_index), int(trial))
     )
     return int(ss.generate_state(1, np.uint64)[0])
-
-
-def _default_alpha_grid() -> list[float]:
-    return [round(0.05 * i, 2) for i in range(1, 21)]
 
 
 @dataclass
@@ -99,33 +88,16 @@ class ExperimentConfig:
             raise ConfigError(f"alpha values must lie in [0, 1], got {self.alphas}")
         if any(s < 0.0 for s in self.sigmas):
             raise ConfigError(f"sigma values must be nonnegative, got {self.sigmas}")
-        scalar_T = self.kind not in ("optimal-T", "condition-vs-T")
-        if scalar_T and len(self.Ts) != 1:
+        if self.kind not in ("optimal-T", "condition-vs-T") and len(self.Ts) != 1:
             raise ConfigError(f"{self.kind} needs a single T, got {self.Ts}")
         if self.kind != "recovery-vs-alpha" and len(self.alphas) != 1:
             raise ConfigError(f"{self.kind} needs a single alpha, got {self.alphas}")
         if self.kind != "optimal-T" and len(self.sigmas) != 1:
             raise ConfigError(f"{self.kind} needs a single sigma, got {self.sigmas}")
 
-    def to_manifest(self) -> dict:
-        return {
-            "kind": self.kind,
-            "m": self.m,
-            "p": self.p,
-            "n": self.n,
-            "T": self.Ts,
-            "alpha": self.alphas,
-            "sigma": self.sigmas,
-            "trials": self.trials,
-            "seed": self.seed,
-            "operator_seed": derive_seed(self.seed, STREAM_OPERATOR),
-            "signal_seed": derive_seed(self.seed, STREAM_SIGNAL),
-            "seed_derivation": SEED_RULE,
-        }
-
 
 _KIND_DEFAULTS = {
-    "recovery-vs-alpha": {"alphas": _default_alpha_grid},
+    "recovery-vs-alpha": {"alphas": lambda: [round(0.05 * i, 2) for i in range(1, 21)]},
     "optimal-T": {
         "Ts": lambda: list(range(1, 16)),
         "sigmas": lambda: [0.0, 1e-4, 1e-3, 1e-2],
@@ -136,15 +108,41 @@ _KIND_DEFAULTS = {
     "slab-dim1-dim3": {"alphas": lambda: [0.5]},
 }
 
-_ALLOWED_KEYS = {
-    "kind", "m", "p", "n", "T", "alpha", "sigma", "trials", "seed", "out",
+
+def as_int(value) -> int:
+    """``value`` as an int; only integral numbers are accepted, not bools."""
+    integral = isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    if integral or (isinstance(value, float) and value.is_integer()):
+        return int(value)
+    raise ValueError(f"expected an integer, got {value!r}")
+
+
+def parse_value(key: str, value, cast):
+    """``cast(value)``, or a one-line ``ConfigError`` naming ``key``."""
+    try:
+        return cast(value)
+    except (TypeError, ValueError) as err:
+        raise ConfigError(f"bad config value for {key!r}: {err}") from None
+
+
+def _as_list(cast):
+    """Cast for a grid field: a scalar or a list, returned as a list."""
+    return lambda v: [cast(x) for x in (v if isinstance(v, (list, tuple)) else [v])]
+
+
+# config key -> (ExperimentConfig field, cast)
+_CONFIG_KEYS = {
+    "m": ("m", as_int),
+    "p": ("p", as_int),
+    "n": ("n", as_int),
+    "T": ("Ts", _as_list(as_int)),
+    "alpha": ("alphas", _as_list(float)),
+    "sigma": ("sigmas", _as_list(float)),
+    "trials": ("trials", as_int),
+    "seed": ("seed", as_int),
+    "out": ("out", str),
 }
-
-
-def _as_list(value, cast):
-    if isinstance(value, (list, tuple)):
-        return [cast(v) for v in value]
-    return [cast(value)]
+_ALLOWED_KEYS = {"kind", *_CONFIG_KEYS}
 
 
 def config_from_dict(raw: dict) -> ExperimentConfig:
@@ -158,27 +156,9 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     cfg = ExperimentConfig(kind=str(kind))
     for name, source in _KIND_DEFAULTS.get(cfg.kind, {}).items():
         setattr(cfg, name, source())
-    try:
-        if "m" in raw:
-            cfg.m = int(raw["m"])
-        if "p" in raw:
-            cfg.p = int(raw["p"])
-        if "n" in raw:
-            cfg.n = int(raw["n"])
-        if "T" in raw:
-            cfg.Ts = _as_list(raw["T"], int)
-        if "alpha" in raw:
-            cfg.alphas = _as_list(raw["alpha"], float)
-        if "sigma" in raw:
-            cfg.sigmas = _as_list(raw["sigma"], float)
-        if "trials" in raw:
-            cfg.trials = int(raw["trials"])
-        if "seed" in raw:
-            cfg.seed = int(raw["seed"])
-        if "out" in raw:
-            cfg.out = str(raw["out"])
-    except (TypeError, ValueError) as err:
-        raise ConfigError(f"bad config value: {err}") from None
+    for key, (name, cast) in _CONFIG_KEYS.items():
+        if key in raw:
+            setattr(cfg, name, parse_value(key, raw[key], cast))
     cfg.validate()
     return cfg
 
@@ -199,141 +179,104 @@ def _instance(cfg: ExperimentConfig):
     return a, f
 
 
-def _recovery_vs_alpha(cfg: ExperimentConfig, threads: int) -> ExperimentResult:
+def _mask(cfg: ExperimentConfig, alpha: float, grid_index: int = 0, trial: int = 0):
+    seed = derive_seed(cfg.seed, STREAM_MASK, grid_index, trial)
+    return bernoulli_mask(cfg.m, cfg.p, cfg.n, alpha, seed)
+
+
+def _noise(cfg: ExperimentConfig, grid_index: int = 0, trial: int = 0) -> int:
+    return derive_seed(cfg.seed, STREAM_NOISE, grid_index, trial)
+
+
+def _rel_errors(cfg: ExperimentConfig, units, threads: int) -> list[float]:
+    """Recovery error of each ``(mask, T, sigma, noise_seed)`` unit, in order;
+    the instance is evolved once, to the largest T, and units observe prefixes."""
     a, f = _instance(cfg)
-    T, sigma = cfg.Ts[0], cfg.sigmas[0]
-    traj = evolve(a, f, T)
-    units = [(g, r) for g in range(len(cfg.alphas)) for r in range(cfg.trials)]
+    traj = evolve(a, f, max(unit[1] for unit in units))
 
     def run(unit):
-        g, r = unit
-        mask = bernoulli_mask(
-            cfg.m, cfg.p, cfg.n, cfg.alphas[g], derive_seed(cfg.seed, STREAM_MASK, g, r)
-        )
-        samples = observe(traj, mask, sigma, derive_seed(cfg.seed, STREAM_NOISE, g, r))
+        mask, T, sigma, noise_seed = unit
+        samples = observe(traj[:T], mask, sigma, noise_seed)
         return reconstruct(a, mask, samples, ground_truth=f, allow_partial=True).rel_error
 
-    errs = pmap(run, units, threads)
-    rows = []
-    for g, alpha in enumerate(cfg.alphas):
-        vals = np.array(errs[g * cfg.trials : (g + 1) * cfg.trials])
-        rows.append(
-            {
-                "alpha": alpha,
-                "mean_rel_err": float(vals.mean()),
-                "std_rel_err": float(vals.std()),
-            }
-        )
+    return pmap(run, units, threads)
+
+
+def _recovery_vs_alpha(cfg: ExperimentConfig, threads: int) -> ExperimentResult:
+    units = [
+        (_mask(cfg, alpha, g, r), cfg.Ts[0], cfg.sigmas[0], _noise(cfg, g, r))
+        for g, alpha in enumerate(cfg.alphas)
+        for r in range(cfg.trials)
+    ]
+    errs = np.reshape(_rel_errors(cfg, units, threads), (-1, cfg.trials))
+    rows = [
+        {"alpha": alpha, "mean_rel_err": float(e.mean()), "std_rel_err": float(e.std())}
+        for alpha, e in zip(cfg.alphas, errs)
+    ]
     return ExperimentResult(cfg.kind, ["alpha", "mean_rel_err", "std_rel_err"], rows)
 
 
 def _pointwise_gap(cfg: ExperimentConfig, threads: int) -> ExperimentResult:
     a, f = _instance(cfg)
-    mask = bernoulli_mask(
-        cfg.m, cfg.p, cfg.n, cfg.alphas[0], derive_seed(cfg.seed, STREAM_MASK)
-    )
-    samples = observe(
-        evolve(a, f, cfg.Ts[0]), mask, cfg.sigmas[0], derive_seed(cfg.seed, STREAM_NOISE)
-    )
-    report = reconstruct(
-        a, mask, samples, ground_truth=f, allow_partial=True, threads=threads
-    )
+    mask = _mask(cfg, cfg.alphas[0])
+    samples = observe(evolve(a, f, cfg.Ts[0]), mask, cfg.sigmas[0], _noise(cfg))
+    report = reconstruct(a, mask, samples, allow_partial=True, threads=threads)
     gaps = np.abs(report.estimate.data - f.data).ravel()
     rows = [{"index": i, "abs_gap": float(g)} for i, g in enumerate(gaps)]
     return ExperimentResult(cfg.kind, ["index", "abs_gap"], rows)
 
 
 def _optimal_T(cfg: ExperimentConfig, threads: int) -> ExperimentResult:
-    a, f = _instance(cfg)
-    alpha = cfg.alphas[0]
-    traj = evolve(a, f, max(cfg.Ts))
+    # masks are shared across T and sigma so the horizon is the only
+    # thing that changes along a curve; noise streams differ per sigma
+    masks = [_mask(cfg, cfg.alphas[0], 0, r) for r in range(cfg.trials)]
+    grid = [(T, s, sigma) for T in cfg.Ts for s, sigma in enumerate(cfg.sigmas)]
     units = [
-        (T, s, r)
-        for T in cfg.Ts
-        for s in range(len(cfg.sigmas))
+        (masks[r], T, sigma, _noise(cfg, s, r))
+        for T, s, sigma in grid
         for r in range(cfg.trials)
     ]
-
-    def run(unit):
-        T, s, r = unit
-        # masks are shared across T and sigma so the horizon is the only
-        # thing that changes along a curve; noise streams differ per sigma
-        mask = bernoulli_mask(
-            cfg.m, cfg.p, cfg.n, alpha, derive_seed(cfg.seed, STREAM_MASK, 0, r)
-        )
-        samples = observe(
-            traj[:T], mask, cfg.sigmas[s], derive_seed(cfg.seed, STREAM_NOISE, s, r)
-        )
-        return reconstruct(a, mask, samples, ground_truth=f, allow_partial=True).rel_error
-
-    errs = pmap(run, units, threads)
-    rows = []
-    pos = 0
-    for T in cfg.Ts:
-        for sigma in cfg.sigmas:
-            vals = np.array(errs[pos : pos + cfg.trials])
-            pos += cfg.trials
-            rows.append(
-                {"T": T, "sigma": sigma, "mean_rel_err": float(vals.mean())}
-            )
+    errs = np.reshape(_rel_errors(cfg, units, threads), (-1, cfg.trials))
+    rows = [
+        {"T": T, "sigma": sigma, "mean_rel_err": float(e.mean())}
+        for (T, _, sigma), e in zip(grid, errs)
+    ]
     return ExperimentResult(cfg.kind, ["T", "sigma", "mean_rel_err"], rows)
 
 
 def _condition_vs_T(cfg: ExperimentConfig, threads: int) -> ExperimentResult:
     a, _ = _instance(cfg)
-    mask = bernoulli_mask(
-        cfg.m, cfg.p, cfg.n, cfg.alphas[0], derive_seed(cfg.seed, STREAM_MASK)
-    )
-
-    def run(T):
-        _, K = system_condition(a, mask, T)
-        return K
-
-    Ks = pmap(run, cfg.Ts, threads)
+    mask = _mask(cfg, cfg.alphas[0])
+    Ks = pmap(lambda T: system_condition(a, mask, T)[1], cfg.Ts, threads)
     rows = [{"T": T, "K": float(K)} for T, K in zip(cfg.Ts, Ks)]
     return ExperimentResult(cfg.kind, ["T", "K"], rows)
 
 
+def _slab_errors(cfg: ExperimentConfig, slabs, threads: int) -> list[float]:
+    """Recovery error with slab (mode, index) dropped from one base mask,
+    observed with ``noise_seed``, for each ``(mode, index, noise_seed)``."""
+    base = _mask(cfg, cfg.alphas[0])
+    units = [
+        (exclude_slab(base, mode, index), cfg.Ts[0], cfg.sigmas[0], noise_seed)
+        for mode, index, noise_seed in slabs
+    ]
+    return _rel_errors(cfg, units, threads)
+
+
 def _conjecture_dim2(cfg: ExperimentConfig, threads: int) -> ExperimentResult:
-    a, f = _instance(cfg)
-    traj = evolve(a, f, cfg.Ts[0])
-    base = bernoulli_mask(
-        cfg.m, cfg.p, cfg.n, cfg.alphas[0], derive_seed(cfg.seed, STREAM_MASK)
-    )
-
-    def run(j):
-        mask = exclude_slab(base, 2, j)
-        samples = observe(
-            traj, mask, cfg.sigmas[0], derive_seed(cfg.seed, STREAM_NOISE, j)
-        )
-        return reconstruct(a, mask, samples, ground_truth=f, allow_partial=True).rel_error
-
-    errs = pmap(run, range(cfg.p), threads)
+    errs = _slab_errors(cfg, [(2, j, _noise(cfg, j)) for j in range(cfg.p)], threads)
     rows = [{"excluded_j": j, "rel_err": float(e)} for j, e in enumerate(errs)]
     return ExperimentResult(cfg.kind, ["excluded_j", "rel_err"], rows)
 
 
 def _slab_dim1_dim3(cfg: ExperimentConfig, threads: int) -> ExperimentResult:
-    a, f = _instance(cfg)
-    traj = evolve(a, f, cfg.Ts[0])
-    base = bernoulli_mask(
-        cfg.m, cfg.p, cfg.n, cfg.alphas[0], derive_seed(cfg.seed, STREAM_MASK)
+    slabs = [(1, i) for i in range(cfg.m)] + [(3, k) for k in range(cfg.n)]
+    errs = _slab_errors(
+        cfg, [(mode, index, _noise(cfg, mode, index)) for mode, index in slabs], threads
     )
-    units = [(1, i) for i in range(cfg.m)] + [(3, k) for k in range(cfg.n)]
-
-    def run(unit):
-        mode, index = unit
-        mask = exclude_slab(base, mode, index)
-        samples = observe(
-            traj, mask, cfg.sigmas[0],
-            derive_seed(cfg.seed, STREAM_NOISE, mode, index),
-        )
-        return reconstruct(a, mask, samples, ground_truth=f, allow_partial=True).rel_error
-
-    errs = pmap(run, units, threads)
     rows = [
         {"mode": mode, "excluded_index": index, "rel_err": float(e)}
-        for (mode, index), e in zip(units, errs)
+        for (mode, index), e in zip(slabs, errs)
     ]
     return ExperimentResult(cfg.kind, ["mode", "excluded_index", "rel_err"], rows)
 
@@ -346,6 +289,7 @@ _RUNNERS = {
     "conjecture-dim2": _conjecture_dim2,
     "slab-dim1-dim3": _slab_dim1_dim3,
 }
+EXPERIMENT_KINDS = tuple(_RUNNERS)
 
 
 def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> ExperimentResult:
@@ -366,89 +310,65 @@ def rows_to_csv_text(fieldnames: list[str], rows: list[dict]) -> str:
     return buf.getvalue()
 
 
-def _read_csv(path: Path) -> list[dict]:
-    with open(path, newline="", encoding="ascii") as fh:
-        return list(csv.DictReader(fh))
+class _Plot(NamedTuple):
+    x: str
+    y: str
+    title: str
+    xlabel: str
+    ylabel: str
+    series: str | None = None  # one series per value of this column, in numeric order
+    label: Callable[[float], str] = lambda _: ""  # legend entry of a series value
+    logy: bool = True
+    scatter: bool = False
+
+
+_PLOTS = {
+    "recovery-vs-alpha": _Plot(
+        "alpha", "mean_rel_err", "Recovery error vs sampling rate",
+        "sampling rate alpha", "relative error", label=lambda _: "mean",
+    ),
+    "pointwise-gap": _Plot(
+        "index", "abs_gap", "Entrywise gap between estimate and truth",
+        "linear index", "absolute gap", scatter=True,
+    ),
+    "optimal-T": _Plot(
+        "T", "mean_rel_err", "Recovery error vs horizon", "horizon T",
+        "mean relative error", "sigma", lambda sigma: f"sigma={sigma:g}",
+    ),
+    "condition-vs-T": _Plot(
+        "T", "K", "System condition number vs horizon", "horizon T", "condition number K"
+    ),
+    "conjecture-dim2": _Plot(
+        "excluded_j", "rel_err", "Recovery error with one second-mode slab removed",
+        "excluded second-mode index", "relative error", logy=False,
+    ),
+    "slab-dim1-dim3": _Plot(
+        "excluded_index", "rel_err",
+        "Recovery error with one first/third-mode slab removed",
+        "excluded index", "relative error",
+        "mode", {1: "first mode", 3: "third mode"}.get,
+    ),
+}
 
 
 def plot_from_csv(kind: str, csv_path, svg_path) -> None:
     """Regenerate the experiment plot purely from its CSV file."""
-    rows = _read_csv(Path(csv_path))
-    if kind == "recovery-vs-alpha":
-        xs = [float(r["alpha"]) for r in rows]
-        ys = [float(r["mean_rel_err"]) for r in rows]
-        svg = render_plot(
-            [("mean", xs, ys)],
-            title="Recovery error vs sampling rate",
-            xlabel="sampling rate alpha",
-            ylabel="relative error",
-            logy=True,
-        )
-    elif kind == "pointwise-gap":
-        xs = [int(r["index"]) for r in rows]
-        ys = [float(r["abs_gap"]) for r in rows]
-        svg = render_plot(
-            [("", xs, ys)],
-            title="Entrywise gap between estimate and truth",
-            xlabel="linear index",
-            ylabel="absolute gap",
-            logy=True,
-            scatter=True,
-        )
-    elif kind == "optimal-T":
-        sigmas = sorted({r["sigma"] for r in rows}, key=float)
-        series = []
-        for sigma in sigmas:
-            sel = [r for r in rows if r["sigma"] == sigma]
-            series.append(
-                (
-                    f"sigma={float(sigma):g}",
-                    [int(r["T"]) for r in sel],
-                    [float(r["mean_rel_err"]) for r in sel],
-                )
-            )
-        svg = render_plot(
-            series,
-            title="Recovery error vs horizon",
-            xlabel="horizon T",
-            ylabel="mean relative error",
-            logy=True,
-        )
-    elif kind == "condition-vs-T":
-        svg = render_plot(
-            [("", [int(r["T"]) for r in rows], [float(r["K"]) for r in rows])],
-            title="System condition number vs horizon",
-            xlabel="horizon T",
-            ylabel="condition number K",
-            logy=True,
-        )
-    elif kind == "conjecture-dim2":
-        svg = render_plot(
-            [("", [int(r["excluded_j"]) for r in rows], [float(r["rel_err"]) for r in rows])],
-            title="Recovery error with one second-mode slab removed",
-            xlabel="excluded second-mode index",
-            ylabel="relative error",
-        )
-    elif kind == "slab-dim1-dim3":
-        series = []
-        for mode, label in ((1, "first mode"), (3, "third mode")):
-            sel = [r for r in rows if int(r["mode"]) == mode]
-            series.append(
-                (
-                    label,
-                    [int(r["excluded_index"]) for r in sel],
-                    [float(r["rel_err"]) for r in sel],
-                )
-            )
-        svg = render_plot(
-            series,
-            title="Recovery error with one first/third-mode slab removed",
-            xlabel="excluded index",
-            ylabel="relative error",
-            logy=True,
-        )
-    else:
+    plot = _PLOTS.get(kind)
+    if plot is None:
         raise ConfigError(f"unknown experiment kind {kind!r}")
+    with open(csv_path, newline="", encoding="ascii") as fh:
+        groups: dict[float, list[dict]] = {}
+        for row in csv.DictReader(fh):
+            key = float(row[plot.series]) if plot.series else 0.0
+            groups.setdefault(key, []).append(row)
+    series = [
+        (plot.label(key), [float(r[plot.x]) for r in sel], [float(r[plot.y]) for r in sel])
+        for key, sel in sorted(groups.items())
+    ]
+    svg = render_plot(
+        series, title=plot.title, xlabel=plot.xlabel, ylabel=plot.ylabel,
+        logy=plot.logy, scatter=plot.scatter,
+    )
     atomic_write_text(svg_path, svg)
 
 
@@ -460,15 +380,19 @@ def write_experiment(cfg: ExperimentConfig, threads: int = 1) -> dict:
     result = run_experiment(cfg, threads)
     out_dir = Path(cfg.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    stem = cfg.kind
-    csv_path = out_dir / f"{stem}.csv"
-    svg_path = out_dir / f"{stem}.svg"
+    csv_path = out_dir / f"{cfg.kind}.csv"
+    svg_path = out_dir / f"{cfg.kind}.svg"
     manifest_path = out_dir / "manifest.json"
     atomic_write_text(csv_path, rows_to_csv_text(result.fieldnames, result.rows))
-    manifest = cfg.to_manifest()
-    manifest["csv"] = csv_path.name
-    manifest["svg"] = svg_path.name
-    manifest["columns"] = result.fieldnames
+    manifest = {
+        "kind": cfg.kind, "m": cfg.m, "p": cfg.p, "n": cfg.n,
+        "T": cfg.Ts, "alpha": cfg.alphas, "sigma": cfg.sigmas,
+        "trials": cfg.trials, "seed": cfg.seed,
+        "operator_seed": derive_seed(cfg.seed, STREAM_OPERATOR),
+        "signal_seed": derive_seed(cfg.seed, STREAM_SIGNAL),
+        "seed_derivation": SEED_RULE,
+        "csv": csv_path.name, "svg": svg_path.name, "columns": result.fieldnames,
+    }
     atomic_write_text(manifest_path, json.dumps(manifest, sort_keys=True, indent=2) + "\n")
     plot_from_csv(cfg.kind, csv_path, svg_path)
     return {"manifest": manifest_path, "csv": csv_path, "svg": svg_path}

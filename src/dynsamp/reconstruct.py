@@ -24,7 +24,6 @@ estimate with those columns zero-filled and flagged.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,7 +72,6 @@ class ReconstructionReport:
     ranks: list[int]
     failed_columns: list[int]
     rel_error: float | None = None
-    wall_ms: float = 0.0
 
     @property
     def rank_deficient_columns(self) -> list[int]:
@@ -86,7 +84,7 @@ class ReconstructionReport:
         ]
 
     def to_json_dict(self) -> dict:
-        """JSON-ready diagnostics; timing is excluded to keep outputs stable."""
+        """JSON-ready diagnostics."""
         out = {
             "residuals": self.residuals,
             "kappa": self.kappa,
@@ -255,7 +253,6 @@ def reconstruct(
     they are zero-filled and listed in ``failed_columns``.  The estimate is
     real (float64) when the operator and the observations are.
     """
-    start = time.perf_counter()
     _check_tol(tol)
     _check_problem(a, mask, samples)
     m, p, n = mask.dims
@@ -298,7 +295,6 @@ def reconstruct(
             if ground_truth is not None
             else None
         ),
-        wall_ms=(time.perf_counter() - start) * 1e3,
     )
 
 

@@ -52,11 +52,6 @@ class SampleMask:
         return int(self.indicator.sum())
 
     @property
-    def rate(self) -> float:
-        m, p, n = self.dims
-        return self.sample_count / (m * p * n)
-
-    @property
     def column_coverage(self) -> frozenset:
         """Second-mode indices j that carry at least one sample."""
         hit = self.indicator.any(axis=(0, 2))

@@ -29,7 +29,7 @@ _VERSION = "1"
 
 
 class T3FormatError(ValueError):
-    """Malformed T3 file; message carries the offending line number."""
+    """Malformed T3 file or non-ASCII dataset file; message carries the line number."""
 
     def __init__(self, path, line_no: int, problem: str):
         super().__init__(f"{path}: line {line_no}: {problem}")
@@ -51,11 +51,21 @@ def atomic_write_text(path, text: str) -> None:
         raise
 
 
-def read_json_object(path) -> dict:
-    """Parse a JSON object file; invalid JSON or a non-object is a
-    one-line ``ValueError`` naming the file."""
+def _read_ascii(path) -> str:
+    """File text; a non-ASCII byte is a ``T3FormatError`` naming file and line."""
     try:
-        value = json.loads(Path(path).read_text(encoding="ascii"))
+        return Path(path).read_text(encoding="ascii")
+    except UnicodeDecodeError as err:
+        line = err.object.count(b"\n", 0, err.start) + 1
+        bad = f"non-ASCII byte 0x{err.object[err.start]:02x}"
+        raise T3FormatError(path, line, bad) from None
+
+
+def read_json_object(path) -> dict:
+    """Parse a JSON object file; a non-ASCII byte, invalid JSON or a non-object
+    is a one-line ``ValueError`` naming the file."""
+    try:
+        value = json.loads(_read_ascii(path))
     except json.JSONDecodeError as err:
         raise ValueError(f"{path}: invalid JSON at line {err.lineno}: {err.msg}") from None
     if not isinstance(value, dict):
@@ -138,5 +148,4 @@ def loads_t3(text: str, path="<string>") -> Tensor3:
 
 def read_t3(path) -> Tensor3:
     """Read a T3 v1 tensor file."""
-    path = Path(path)
-    return loads_t3(path.read_text(encoding="ascii"), path)
+    return loads_t3(_read_ascii(path), Path(path))

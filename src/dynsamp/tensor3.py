@@ -1,11 +1,11 @@
 """Dense third-order tensors and the t-product.
 
-A tensor of shape (m, p, n) is indexed as t[i, j, k] with the third mode
-holding the "depth": tube (i, j) is the length-n fiber t[i, j, :], and
-frontal slice k is the m-by-p matrix t[:, :, k].  The t-product multiplies
-tensors by taking the DFT along the third mode, multiplying matching frontal
-slices, and transforming back; it is equivalent to multiplication by the
-block-circulant matrix of the left operand.
+A tensor of shape (m, p, n) holds its entries in ``data[i, j, k]``, the
+third mode holding the "depth": fiber (i, j) is ``data[i, j, :]`` and
+frontal slice k is the m-by-p matrix ``data[:, :, k]``.  The t-product
+multiplies tensors by taking the DFT along the third mode, multiplying
+matching frontal slices, and transforming back; it is equivalent to
+multiplication by the block-circulant matrix of the left operand.
 
 Real data is stored as float64 and everything else as complex128, so the
 storage dtype is the realness fact.  The t-product of two real tensors is
@@ -57,59 +57,9 @@ class Tensor3:
     def __setattr__(self, name, value):
         raise AttributeError("Tensor3 is immutable")
 
-    # -- element / fiber access ------------------------------------------
-
-    def _check_index(self, i: int, j: int, k: int) -> None:
-        m, p, n = self.dims
-        if not (0 <= i < m and 0 <= j < p and 0 <= k < n):
-            raise IndexError(
-                f"index ({i}, {j}, {k}) out of range for dims {self.dims}; "
-                "negative indices are not supported"
-            )
-
-    def __getitem__(self, idx) -> complex:
-        if not (isinstance(idx, tuple) and len(idx) == 3):
-            raise IndexError("Tensor3 indexing requires exactly (i, j, k)")
-        i, j, k = (int(v) for v in idx)
-        self._check_index(i, j, k)
-        return complex(self.data[i, j, k])
-
-    def tube(self, i: int, j: int) -> np.ndarray:
-        """Length-n fiber t[i, j, :] as a fresh array."""
-        self._check_index(i, j, 0)
-        return self.data[i, j, :].copy()
-
-    def frontal_slice(self, k: int) -> np.ndarray:
-        """m-by-p matrix t[:, :, k] as a fresh array."""
-        self._check_index(0, 0, k)
-        return self.data[:, :, k].copy()
-
-    # -- arithmetic (entrywise, shape-checked) ----------------------------
-
-    def __add__(self, other: "Tensor3") -> "Tensor3":
-        _check_same_shape(self, other, "add")
-        return Tensor3(self.data + other.data, copy=False)
-
-    def __sub__(self, other: "Tensor3") -> "Tensor3":
-        _check_same_shape(self, other, "subtract")
-        return Tensor3(self.data - other.data, copy=False)
-
-    def __mul__(self, scalar) -> "Tensor3":
-        return Tensor3(self.data * complex(scalar), copy=False)
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "Tensor3":
-        return Tensor3(-self.data, copy=False)
-
     def __repr__(self) -> str:
         kind = "real" if self.is_real else "complex"
         return f"Tensor3(dims={self.dims}, {kind})"
-
-
-def _check_same_shape(a: Tensor3, b: Tensor3, what: str) -> None:
-    if a.dims != b.dims:
-        raise ShapeMismatchError(f"cannot {what} tensors of dims {a.dims} and {b.dims}")
 
 
 # -- the t-product -----------------------------------------------------------
@@ -157,11 +107,12 @@ def fro_norm(t: Tensor3) -> float:
 
 def rel_error(x: Tensor3, f: Tensor3) -> float:
     """||x - f||_F / ||f||_F; rejects a zero-norm reference."""
-    _check_same_shape(x, f, "compare")
+    if x.dims != f.dims:
+        raise ShapeMismatchError(f"cannot compare dims {x.dims} and {f.dims}")
     denom = fro_norm(f)
     if denom == 0.0:
         raise ValueError("rel_error reference tensor has zero norm")
-    return fro_norm(x - f) / denom
+    return float(np.linalg.norm(x.data - f.data)) / denom
 
 
 # -- random instances --------------------------------------------------------

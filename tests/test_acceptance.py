@@ -11,7 +11,6 @@ import numpy as np
 
 from dynsamp import (
     UnrecoverableColumnError,
-    assemble_column_system,
     bernoulli_mask,
     evolve,
     fro_norm,
@@ -23,6 +22,7 @@ from dynsamp import (
     tprod,
 )
 from dynsamp.cli import main
+from dynsamp.reconstruct import assemble_column_system
 from dynsamp.experiments import (
     STREAM_MASK,
     STREAM_OPERATOR,

@@ -5,6 +5,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from dynsamp import (
     evolve,
@@ -318,4 +319,49 @@ def test_reconstruct_bad_mask_sidecar_is_data_error(tmp_path, capsys):
     sidecar.write_text("[1, 2]")
     assert main(["reconstruct", str(ds)]) == 4
     assert capsys.readouterr().err == f"error: {sidecar}: expected a JSON object\n"
+    assert not (ds / "report.json").exists()
+
+
+NON_INTEGRAL = [("m", 6.7), ("T", 2.9), ("seed", 3.2), ("n", True), ("p", "4")]
+
+
+def test_simulate_rejects_non_integral_config_values(tmp_path, capsys):
+    for key, value in NON_INTEGRAL:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"m": 6, "p": 4, "n": 2, "T": 2, key: value}))
+        out = tmp_path / "ds"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err == f"error: bad config value for {key!r}: expected an integer, got {value!r}\n"
+        assert not out.exists()
+
+
+def test_experiment_rejects_non_integral_config_values(tmp_path, capsys):
+    base = {"kind": "condition-vs-T", "m": 6, "p": 4, "n": 2, "T": [1, 2]}
+    for key, value in NON_INTEGRAL + [("T", [1, 2.9]), ("trials", 1.5)]:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**base, key: value}))
+        out = tmp_path / "exp"
+        assert main(["experiment", "--config", str(cfg), "--out", str(out)]) == 3
+        bad = value[-1] if isinstance(value, list) else value
+        err = capsys.readouterr().err
+        assert err == f"error: bad config value for {key!r}: expected an integer, got {bad!r}\n"
+        assert not out.exists()
+    # integral floats are integers
+    cfg.write_text(json.dumps({**base, "m": 6.0, "T": [1.0, 2], "seed": 3.0}))
+    assert main(["experiment", "--config", str(cfg), "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert (manifest["m"], manifest["T"], manifest["seed"]) == (6, [1, 2], 3)
+
+
+@pytest.mark.parametrize("name", ["mask.t3.json", "obs_0.t3", "meta.json"])
+def test_reconstruct_non_ascii_byte_names_the_file(tmp_path, capsys, name):
+    ds = tmp_path / "ds"
+    assert main(["simulate", "--out", str(ds), "--T", "2"] + SMALL) == 0
+    path = ds / name
+    lines = path.read_bytes().split(b"\n")
+    lines[1] += "café".encode()
+    path.write_bytes(b"\n".join(lines))
+    assert main(["reconstruct", str(ds)]) == 4
+    assert capsys.readouterr().err == f"error: {path}: line 2: non-ASCII byte 0xc3\n"
     assert not (ds / "report.json").exists()

@@ -6,10 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dynsamp import (
-    ColumnSystem,
     Tensor3,
     UnrecoverableColumnError,
-    assemble_column_system,
     bernoulli_mask,
     evolve,
     exclude_slab,
@@ -22,6 +20,7 @@ from dynsamp import (
     solve_column,
     system_condition,
 )
+from dynsamp.reconstruct import ColumnSystem, assemble_column_system
 from oracles import (
     brute_force_estimate,
     frequency_column_matrix,
@@ -330,7 +329,6 @@ def test_paper_scale_recovery():
     assert report.rel_error <= 1e-9
     assert report.K == max(k for k in report.kappa if k is not None)
     assert all(k >= 1.0 for k in report.kappa)
-    assert report.wall_ms > 0.0
 
 
 def test_lattice_missing_columns_fail_exactly():

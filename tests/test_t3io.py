@@ -74,4 +74,4 @@ def test_malformed_input_reports_line(text, line):
 
 def test_trailing_newline_tolerated():
     t = loads_t3("T3 1 1 1 1 real\n2.5\n\n")
-    assert t[0, 0, 0] == 2.5
+    assert t.data[0, 0, 0] == 2.5
