@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -8,6 +9,8 @@ import numpy as np
 import pytest
 
 from dynsamp import (
+    bernoulli_mask,
+    dumps_t3,
     evolve,
     lattice_mask,
     observe,
@@ -365,3 +368,36 @@ def test_reconstruct_non_ascii_byte_names_the_file(tmp_path, capsys, name):
     assert main(["reconstruct", str(ds)]) == 4
     assert capsys.readouterr().err == f"error: {path}: line 2: non-ASCII byte 0xc3\n"
     assert not (ds / "report.json").exists()
+
+
+# SHA-256 of the dataset files that come from the RNG and JSON alone, written
+# by `simulate` at 6x4x2, T=3, alpha=0.6, sigma=1e-3, seed 3.
+SIMULATE_SHA256 = {
+    "A.t3": "4f540ed8e28cba5de92840a6002af5c876413243c4550d8846fa5fb200ce9c66",
+    "F.t3": "eb7a655ee08ce3b2ed4457007a9f1302b9c13523ea7aacdc92c7df7fd44e9fbb",
+    "manifest.json": "65f2592c334754256a35d61b4054485aab93b10fd7fbd8fc0e3ae7d4e9354e6b",
+    "mask.t3": "5b5fe46c8e3b74f4a34e1b70734e0b3974af4886aeccb6b2d5a1f57ba15a98bb",
+    "mask.t3.json": "77f34d8efc998ae19c03a9086f0c33df52d2f55247063f2dbcad8d7a597251bc",
+    "meta.json": "11bf2d29aca087c9831a648edda85e0d0537c97d7534cee4e8a26f06ee426f32",
+}
+
+
+def test_simulate_files_are_pinned(tmp_path):
+    ds = tmp_path / "ds"
+    argv = ["simulate", "--out", str(ds), "--m", "6", "--p", "4", "--n", "2",
+            "--T", "3", "--alpha", "0.6", "--sigma", "1e-3", "--seed", "3"]
+    assert main(argv) == 0
+    for name, want in SIMULATE_SHA256.items():
+        assert hashlib.sha256((ds / name).read_bytes()).hexdigest() == want, name
+    # the observations pass through the FFT, so they are rebuilt from the
+    # manifest's seeds rather than hashed
+    man = json.loads((ds / "manifest.json").read_text())
+    a = random_tensor(6, 6, 2, man["operator_seed"])
+    f = random_tensor(6, 4, 2, man["signal_seed"])
+    mask = bernoulli_mask(6, 4, 2, 0.6, man["mask_seed"])
+    samples = observe(evolve(a, f, 3), mask, 1e-3, man["noise_seed"])
+    for t, obs in enumerate(samples.observations):
+        assert (ds / f"obs_{t}.t3").read_text() == dumps_t3(obs)
+    assert sorted(f.name for f in ds.iterdir()) == sorted(
+        [*SIMULATE_SHA256, "obs_0.t3", "obs_1.t3", "obs_2.t3"]
+    )

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dynsamp import T3FormatError, Tensor3, dumps_t3, loads_t3, random_tensor, read_t3, write_t3
 
@@ -75,3 +77,56 @@ def test_malformed_input_reports_line(text, line):
 def test_trailing_newline_tolerated():
     t = loads_t3("T3 1 1 1 1 real\n2.5\n\n")
     assert t.data[0, 0, 0] == 2.5
+
+
+# Finite float64 values, with -0.0 and subnormals drawn on purpose.
+_FINITE = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1.7976931348623157e308]),
+)
+_DIMS = st.tuples(st.integers(1, 3), st.integers(1, 3), st.integers(1, 3))
+
+
+@st.composite
+def _tensors(draw):
+    dims = draw(_DIMS)
+    size = dims[0] * dims[1] * dims[2]
+    re = np.array(draw(st.lists(_FINITE, min_size=size, max_size=size)))
+    if draw(st.booleans()):
+        im = np.array(draw(st.lists(_FINITE, min_size=size, max_size=size)))
+        return Tensor3((re + 1j * im).reshape(dims))
+    return Tensor3(re.reshape(dims))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_tensors())
+def test_round_trip_is_bit_exact(t):
+    back = loads_t3(dumps_t3(t))
+    assert back.dims == t.dims and back.is_real == t.is_real
+    assert back.data.dtype == t.data.dtype
+    assert back.data.tobytes() == t.data.tobytes()
+
+
+_HEADER_FIELD = st.one_of(
+    st.sampled_from(["T3", "T2", "1", "2", "real", "complex", "float", "1.5", "a"]),
+    st.integers(-1, 3).map(str),
+    st.text(alphabet="T3 .-eaxl", max_size=3),
+)
+_VALUE_LINE = st.one_of(
+    _FINITE.map(lambda v: f"{v:.17e}"),
+    st.tuples(_FINITE, _FINITE).map(lambda v: f"{v[0]:.17e} {v[1]:.17e}"),
+    st.sampled_from(["", " ", "nan", "-inf", "1e999", "0x1p3", "1 2 3", "1_0", "--1"]),
+    st.text(max_size=8),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(_HEADER_FIELD, max_size=7), st.lists(_VALUE_LINE, max_size=10))
+def test_fuzzed_text_raises_only_format_errors(header, lines):
+    text = "\n".join([" ".join(header), *lines])
+    try:
+        t = loads_t3(text, "fuzz.t3")
+    except T3FormatError as err:
+        assert str(err).startswith("fuzz.t3: line ")
+    else:
+        assert t.data.size == len([line for line in text.splitlines()[1:] if line.strip()])
