@@ -17,31 +17,21 @@ import json
 import sys
 from pathlib import Path
 
-from .tensor3 import random_tensor
 from .t3io import T3FormatError, atomic_write_text, read_t3, write_t3
-from .sampling import bernoulli_mask
-from .dynsys import evolve, load_sample_data, observe, save_sample_data
+from .dynsys import load_sample_data, save_sample_data
 from .reconstruct import UnrecoverableColumnError, reconstruct
 from .experiments import (
+    EXPERIMENT_KEYS,
     EXPERIMENT_KINDS,
-    SEED_RULE,
-    STREAM_MASK,
-    STREAM_NOISE,
-    STREAM_OPERATOR,
-    STREAM_SIGNAL,
+    FLAG_TYPES,
+    SIMULATE_KEYS,
     ConfigError,
-    as_int,
     config_from_dict,
-    derive_seed,
-    parse_value,
+    draw_point,
+    instance_seeds,
     write_experiment,
 )
 from ._parallel import resolve_threads
-
-_SIMULATE_KEYS = {"m", "p", "n", "T", "alpha", "sigma", "seed", "out"}
-_SIMULATE_DEFAULTS = {
-    "m": 20, "p": 15, "n": 5, "T": 5, "alpha": 0.4, "sigma": 0.0, "seed": 1,
-}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -76,34 +66,30 @@ def _threads() -> int:
         raise ConfigError(str(err)) from None
 
 
-def _merge_flags(raw: dict, args, keys) -> dict:
-    merged = dict(raw)
+def _config(args, keys):
+    """The command's config: its file, then its flags over ``keys``."""
+    merged = _load_config_file(args.config)
     for key in keys:
         value = getattr(args, key, None)
         if value is not None:
             merged[key] = value
-    return merged
+    if merged.get("out") is None:
+        raise ConfigError(f"{args.command} needs --out (or 'out' in the config)")
+    return config_from_dict(merged, keys)
 
 
 def _build_parser() -> _Parser:
     parser = _Parser(prog="dynsamp", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_overrides(p, with_trials: bool):
+    def add_overrides(p, keys):
         p.add_argument("--config", help="JSON config file")
-        p.add_argument("--m", type=int)
-        p.add_argument("--p", type=int)
-        p.add_argument("--n", type=int)
-        p.add_argument("--T", type=int)
-        p.add_argument("--alpha", type=float)
-        p.add_argument("--sigma", type=float)
-        p.add_argument("--seed", type=int)
-        if with_trials:
-            p.add_argument("--trials", type=int)
-        p.add_argument("--out", help="output directory")
+        for key, flag_type in FLAG_TYPES.items():
+            if key in keys:
+                p.add_argument(f"--{key}", type=flag_type)
 
     sim = sub.add_parser("simulate", help="generate a synthetic dataset directory")
-    add_overrides(sim, with_trials=False)
+    add_overrides(sim, SIMULATE_KEYS)
 
     rec = sub.add_parser("reconstruct", help="reconstruct a dataset directory")
     rec.add_argument("dataset", help="dataset directory from 'dynsamp simulate'")
@@ -117,7 +103,7 @@ def _build_parser() -> _Parser:
 
     exp = sub.add_parser("experiment", help="run one experiment family")
     exp.add_argument("--kind", choices=EXPERIMENT_KINDS)
-    add_overrides(exp, with_trials=True)
+    add_overrides(exp, EXPERIMENT_KEYS)
     return parser
 
 
@@ -125,49 +111,24 @@ def _build_parser() -> _Parser:
 
 
 def cmd_simulate(args) -> int:
-    raw = _load_config_file(args.config)
-    unknown = set(raw) - _SIMULATE_KEYS
-    if unknown:
-        raise ConfigError(f"unknown config key(s): {', '.join(sorted(unknown))}")
-    merged = dict(_SIMULATE_DEFAULTS)
-    merged.update(raw)
-    merged = _merge_flags(merged, args, _SIMULATE_KEYS)
-    if merged.get("out") is None:
-        raise ConfigError("simulate needs --out (or 'out' in the config)")
-    m, p, n, T, seed = (
-        parse_value(k, merged[k], as_int) for k in ("m", "p", "n", "T", "seed")
-    )
-    alpha, sigma = (parse_value(k, merged[k], float) for k in ("alpha", "sigma"))
-    if min(m, p, n) < 1 or T < 1:
-        raise ConfigError(f"dims and T must be positive, got m={m} p={p} n={n} T={T}")
-    if not 0.0 <= alpha <= 1.0:
-        raise ConfigError(f"alpha must lie in [0, 1], got {alpha}")
-    if sigma < 0.0:
-        raise ConfigError(f"sigma must be nonnegative, got {sigma}")
-    if seed < 0:
-        raise ConfigError(f"seed must be nonnegative, got {seed}")
-
-    out = Path(merged["out"])
+    cfg = _config(args, SIMULATE_KEYS)
+    a, f, samples = draw_point(cfg)
+    out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
-    a = random_tensor(m, m, n, derive_seed(seed, STREAM_OPERATOR))
-    f = random_tensor(m, p, n, derive_seed(seed, STREAM_SIGNAL))
-    mask = bernoulli_mask(m, p, n, alpha, derive_seed(seed, STREAM_MASK))
-    samples = observe(evolve(a, f, T), mask, sigma, derive_seed(seed, STREAM_NOISE))
     save_sample_data(out, samples)
     write_t3(out / "A.t3", a)
     write_t3(out / "F.t3", f)
     manifest = {
         "command": "simulate",
-        "m": m, "p": p, "n": n, "T": T,
-        "alpha": alpha, "sigma": sigma, "seed": seed,
-        "operator_seed": derive_seed(seed, STREAM_OPERATOR),
-        "signal_seed": derive_seed(seed, STREAM_SIGNAL),
-        "mask_seed": derive_seed(seed, STREAM_MASK),
-        "noise_seed": derive_seed(seed, STREAM_NOISE),
-        "seed_derivation": SEED_RULE,
+        "m": cfg.m, "p": cfg.p, "n": cfg.n, "T": cfg.Ts[0],
+        "alpha": cfg.alphas[0], "sigma": cfg.sigmas[0], "seed": cfg.seed,
+        **instance_seeds(cfg),
+        "mask_seed": samples.mask.provenance["seed"],
+        "noise_seed": samples.seed,
     }
     atomic_write_text(out / "manifest.json", json.dumps(manifest, sort_keys=True, indent=2) + "\n")
-    print(f"wrote dataset ({T} observations, {mask.sample_count} samples) to {out}")
+    count = samples.mask.sample_count
+    print(f"wrote dataset ({cfg.Ts[0]} observations, {count} samples) to {out}")
     return 0
 
 
@@ -218,11 +179,7 @@ def cmd_reconstruct(args) -> int:
 
 
 def cmd_experiment(args) -> int:
-    raw = _load_config_file(args.config)
-    merged = _merge_flags(raw, args, ("kind", "m", "p", "n", "T", "alpha", "sigma", "seed", "trials", "out"))
-    if merged.get("out") is None:
-        raise ConfigError("experiment needs --out (or 'out' in the config)")
-    cfg = config_from_dict(merged)
+    cfg = _config(args, EXPERIMENT_KEYS)
     paths = write_experiment(cfg, threads=_threads())
     print(f"wrote {paths['csv']}, {paths['svg']}, {paths['manifest']}")
     return 0

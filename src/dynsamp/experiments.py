@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -50,7 +51,8 @@ def derive_seed(base: int, stream: int, grid_index: int = 0, trial: int = 0) -> 
 
 @dataclass
 class ExperimentConfig:
-    """Fully resolved experiment parameters.
+    """Fully resolved experiment parameters; kind "simulate" is the single
+    point that ``dynsamp simulate`` draws and has no runner.
 
     ``Ts``, ``alphas``, and ``sigmas`` are always lists; kinds that need a
     scalar require the list to have exactly one element.
@@ -68,11 +70,6 @@ class ExperimentConfig:
     out: str = "."
 
     def validate(self) -> None:
-        if self.kind not in EXPERIMENT_KINDS:
-            raise ConfigError(
-                f"unknown experiment kind {self.kind!r}; expected one of "
-                + ", ".join(EXPERIMENT_KINDS)
-            )
         if min(self.m, self.p, self.n) < 1:
             raise ConfigError(f"dims must be positive, got {self.m} {self.p} {self.n}")
         if self.trials < 1:
@@ -117,6 +114,14 @@ def as_int(value) -> int:
     raise ValueError(f"expected an integer, got {value!r}")
 
 
+def as_float(value) -> float:
+    """``value`` as a float; only finite real numbers are accepted, not bools or strings."""
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    if real and math.isfinite(value):
+        return float(value)
+    raise ValueError(f"expected a finite number, got {value!r}")
+
+
 def parse_value(key: str, value, cast):
     """``cast(value)``, or a one-line ``ConfigError`` naming ``key``."""
     try:
@@ -130,33 +135,45 @@ def _as_list(cast):
     return lambda v: [cast(x) for x in (v if isinstance(v, (list, tuple)) else [v])]
 
 
-# config key -> (ExperimentConfig field, cast)
+# config key -> (ExperimentConfig field, cast, type of the command-line flag)
 _CONFIG_KEYS = {
-    "m": ("m", as_int),
-    "p": ("p", as_int),
-    "n": ("n", as_int),
-    "T": ("Ts", _as_list(as_int)),
-    "alpha": ("alphas", _as_list(float)),
-    "sigma": ("sigmas", _as_list(float)),
-    "trials": ("trials", as_int),
-    "seed": ("seed", as_int),
-    "out": ("out", str),
+    "m": ("m", as_int, int),
+    "p": ("p", as_int, int),
+    "n": ("n", as_int, int),
+    "T": ("Ts", _as_list(as_int), int),
+    "alpha": ("alphas", _as_list(as_float), float),
+    "sigma": ("sigmas", _as_list(as_float), float),
+    "trials": ("trials", as_int, int),
+    "seed": ("seed", as_int, int),
+    "out": ("out", str, str),
 }
-_ALLOWED_KEYS = {"kind", *_CONFIG_KEYS}
+FLAG_TYPES = {key: flag for key, (_, _, flag) in _CONFIG_KEYS.items()}
+EXPERIMENT_KEYS = ("kind", *_CONFIG_KEYS)
+SIMULATE_KEYS = tuple(k for k in EXPERIMENT_KEYS if k not in ("kind", "trials"))
 
 
-def config_from_dict(raw: dict) -> ExperimentConfig:
-    """Build a validated config from a JSON-style dict; unknown keys are errors."""
-    unknown = set(raw) - _ALLOWED_KEYS
+def _check_kind(kind) -> None:
+    if kind not in EXPERIMENT_KINDS:
+        raise ConfigError(
+            f"unknown experiment kind {kind!r}; expected one of " + ", ".join(EXPERIMENT_KINDS)
+        )
+
+
+def config_from_dict(raw: dict, keys=EXPERIMENT_KEYS) -> ExperimentConfig:
+    """Build a validated config from a JSON-style dict; keys outside ``keys``
+    are errors.  Without 'kind' in ``keys`` it is the single point that
+    ``dynsamp simulate`` draws: kind "simulate", one T, alpha and sigma."""
+    unknown = set(raw) - set(keys)
     if unknown:
         raise ConfigError(f"unknown config key(s): {', '.join(sorted(unknown))}")
-    kind = raw.get("kind")
-    if kind is None:
-        raise ConfigError("config needs a 'kind' field")
-    cfg = ExperimentConfig(kind=str(kind))
+    if "kind" in keys:
+        if raw.get("kind") is None:
+            raise ConfigError("config needs a 'kind' field")
+        _check_kind(raw["kind"])
+    cfg = ExperimentConfig(kind=raw.get("kind", "simulate"))
     for name, source in _KIND_DEFAULTS.get(cfg.kind, {}).items():
         setattr(cfg, name, source())
-    for key, (name, cast) in _CONFIG_KEYS.items():
+    for key, (name, cast, _) in _CONFIG_KEYS.items():
         if key in raw:
             setattr(cfg, name, parse_value(key, raw[key], cast))
     cfg.validate()
@@ -188,6 +205,23 @@ def _noise(cfg: ExperimentConfig, grid_index: int = 0, trial: int = 0) -> int:
     return derive_seed(cfg.seed, STREAM_NOISE, grid_index, trial)
 
 
+def instance_seeds(cfg: ExperimentConfig) -> dict:
+    """Manifest fields that regenerate the operator and the signal."""
+    return {
+        "operator_seed": derive_seed(cfg.seed, STREAM_OPERATOR),
+        "signal_seed": derive_seed(cfg.seed, STREAM_SIGNAL),
+        "seed_derivation": SEED_RULE,
+    }
+
+
+def draw_point(cfg: ExperimentConfig):
+    """Operator, signal and samples of a single-point config: the instance,
+    mask and noise of grid point 0, trial 0."""
+    a, f = _instance(cfg)
+    mask = _mask(cfg, cfg.alphas[0])
+    return a, f, observe(evolve(a, f, cfg.Ts[0]), mask, cfg.sigmas[0], _noise(cfg))
+
+
 def _rel_errors(cfg: ExperimentConfig, units, threads: int) -> list[float]:
     """Recovery error of each ``(mask, T, sigma, noise_seed)`` unit, in order;
     the instance is evolved once, to the largest T, and units observe prefixes."""
@@ -217,10 +251,8 @@ def _recovery_vs_alpha(cfg: ExperimentConfig, threads: int) -> ExperimentResult:
 
 
 def _pointwise_gap(cfg: ExperimentConfig, threads: int) -> ExperimentResult:
-    a, f = _instance(cfg)
-    mask = _mask(cfg, cfg.alphas[0])
-    samples = observe(evolve(a, f, cfg.Ts[0]), mask, cfg.sigmas[0], _noise(cfg))
-    report = reconstruct(a, mask, samples, allow_partial=True, threads=threads)
+    a, f, samples = draw_point(cfg)
+    report = reconstruct(a, samples.mask, samples, allow_partial=True, threads=threads)
     gaps = np.abs(report.estimate.data - f.data).ravel()
     rows = [{"index": i, "abs_gap": float(g)} for i, g in enumerate(gaps)]
     return ExperimentResult(cfg.kind, ["index", "abs_gap"], rows)
@@ -294,6 +326,7 @@ EXPERIMENT_KINDS = tuple(_RUNNERS)
 
 def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> ExperimentResult:
     """Compute the rows for one experiment kind; pure apart from the RNG seeds."""
+    _check_kind(cfg.kind)
     cfg.validate()
     return _RUNNERS[cfg.kind](cfg, threads)
 
@@ -387,10 +420,7 @@ def write_experiment(cfg: ExperimentConfig, threads: int = 1) -> dict:
     manifest = {
         "kind": cfg.kind, "m": cfg.m, "p": cfg.p, "n": cfg.n,
         "T": cfg.Ts, "alpha": cfg.alphas, "sigma": cfg.sigmas,
-        "trials": cfg.trials, "seed": cfg.seed,
-        "operator_seed": derive_seed(cfg.seed, STREAM_OPERATOR),
-        "signal_seed": derive_seed(cfg.seed, STREAM_SIGNAL),
-        "seed_derivation": SEED_RULE,
+        "trials": cfg.trials, "seed": cfg.seed, **instance_seeds(cfg),
         "csv": csv_path.name, "svg": svg_path.name, "columns": result.fieldnames,
     }
     atomic_write_text(manifest_path, json.dumps(manifest, sort_keys=True, indent=2) + "\n")

@@ -156,10 +156,8 @@ def load_mask(path) -> SampleMask:
     values = read_t3(path).data
     bad = ~((values == 0.0) | (values == 1.0))
     if bad.any():
-        i, j, k = np.argwhere(bad)[0]
-        m, p, _ = values.shape
-        line = 2 + k * p * m + j * m + i  # header + (k, j, i)-ordered entries
-        raise T3FormatError(path, int(line), "mask entries must be 0 or 1")
+        entry = np.ravel_multi_index(np.argwhere(bad)[0], bad.shape, order="F")
+        raise T3FormatError(path, 2 + int(entry), "mask entries must be 0 or 1")
     sidecar = path.with_suffix(path.suffix + ".json")
     if sidecar.exists():
         prov = read_json_object(sidecar)

@@ -6,16 +6,16 @@ Layout::
     <value lines, one entry per line>
 
 Value lines appear in lexicographic (k, j, i) order -- the depth index k
-varies slowest, the row index i fastest.  A ``real`` file carries one
-scientific-notation number per line, a ``complex`` file carries two
-(real part, imaginary part).  Entries are written with 17 fractional
-digits so float64 values round-trip exactly.
+varies slowest, the row index i fastest: Fortran order of the (m, p, n)
+array.  A ``real`` file carries one scientific-notation number per line,
+a ``complex`` file carries two (real part, imaginary part).  Entries are
+written with 17 fractional digits so float64 values round-trip exactly.
 """
 
 from __future__ import annotations
 
+import cmath
 import json
-import math
 import os
 import tempfile
 from pathlib import Path
@@ -77,16 +77,12 @@ def dumps_t3(t: Tensor3) -> str:
     """Serialize a tensor to T3 v1 text."""
     m, p, n = t.dims
     kind = "real" if t.is_real else "complex"
-    lines = [f"{_MAGIC} {_VERSION} {m} {p} {n} {kind}"]
-    for k in range(n):
-        for j in range(p):
-            for i in range(m):
-                v = t.data[i, j, k]
-                if kind == "real":
-                    lines.append(f"{v:.17e}")
-                else:
-                    lines.append(f"{v.real:.17e} {v.imag:.17e}")
-    return "\n".join(lines) + "\n"
+    values = t.data.ravel(order="F").tolist()
+    if t.is_real:
+        body = [f"{v:.17e}" for v in values]
+    else:
+        body = [f"{v.real:.17e} {v.imag:.17e}" for v in values]
+    return "\n".join([f"{_MAGIC} {_VERSION} {m} {p} {n} {kind}", *body]) + "\n"
 
 
 def write_t3(path, t: Tensor3) -> None:
@@ -118,32 +114,28 @@ def loads_t3(text: str, path="<string>") -> Tensor3:
 
     want = m * p * n
     ncols = 1 if kind == "real" else 2
-    data = np.zeros((m, p, n), dtype=np.complex128)
-    pos = 0
+    values = []
     for offset, raw in enumerate(lines[1:], start=2):
-        if raw.strip() == "" and pos == want:
+        if raw.strip() == "" and len(values) == want:
             continue  # trailing blank line
         parts = raw.split()
         if len(parts) != ncols:
             raise T3FormatError(
                 path, offset, f"expected {ncols} value(s) per line, got {len(parts)}"
             )
-        if pos >= want:
+        if len(values) >= want:
             raise T3FormatError(path, offset, f"more than {want} entries")
         try:
-            re = float(parts[0])
-            im = float(parts[1]) if ncols == 2 else 0.0
+            value = float(parts[0]) if ncols == 1 else complex(*map(float, parts))
         except ValueError:
             raise T3FormatError(path, offset, f"unparseable number in {raw!r}") from None
-        if not (math.isfinite(re) and math.isfinite(im)):
+        if not cmath.isfinite(value):
             raise T3FormatError(path, offset, f"non-finite value in {raw!r}")
-        k, rem = divmod(pos, p * m)
-        j, i = divmod(rem, m)
-        data[i, j, k] = complex(re, im)
-        pos += 1
-    if pos != want:
-        raise T3FormatError(path, len(lines) + 1, f"expected {want} entries, got {pos}")
-    return Tensor3(data, copy=False)
+        values.append(value)
+    if len(values) != want:
+        raise T3FormatError(path, len(lines) + 1, f"expected {want} entries, got {len(values)}")
+    dtype = np.float64 if ncols == 1 else np.complex128
+    return Tensor3(np.array(values, dtype=dtype).reshape((m, p, n), order="F"), copy=False)
 
 
 def read_t3(path) -> Tensor3:

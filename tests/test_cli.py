@@ -357,6 +357,50 @@ def test_experiment_rejects_non_integral_config_values(tmp_path, capsys):
     assert (manifest["m"], manifest["T"], manifest["seed"]) == (6, [1, 2], 3)
 
 
+NON_FINITE = [True, "0.1", "inf", float("nan"), None]
+
+
+@pytest.mark.parametrize("key", ["alpha", "sigma"])
+@pytest.mark.parametrize("value", NON_FINITE, ids=repr)
+@pytest.mark.parametrize(
+    "command,base",
+    [
+        ("simulate", {"m": 6, "p": 4, "n": 2, "T": 2}),
+        ("experiment", {"kind": "pointwise-gap", "m": 6, "p": 4, "n": 2, "T": 2}),
+    ],
+)
+def test_non_finite_float_config_values_are_config_errors(
+    tmp_path, capsys, command, base, value, key
+):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**base, key: value}))
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err == f"error: bad config value for {key!r}: expected a finite number, got {value!r}\n"
+    assert not out.exists()
+
+
+def test_non_finite_float_flags_are_config_errors(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["simulate", "--out", str(out), "--sigma", "nan"] + SMALL) == 3
+    assert capsys.readouterr().err == "error: bad config value for 'sigma': expected a finite number, got nan\n"
+    argv = ["experiment", "--kind", "pointwise-gap", "--alpha", "inf", "--out", str(out)]
+    assert main(argv + SMALL) == 3
+    assert capsys.readouterr().err == "error: bad config value for 'alpha': expected a finite number, got inf\n"
+    assert not out.exists()
+
+
+def test_simulate_needs_a_single_point(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    out = tmp_path / "ds"
+    for key, grid in (("T", [2, 3]), ("alpha", [0.3, 0.6]), ("sigma", [0.0, 1e-3])):
+        cfg.write_text(json.dumps({"m": 6, "p": 4, "n": 2, key: grid}))
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 3
+        assert capsys.readouterr().err == f"error: simulate needs a single {key}, got {grid}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("name", ["mask.t3.json", "obs_0.t3", "meta.json"])
 def test_reconstruct_non_ascii_byte_names_the_file(tmp_path, capsys, name):
     ds = tmp_path / "ds"
