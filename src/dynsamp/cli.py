@@ -18,7 +18,7 @@ import sys
 from pathlib import Path
 
 from .t3io import T3FormatError, atomic_write_text, read_t3, write_t3
-from .dynsys import load_sample_data, save_sample_data
+from .dynsys import SampleOverflowError, load_sample_data, save_sample_data
 from .reconstruct import UnrecoverableColumnError, reconstruct
 from .experiments import (
     EXPERIMENT_KEYS,
@@ -147,15 +147,18 @@ def cmd_reconstruct(args) -> int:
     truth_path = dataset / "F.t3"
     truth = read_t3(truth_path) if truth_path.exists() else None
 
-    report = reconstruct(
-        a,
-        samples.mask,
-        samples,
-        tol=args.tol,
-        allow_partial=args.allow_partial,
-        ground_truth=truth,
-        threads=threads,
-    )
+    try:
+        report = reconstruct(
+            a,
+            samples.mask,
+            samples,
+            tol=args.tol,
+            allow_partial=args.allow_partial,
+            ground_truth=truth,
+            threads=threads,
+        )
+    except SampleOverflowError as err:  # the dataset's operator and horizon
+        raise ValueError(f"{dataset}: {err}") from None
 
     out = Path(args.out) if args.out else dataset
     out.mkdir(parents=True, exist_ok=True)
@@ -194,7 +197,7 @@ def main(argv=None) -> int:
         if args.command == "reconstruct":
             return cmd_reconstruct(args)
         return cmd_experiment(args)
-    except ConfigError as err:
+    except (ConfigError, SampleOverflowError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 3
     except UnrecoverableColumnError as err:

@@ -18,6 +18,11 @@ from .sampling import SampleMask, load_mask, project, save_mask
 from .t3io import atomic_write_text, read_json_object, read_t3, write_t3
 
 
+class SampleOverflowError(ValueError):
+    """The evolved signal or its noisy observation overflows float64: the
+    operator, horizon or sigma is too large."""
+
+
 class SampleData:
     """Masked observations of an evolving signal over T time steps.
 
@@ -74,7 +79,10 @@ def evolve(a: Tensor3, f: Tensor3, T: int) -> list[Tensor3]:
     T = int(T)
     if T < 1:
         raise ValueError(f"T must be >= 1, got {T}")
-    return [f] + [Tensor3(x, copy=False) for x in _tproducts(a.data, f.data, T - 1)]
+    # A trajectory that outgrows float64 holds inf or nan; observe reports it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        steps = _tproducts(a.data, f.data, T - 1)
+    return [f] + [Tensor3(x, copy=False) for x in steps]
 
 
 def observe(trajectory, mask: SampleMask, sigma: float, seed: int) -> SampleData:
@@ -83,18 +91,23 @@ def observe(trajectory, mask: SampleMask, sigma: float, seed: int) -> SampleData
     Noise is real Gaussian with standard deviation ``sigma``, independent per
     entry and per time step; the step-t stream is the seed's generator jumped
     t times, so observation t never depends on how many steps precede it.
+    A step whose signal, or signal plus noise, is not finite in float64
+    raises ``SampleOverflowError`` naming the step.
     """
     sigma = float(sigma)
     if sigma < 0:
         raise ValueError(f"sigma must be nonnegative, got {sigma}")
     observations = []
     for t, ft in enumerate(trajectory):
-        if sigma == 0.0:
-            observations.append(project(mask, ft))
-            continue
-        rng = np.random.Generator(np.random.Philox(key=int(seed)).jumped(t))
-        noise = sigma * rng.standard_normal(ft.dims)
-        observations.append(project(mask, Tensor3(ft.data + noise, copy=False)))
+        data = ft.data
+        if sigma != 0.0:
+            rng = np.random.Generator(np.random.Philox(key=int(seed)).jumped(t))
+            with np.errstate(over="ignore"):
+                data = data + sigma * rng.standard_normal(ft.dims)
+        if not np.isfinite(data).all():
+            source = "signal" if not np.isfinite(ft.data).all() else f"noise (sigma={sigma:g})"
+            raise SampleOverflowError(f"step {t}: the {source} overflows float64")
+        observations.append(project(mask, Tensor3(data, copy=False)))
     return SampleData(mask, observations, sigma, seed)
 
 

@@ -9,12 +9,13 @@ j is the spatial column
 
 and every sample (t, i, k) of column j contributes the row of bcirc(A)^t
 that produces entry (i, k) of the column at step t.  The stack of powers
-bcirc(A)^0, ..., bcirc(A)^(T-1) is computed once per (operator, T) by
-evolving the m*n unit-basis slab; column j's matrix is the subset of its
-rows that the mask selects, and its right-hand side is the observed values
-at the same entries, in the same order.  Real operators and observations
-give a real system and a real estimate.  Columns with the same sample
-pattern share their matrix, so each distinct matrix is factored once per
+bcirc(A)^0, ..., bcirc(A)^(T-1) is computed once per call by evolving the
+m*n unit-basis slab to the longest horizon; column j's matrix is the subset
+of its rows that the mask selects, and its right-hand side is the observed
+values at the same entries, in the same order.  Real operators and
+observations give a real system and a real estimate.  Columns with the same
+horizon and sample pattern share their matrix, also across the problems of
+one ``reconstruct_batch`` call, so each distinct matrix is factored once per
 call and solved for all of its columns' right-hand sides together.
 
 Columns with no samples yield an empty system and cannot be recovered; they
@@ -31,7 +32,7 @@ import numpy as np
 from .tensor3 import ShapeMismatchError, Tensor3
 from .tensor3 import rel_error as tensor_rel_error
 from .sampling import SampleMask
-from .dynsys import SampleData, evolve
+from .dynsys import SampleData, SampleOverflowError, evolve
 from ._parallel import pmap
 
 _EPS = float(np.finfo(np.float64).eps)
@@ -113,26 +114,20 @@ def _check_tol(tol) -> None:
 def _check_problem(a: Tensor3, mask: SampleMask, samples: SampleData | None) -> None:
     m, p, n = mask.dims
     if a.dims != (m, m, n):
-        raise ShapeMismatchError(
-            f"operator dims {a.dims} incompatible with mask dims {mask.dims}"
-        )
-    if samples is not None and not np.array_equal(
-        mask.indicator, samples.mask.indicator
-    ):
+        raise ShapeMismatchError(f"operator dims {a.dims} incompatible with mask dims {mask.dims}")
+    if samples is not None and not np.array_equal(mask.indicator, samples.mask.indicator):
         raise ValueError("mask does not match the mask the samples were taken on")
 
 
-def _column_systems(a: Tensor3, mask: SampleMask, T: int, observations=()):
-    """Return ``(groups, build)`` for the column systems of one problem.
+def _power_stack(a: Tensor3, T: int) -> np.ndarray:
+    """The (T, m*n, m*n) stack of bcirc(A)^0, ..., bcirc(A)^(T-1).
 
-    The (T, m*n, m*n) stack of bcirc(A)^t is built once here; ``build``
-    only selects rows.  ``groups`` lists the columns by sample pattern, in
-    order of their first column; the columns of one group share one matrix.
-    ``build(cols)`` takes the columns of one group and returns their system
-    with a (rows, len(cols)) right-hand side, one column per entry of
-    ``cols``.  Without observations the right-hand side has no columns.
+    Row r = i + m*k of each power produces entry (i, k) of a column.  The
+    stack at horizon T is a prefix of the stack at any longer horizon, bit
+    for bit, because ``evolve`` computes each step from the one before.
+    Powers that overflow float64 raise ``SampleOverflowError``.
     """
-    m, p, n = mask.dims
+    m, _, n = a.dims
     mn = m * n
     # Lateral slice q of the basis slab is the unit (m, n) slab with a one at
     # vec index q = i + m*k, so evolving it yields the columns of bcirc(A)^t.
@@ -140,25 +135,22 @@ def _column_systems(a: Tensor3, mask: SampleMask, T: int, observations=()):
     stack = np.stack(
         [s.data.transpose(2, 0, 1).reshape(mn, mn) for s in evolve(a, basis, T)]
     )
-    # Row r = i + m*k of both the stack and the selectors is entry (i, k).
-    selectors = mask.indicator.transpose(1, 2, 0).reshape(p, mn)
-    if observations:
-        obs = np.stack([o.data for o in observations])
-        obs = obs.transpose(2, 0, 3, 1).reshape(p, len(observations), mn)
-    groups: dict[bytes, list[int]] = {}
-    for j in range(p):
-        groups.setdefault(selectors[j].tobytes(), []).append(j)
+    if not np.isfinite(stack).all():
+        raise SampleOverflowError(f"the powers of the operator overflow float64 by T={T}")
+    return stack
 
-    def build(cols: list[int]) -> ColumnSystem:
-        sel = selectors[cols[0]]
-        matrix = stack[:, sel, :].reshape(-1, mn)
-        if observations:
-            rhs = obs[cols][:, :, sel].reshape(len(cols), -1).T
-        else:
-            rhs = np.empty((matrix.shape[0], 0))
-        return ColumnSystem(j=cols[0], matrix=matrix, rhs=rhs)
 
-    return list(groups.values()), build
+def _selectors(mask: SampleMask) -> np.ndarray:
+    """(p, m*n) row selectors: row r = i + m*k of column j is entry (i, k)."""
+    m, p, n = mask.dims
+    return mask.indicator.transpose(1, 2, 0).reshape(p, m * n)
+
+
+def _column_rhs(samples: SampleData) -> np.ndarray:
+    """(p, T, m*n) observed values of each column at each step, rows as in ``_selectors``."""
+    m, p, n = samples.mask.dims
+    obs = np.stack([o.data for o in samples.observations])
+    return obs.transpose(2, 0, 3, 1).reshape(p, samples.horizon, m * n)
 
 
 def assemble_column_system(
@@ -169,9 +161,9 @@ def assemble_column_system(
     p = mask.dims[1]
     if not 0 <= j < p:
         raise IndexError(f"column {j} out of range for {p} columns")
-    _, build = _column_systems(a, mask, samples.horizon, samples.observations)
-    system = build([j])
-    return ColumnSystem(j=j, matrix=system.matrix, rhs=system.rhs.ravel())
+    sel = _selectors(mask)[j]
+    matrix = _power_stack(a, samples.horizon)[:, sel, :].reshape(-1, a.dims[0] * a.dims[2])
+    return ColumnSystem(j=j, matrix=matrix, rhs=_column_rhs(samples)[j][:, sel].ravel())
 
 
 # -- solving -------------------------------------------------------------------
@@ -234,6 +226,74 @@ def solve_column(system: ColumnSystem, tol: float | None = None):
     return x, rank, kappa, residual
 
 
+def reconstruct_batch(
+    a: Tensor3,
+    problems,
+    *,
+    tol: float | None = None,
+    allow_partial: bool = False,
+    ground_truth: Tensor3 | None = None,
+    threads: int = 1,
+) -> list[ReconstructionReport]:
+    """Reconstruct each ``(mask, samples)`` problem on the operator ``a``.
+
+    The power stack is built once, to the longest horizon.  Each column of
+    each problem is keyed by horizon, observation dtype and sample pattern,
+    in order of first appearance over problems, then columns; each key is
+    one ``solve_column`` call with one right-hand side per member, and keys
+    may be solved in parallel.  Reports come in problem order, identical for
+    any thread count; each matches a lone ``reconstruct`` to roundoff, and
+    bit for bit when it shares no key with another problem.
+    """
+    _check_tol(tol)
+    m, _, n = a.dims
+    # key -> (row selector, member (problem, column) pairs, their right-hand
+    # sides); only sampled values are kept, so ``problems`` may be a generator.
+    keys: dict[tuple, tuple[np.ndarray, list, list]] = {}
+    widths = []
+    for q, (mask, samples) in enumerate(problems):
+        _check_problem(a, mask, samples)
+        obs = _column_rhs(samples)
+        for j, sel in enumerate(_selectors(mask)):
+            key = (samples.horizon, obs.dtype, sel.tobytes())
+            _, members, cols = keys.setdefault(key, (sel, [], []))
+            members.append((q, j))
+            cols.append(obs[j][:, sel].ravel())
+        widths.append(len(obs))
+    stack = _power_stack(a, max((T for T, _, _ in keys), default=1))
+
+    def run(item):
+        (T, _, _), (sel, members, cols) = item
+        matrix = stack[:T, sel, :].reshape(-1, m * n)
+        system = ColumnSystem(j=members[0][1], matrix=matrix, rhs=np.stack(cols).T)
+        try:
+            return solve_column(system, tol)
+        except UnrecoverableColumnError:
+            return None
+
+    # (x, rank, kappa, residual) of every column; failed columns have no
+    # samples, so no misfit either: residual 0.0.
+    columns = [[(np.zeros(m * n), 0, None, 0.0)] * p for p in widths]
+    for (_, members, _), res in zip(keys.values(), pmap(run, keys.items(), threads)):
+        if res is not None:
+            x, rank, kappa, residual = res
+            for (q, j), xj, r in zip(members, x.T, residual):
+                columns[q][j] = (xj, rank, kappa, float(r))
+    reports = []
+    for cols in columns:
+        xs, ranks, kappas, residuals = (list(v) for v in zip(*cols))
+        failed = [j for j, k in enumerate(kappas) if k is None]
+        if failed and not allow_partial:
+            raise UnrecoverableColumnError(failed)
+        estimate = Tensor3(np.stack(xs).reshape(len(xs), n, m).transpose(2, 0, 1))
+        solved = [k for k in kappas if k is not None]
+        reports.append(ReconstructionReport(
+            estimate, residuals, kappas, max(solved) if solved else None, ranks, failed,
+            None if ground_truth is None else tensor_rel_error(estimate, ground_truth),
+        ))
+    return reports
+
+
 def reconstruct(
     a: Tensor3,
     mask: SampleMask,
@@ -246,56 +306,44 @@ def reconstruct(
 ) -> ReconstructionReport:
     """Solve all column systems and assemble the estimated initial signal.
 
-    Columns are independent; those with the same sample pattern are solved
-    together through one ``solve_column`` call, and the distinct systems may
-    be solved in parallel.  The report is identical for any thread count.
-    Unsampled columns raise unless ``allow_partial`` is set, in which case
-    they are zero-filled and listed in ``failed_columns``.  The estimate is
-    real (float64) when the operator and the observations are.
+    This is ``reconstruct_batch`` on one problem: columns with the same
+    sample pattern share one ``solve_column`` call, and the report is
+    identical for any thread count.  Unsampled columns raise unless
+    ``allow_partial`` zero-fills them and lists them in ``failed_columns``.
+    The estimate is real (float64) when the operator and observations are.
     """
+    return reconstruct_batch(
+        a, [(mask, samples)], tol=tol, allow_partial=allow_partial,
+        ground_truth=ground_truth, threads=threads,
+    )[0]
+
+
+def _condition_sweep(a: Tensor3, mask: SampleMask, Ts, tol=None, threads: int = 1):
+    """``system_condition`` at each horizon of ``Ts``, from one power stack
+    built to the longest; returns one ``(kappas, K)`` per horizon."""
     _check_tol(tol)
-    _check_problem(a, mask, samples)
-    m, p, n = mask.dims
-    groups, build = _column_systems(a, mask, samples.horizon, samples.observations)
+    _check_problem(a, mask, None)
+    stack, selectors = _power_stack(a, max(Ts)), _selectors(mask)
+    groups: dict[bytes, list[int]] = {}
+    for j, row in enumerate(selectors):
+        groups.setdefault(row.tobytes(), []).append(j)
+    items = [(t, T, cols) for t, T in enumerate(Ts) for cols in groups.values()]
 
-    def run(cols: list[int]):
-        try:
-            return solve_column(build(cols), tol)
-        except UnrecoverableColumnError:
+    def run(item):
+        _, T, cols = item
+        matrix = stack[:T, selectors[cols[0]], :].reshape(-1, stack.shape[2])
+        if not matrix.any():
             return None
+        return _factor_solve(matrix, np.empty((matrix.shape[0], 0)), tol)[2]
 
-    dtype = np.result_type(a.data, *(o.data for o in samples.observations))
-    estimate_data = np.zeros((m, p, n), dtype=dtype)
-    # Failed columns have no samples, so no misfit either: residual 0.0.
-    residuals = [0.0] * p
-    kappas: list[float | None] = [None] * p
-    ranks = [0] * p
-    for cols, res in zip(groups, pmap(run, groups, threads)):
-        if res is None:
-            continue
-        x, rank, kappa, residual = res
-        estimate_data[:, cols, :] = x.T.reshape((len(cols), n, m)).transpose(2, 0, 1)
-        for j, r in zip(cols, residual):
-            residuals[j], kappas[j], ranks[j] = float(r), kappa, rank
-    failed = [j for j, k in enumerate(kappas) if k is None]
-    if failed and not allow_partial:
-        raise UnrecoverableColumnError(failed)
-    estimate = Tensor3(estimate_data, copy=False)
-
-    solved = [k for k in kappas if k is not None]
-    return ReconstructionReport(
-        estimate=estimate,
-        residuals=residuals,
-        kappa=kappas,
-        K=max(solved) if solved else None,
-        ranks=ranks,
-        failed_columns=failed,
-        rel_error=(
-            tensor_rel_error(estimate, ground_truth)
-            if ground_truth is not None
-            else None
-        ),
-    )
+    kappas = [[None] * len(selectors) for _ in Ts]
+    for (t, _, cols), kappa in zip(items, pmap(run, items, threads)):
+        for j in cols:
+            kappas[t][j] = kappa
+    empty = [j for j, k in enumerate(kappas[0]) if k is None]
+    if empty:
+        raise UnrecoverableColumnError(empty)
+    return [(ks, max(ks)) for ks in kappas]
 
 
 def system_condition(
@@ -306,21 +354,4 @@ def system_condition(
     The right-hand side is irrelevant: kappa(j) depends only on the operator,
     the mask, and the horizon.  Returns ``(kappas, K)``.
     """
-    _check_tol(tol)
-    _check_problem(a, mask, None)
-    groups, build = _column_systems(a, mask, T)
-
-    def run(cols: list[int]):
-        system = build(cols)
-        if not system.matrix.any():
-            return None
-        return _factor_solve(system.matrix, system.rhs, tol)[2]
-
-    kappas: list[float | None] = [None] * mask.dims[1]
-    for cols, kappa in zip(groups, pmap(run, groups, threads)):
-        for j in cols:
-            kappas[j] = kappa
-    empty = [j for j, k in enumerate(kappas) if k is None]
-    if empty:
-        raise UnrecoverableColumnError(empty)
-    return kappas, max(kappas)
+    return _condition_sweep(a, mask, [T], tol, threads)[0]

@@ -154,10 +154,11 @@ def load_mask(path) -> SampleMask:
     """
     path = Path(path)
     values = read_t3(path).data
-    bad = ~((values == 0.0) | (values == 1.0))
-    if bad.any():
-        entry = np.ravel_multi_index(np.argwhere(bad)[0], bad.shape, order="F")
-        raise T3FormatError(path, 2 + int(entry), "mask entries must be 0 or 1")
+    # Entries are listed in Fortran order, so the first bad line is the
+    # first bad entry of the Fortran-order ravel.
+    bad = np.flatnonzero(~((values == 0.0) | (values == 1.0)).ravel(order="F"))
+    if bad.size:
+        raise T3FormatError(path, 2 + int(bad[0]), "mask entries must be 0 or 1")
     sidecar = path.with_suffix(path.suffix + ".json")
     if sidecar.exists():
         prov = read_json_object(sidecar)

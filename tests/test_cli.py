@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 
 from dynsamp import (
+    Tensor3,
     bernoulli_mask,
     dumps_t3,
     evolve,
@@ -389,6 +391,52 @@ def test_non_finite_float_flags_are_config_errors(tmp_path, capsys):
     assert main(argv + SMALL) == 3
     assert capsys.readouterr().err == "error: bad config value for 'alpha': expected a finite number, got inf\n"
     assert not out.exists()
+
+
+# Flags whose values are finite but overflow float64, with the error each gives.
+OVERFLOWS = {
+    "noise": (
+        ["--T", "2", "--sigma", "1e308"],
+        r"step 0: the noise \(sigma=1e\+308\) overflows float64",
+    ),
+    "signal": (["--T", "2000"], r"step \d+: the signal overflows float64"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(OVERFLOWS))
+def test_simulate_overflow_is_config_error(tmp_path, capsys, case):
+    flags, message = OVERFLOWS[case]
+    out = tmp_path / "ds"
+    assert main(["simulate", "--out", str(out)] + SMALL + flags) == 3
+    assert re.fullmatch(f"error: {message}\n", capsys.readouterr().err)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "kind,case,message",
+    [
+        ("pointwise-gap", "noise", None),
+        ("optimal-T", "signal", None),
+        ("condition-vs-T", "signal", "the powers of the operator overflow float64 by T=2000"),
+    ],
+)
+def test_experiment_overflow_is_config_error(tmp_path, capsys, kind, case, message):
+    flags, step_message = OVERFLOWS[case]
+    out = tmp_path / "exp"
+    argv = ["experiment", "--kind", kind, "--trials", "1", "--out", str(out)]
+    assert main(argv + SMALL + flags) == 3
+    assert re.fullmatch(f"error: {message or step_message}\n", capsys.readouterr().err)
+    assert not out.exists()
+
+
+def test_reconstruct_overflowing_operator_is_data_error(tmp_path, capsys):
+    ds = tmp_path / "ds"
+    assert main(["simulate", "--out", str(ds), "--T", "3"] + SMALL) == 0
+    write_t3(ds / "A.t3", Tensor3(np.full((6, 6, 2), 1e200)))
+    assert main(["reconstruct", str(ds)]) == 4
+    err = capsys.readouterr().err
+    assert err == f"error: {ds}: the powers of the operator overflow float64 by T=3\n"
+    assert not (ds / "report.json").exists()
 
 
 def test_simulate_needs_a_single_point(tmp_path, capsys):

@@ -19,6 +19,7 @@ from dynsamp.experiments import (
     run_experiment,
     write_experiment,
 )
+from dynsamp.reconstruct import reconstruct_batch
 
 SMALL = {"m": 6, "p": 4, "n": 2, "seed": 9, "trials": 2}
 
@@ -253,11 +254,19 @@ def test_seed_rule_regenerates_an_optimal_T_row():
     cfg = config_from_dict(
         {"kind": "optimal-T", "T": [2, 4], "sigma": [0.0, 1e-3], "alpha": 0.8, **SMALL}
     )
-    # masks depend on the trial only; noise on the sigma index and the trial
-    errs = np.array([
-        _hand_error(cfg, _hand_mask(cfg, 0.8, 0, r), 2, 1e-3, (1, r))
-        for r in range(cfg.trials)
-    ])
+    # masks depend on the trial only; noise on the sigma index and the trial.
+    # The run solves every sigma and trial of one T together, sigma-major.
+    a = random_tensor(cfg.m, cfg.m, cfg.n, derive_seed(cfg.seed, STREAM_OPERATOR))
+    f = random_tensor(cfg.m, cfg.p, cfg.n, derive_seed(cfg.seed, STREAM_SIGNAL))
+    traj = evolve(a, f, 2)
+    problems = []
+    for s, sigma in enumerate(cfg.sigmas):
+        for r in range(cfg.trials):
+            mask = _hand_mask(cfg, 0.8, 0, r)
+            noise = derive_seed(cfg.seed, STREAM_NOISE, s, r)
+            problems.append((mask, observe(traj, mask, sigma, noise)))
+    reports = reconstruct_batch(a, problems, allow_partial=True, ground_truth=f)
+    errs = np.array([report.rel_error for report in reports[cfg.trials:]])
     want = {"T": 2, "sigma": 1e-3, "mean_rel_err": float(errs.mean())}
     assert run_experiment(cfg).rows[1] == want
 

@@ -2,7 +2,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dynsamp import (
@@ -20,7 +20,7 @@ from dynsamp import (
     solve_column,
     system_condition,
 )
-from dynsamp.reconstruct import ColumnSystem, assemble_column_system
+from dynsamp.reconstruct import ColumnSystem, assemble_column_system, reconstruct_batch
 from oracles import (
     brute_force_estimate,
     frequency_column_matrix,
@@ -87,31 +87,34 @@ def test_empty_column_has_zero_conv_matrix():
     assert mask_conv_matrix(mask, 0).any()
 
 
-def test_spatial_system_matches_frequency_oracle_singular_values():
+@settings(max_examples=25, deadline=None)
+@given(
+    m=st.integers(1, 4),
+    p=st.integers(1, 4),
+    n=st.integers(1, 4),
+    T=st.integers(1, 5),
+    alpha=st.sampled_from([0.3, 0.5, 0.8, 1.0]),
+    seed=st.integers(0, 2**32),
+)
+# The T=1 instance has rank-deficient columns (test_rank_deficient_columns_flagged).
+@example(m=4, p=3, n=2, T=1, alpha=0.5, seed=610)
+@example(m=5, p=4, n=3, T=2, alpha=0.3, seed=650)
+@example(m=4, p=3, n=4, T=4, alpha=0.6, seed=660)
+@example(m=6, p=3, n=2, T=5, alpha=0.4, seed=670)
+def test_spatial_system_matches_frequency_oracle_singular_values(m, p, n, T, alpha, seed):
     # (1/n) C(j) D(t) is unitarily similar to the sampled rows of bcirc(A)^t,
-    # so both column systems share their singular values; the T=1 and T=2
-    # instances include rank-deficient columns.
-    deficient = 0
-    for m, p, n, T, alpha, seed in [
-        (4, 3, 2, 1, 0.5, 610),
-        (5, 4, 3, 2, 0.3, 650),
-        (4, 3, 4, 4, 0.6, 660),
-        (6, 3, 2, 5, 0.4, 670),
-    ]:
-        a, f, mask, samples = make_instance(m, p, n, T, alpha, seed)
-        for j in range(p):
-            spatial = assemble_column_system(a, mask, samples, j).matrix
-            if not spatial.any():
-                continue
-            s_freq = np.linalg.svd(
-                frequency_column_matrix(a, mask, T, j), compute_uv=False
-            )
-            s = np.zeros(m * n)
-            s_sp = np.linalg.svd(spatial, compute_uv=False)
-            s[: s_sp.size] = s_sp
-            np.testing.assert_allclose(s, s_freq, rtol=1e-10, atol=1e-12 * s_freq[0])
-            deficient += int(np.count_nonzero(s > 1e-10 * s[0]) < m * n)
-    assert deficient > 0
+    # so both column systems share their singular values, padded with zeros
+    # where a column has fewer rows than unknowns.
+    a, f, mask, samples = make_instance(m, p, n, T, alpha, seed)
+    for j in range(p):
+        spatial = assemble_column_system(a, mask, samples, j).matrix
+        if not spatial.any():
+            continue
+        s_freq = np.linalg.svd(frequency_column_matrix(a, mask, T, j), compute_uv=False)
+        s = np.zeros(m * n)
+        s_sp = np.linalg.svd(spatial, compute_uv=False)
+        s[: s_sp.size] = s_sp
+        np.testing.assert_allclose(s, s_freq, rtol=1e-10, atol=1e-12 * s_freq[0])
 
 
 # -- solve_column -----------------------------------------------------------------
@@ -287,6 +290,46 @@ def test_reconstruct_report_independent_of_thread_count(m, p, n, T, alpha, seed)
     three = reconstruct(a, mask, samples, allow_partial=True, ground_truth=f, threads=3)
     assert _report_json(three) == _report_json(one)
     assert three.estimate.data.tobytes() == one.estimate.data.tobytes()
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    m=st.integers(1, 4),
+    p=st.integers(1, 5),
+    n=st.integers(1, 3),
+    seed=st.integers(0, 2**32),
+    data=st.data(),
+)
+def test_batch_matches_lone_reconstructs(m, p, n, seed, data):
+    a = random_tensor(m, m, n, seed)
+    f = random_tensor(m, p, n, seed + 1)
+    # A full mask shares every column pattern; a dropped second-mode slab
+    # leaves a column unsampled.
+    masks = [
+        bernoulli_mask(m, p, n, 1.0, seed + 2),
+        bernoulli_mask(m, p, n, data.draw(st.sampled_from([0.3, 0.6])), seed + 3),
+        exclude_slab(bernoulli_mask(m, p, n, 0.8, seed + 4), 2, data.draw(st.integers(0, p - 1))),
+    ]
+    problems = []
+    for q in range(data.draw(st.integers(2, 4))):
+        mask = data.draw(st.sampled_from(masks))
+        T, sigma = data.draw(st.integers(1, 4)), data.draw(st.sampled_from([0.0, 1e-3]))
+        problems.append((mask, observe(evolve(a, f, T), mask, sigma, seed + 5 + q)))
+    batch = reconstruct_batch(a, problems, allow_partial=True, ground_truth=f, threads=1)
+    three = reconstruct_batch(a, problems, allow_partial=True, ground_truth=f, threads=3)
+    for (mask, samples), got, par in zip(problems, batch, three, strict=True):
+        assert _report_json(par) == _report_json(got)
+        assert par.estimate.data.tobytes() == got.estimate.data.tobytes()
+        lone = reconstruct(a, mask, samples, allow_partial=True, ground_truth=f)
+        assert got.ranks == lone.ranks
+        assert got.failed_columns == lone.failed_columns
+        scale = np.linalg.norm(lone.estimate.data)
+        assert np.linalg.norm(got.estimate.data - lone.estimate.data) <= 1e-12 * scale
+        rhs = max(np.linalg.norm(o.data) for o in samples.observations)
+        np.testing.assert_allclose(got.residuals, lone.residuals, rtol=1e-12, atol=1e-12 * rhs)
+        assert [k is None for k in got.kappa] == [k is None for k in lone.kappa]
+        for k, want in zip(got.kappa, lone.kappa):
+            assert want is None or k == pytest.approx(want, rel=1e-10)
 
 
 # -- reconstruct ------------------------------------------------------------------

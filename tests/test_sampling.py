@@ -171,3 +171,18 @@ def test_load_mask_rejects_non_binary(tmp_path):
     write_t3(path, Tensor3(np.full((2, 2, 2), 0.5)))
     with pytest.raises(ValueError):
         load_mask(path)
+
+
+def test_load_mask_reports_the_first_bad_line(tmp_path):
+    # Entries are listed in Fortran order, i fastest: (1, 0, 0) is line 3 and
+    # (0, 0, 1) line 8, though (0, 0, 1) comes first in (i, j, k) order.
+    from dynsamp import T3FormatError, write_t3
+
+    values = np.zeros((3, 2, 2))
+    values[1, 0, 0] = values[0, 0, 1] = 0.5
+    path = tmp_path / "mask.t3"
+    write_t3(path, Tensor3(values))
+    lines = path.read_text().splitlines()
+    assert [k + 1 for k, line in enumerate(lines) if line.startswith("5.0")] == [3, 8]
+    with pytest.raises(T3FormatError, match="line 3: mask entries must be 0 or 1"):
+        load_mask(path)
