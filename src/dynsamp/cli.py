@@ -146,6 +146,10 @@ def cmd_reconstruct(args) -> int:
     a = read_t3(a_path)
     truth_path = dataset / "F.t3"
     truth = read_t3(truth_path) if truth_path.exists() else None
+    if truth is not None and truth.dims != samples.mask.dims:
+        raise ValueError(f"{truth_path} has dims {truth.dims}, mask has {samples.mask.dims}")
+    if truth is not None and not truth.data.any():
+        raise ValueError(f"{truth_path}: ground truth has zero norm")
 
     try:
         report = reconstruct(
@@ -157,7 +161,7 @@ def cmd_reconstruct(args) -> int:
             ground_truth=truth,
             threads=threads,
         )
-    except SampleOverflowError as err:  # the dataset's operator and horizon
+    except SampleOverflowError as err:  # the dataset's operator, horizon or values
         raise ValueError(f"{dataset}: {err}") from None
 
     out = Path(args.out) if args.out else dataset

@@ -19,8 +19,8 @@ from .t3io import atomic_write_text, read_json_object, read_t3, write_t3
 
 
 class SampleOverflowError(ValueError):
-    """The evolved signal or its noisy observation overflows float64: the
-    operator, horizon or sigma is too large."""
+    """The evolved signal, its noisy observation or a solve on it overflows
+    float64: the operator, horizon, sigma or an observed value is too large."""
 
 
 class SampleData:
@@ -37,12 +37,7 @@ class SampleData:
         if not observations:
             raise ValueError("SampleData needs at least one observation")
         for t, obs in enumerate(observations):
-            if obs.dims != mask.dims:
-                raise ShapeMismatchError(
-                    f"observation {t} has dims {obs.dims}, mask has {mask.dims}"
-                )
-            if not np.array_equal(project(mask, obs).data, obs.data):
-                raise ValueError(f"observation {t} carries values off the mask")
+            _check_observation(mask, obs, f"observation {t}")
         if noise_sigma < 0:
             raise ValueError(f"noise_sigma must be nonnegative, got {noise_sigma}")
         object.__setattr__(self, "mask", mask)
@@ -59,6 +54,14 @@ class SampleData:
             f"SampleData(dims={self.mask.dims}, T={self.horizon}, "
             f"sigma={self.noise_sigma}, seed={self.seed})"
         )
+
+
+def _check_observation(mask: SampleMask, obs: Tensor3, name: str) -> None:
+    """Observation ``name`` must have the mask's dims and no value off it."""
+    if obs.dims != mask.dims:
+        raise ShapeMismatchError(f"{name} has dims {obs.dims}, mask has {mask.dims}")
+    if not np.array_equal(project(mask, obs).data, obs.data):
+        raise ValueError(f"{name} carries values off the mask")
 
 
 def evolve(a: Tensor3, f: Tensor3, T: int) -> list[Tensor3]:
@@ -182,4 +185,5 @@ def load_sample_data(directory) -> SampleData:
         if not obs_path.exists():
             raise FileNotFoundError(f"{directory}: missing obs_{t}.t3 (T={T})")
         observations.append(read_t3(obs_path))
+        _check_observation(mask, observations[-1], str(obs_path))
     return SampleData(mask, observations, sigma, seed)

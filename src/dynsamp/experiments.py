@@ -3,10 +3,12 @@
 Every run resolves its configuration fully (defaults applied, grids
 normalized), writes it to ``manifest.json`` next to the CSV, and derives all
 randomness from the base seed with a documented rule.  A row regenerates
-bit for bit from ``SEED_RULE`` with its batch (the units of one horizon),
-and to within roundoff with a lone ``reconstruct`` (2.5e-3 relative at
-sigma=1e-3 and K near 1e10 on the default grids).  Identical
-configurations produce byte-identical outputs for any thread count.
+bit for bit from ``SEED_RULE`` with its batch (every sigma and trial of one
+``optimal-T`` horizon, every trial of one ``recovery-vs-alpha`` alpha, all
+units of a slab kind), and to within roundoff with a lone ``reconstruct``
+(2.5e-3 relative at sigma=1e-3 and K near 1e10 on the default grids).
+Identical configurations produce byte-identical outputs for any thread
+count.
 """
 
 from __future__ import annotations
@@ -223,32 +225,30 @@ def draw_point(cfg: ExperimentConfig):
     return a, f, observe(evolve(a, f, cfg.Ts[0]), mask, cfg.sigmas[0], _noise(cfg))
 
 
-def _rel_errors(cfg: ExperimentConfig, units, threads: int) -> list[float]:
-    """Recovery error of each ``(mask, T, sigma, noise_seed)`` unit, in order.
-    The instance is evolved once, to the largest T, and units observe
-    prefixes; the units of one T are one ``reconstruct_batch``, which holds
-    only their sampled values and factors each shared column system once."""
+def _rel_errors(cfg: ExperimentConfig, batches, threads: int) -> list[float]:
+    """Recovery error of each ``(mask, sigma, noise_seed)`` unit of each
+    ``(T, units)`` batch, in order.  The instance is evolved once, to the
+    largest T, and units observe prefixes; each batch is one
+    ``reconstruct_batch``, which factors each shared column system once."""
     a, f = _instance(cfg)
-    traj = evolve(a, f, max(unit[1] for unit in units))
-    errors = [0.0] * len(units)
-    for T in dict.fromkeys(unit[1] for unit in units):
-        batch = [(i, unit[0], unit[2:]) for i, unit in enumerate(units) if unit[1] == T]
-        problems = ((mask, observe(traj[:T], mask, *noise)) for _, mask, noise in batch)
+    traj = evolve(a, f, max(T for T, _ in batches))
+    errors = []
+    for T, units in batches:
+        problems = ((mask, observe(traj[:T], mask, sigma, seed)) for mask, sigma, seed in units)
         reports = reconstruct_batch(
             a, problems, allow_partial=True, ground_truth=f, threads=threads
         )
-        for (i, _, _), report in zip(batch, reports):
-            errors[i] = report.rel_error
+        errors += [report.rel_error for report in reports]
     return errors
 
 
 def _recovery_vs_alpha(cfg: ExperimentConfig, threads: int) -> ExperimentResult:
-    units = [
-        (_mask(cfg, alpha, g, r), cfg.Ts[0], cfg.sigmas[0], _noise(cfg, g, r))
+    batches = [
+        (cfg.Ts[0], [(_mask(cfg, alpha, g, r), cfg.sigmas[0], _noise(cfg, g, r))
+                     for r in range(cfg.trials)])
         for g, alpha in enumerate(cfg.alphas)
-        for r in range(cfg.trials)
     ]
-    errs = np.reshape(_rel_errors(cfg, units, threads), (-1, cfg.trials))
+    errs = np.reshape(_rel_errors(cfg, batches, threads), (-1, cfg.trials))
     rows = [
         {"alpha": alpha, "mean_rel_err": float(e.mean()), "std_rel_err": float(e.std())}
         for alpha, e in zip(cfg.alphas, errs)
@@ -268,16 +268,15 @@ def _optimal_T(cfg: ExperimentConfig, threads: int) -> ExperimentResult:
     # masks are shared across T and sigma so the horizon is the only
     # thing that changes along a curve; noise streams differ per sigma
     masks = [_mask(cfg, cfg.alphas[0], 0, r) for r in range(cfg.trials)]
-    grid = [(T, s, sigma) for T in cfg.Ts for s, sigma in enumerate(cfg.sigmas)]
-    units = [
-        (masks[r], T, sigma, _noise(cfg, s, r))
-        for T, s, sigma in grid
-        for r in range(cfg.trials)
+    batches = [
+        (T, [(masks[r], sigma, _noise(cfg, s, r))
+             for s, sigma in enumerate(cfg.sigmas) for r in range(cfg.trials)])
+        for T in cfg.Ts
     ]
-    errs = np.reshape(_rel_errors(cfg, units, threads), (-1, cfg.trials))
+    errs = np.reshape(_rel_errors(cfg, batches, threads), (len(cfg.Ts), len(cfg.sigmas), -1))
     rows = [
         {"T": T, "sigma": sigma, "mean_rel_err": float(e.mean())}
-        for (T, _, sigma), e in zip(grid, errs)
+        for T, errs_T in zip(cfg.Ts, errs) for sigma, e in zip(cfg.sigmas, errs_T)
     ]
     return ExperimentResult(cfg.kind, ["T", "sigma", "mean_rel_err"], rows)
 
@@ -294,11 +293,8 @@ def _slab_errors(cfg: ExperimentConfig, slabs, threads: int) -> list[float]:
     """Recovery error with slab (mode, index) dropped from one base mask,
     observed with ``noise_seed``, for each ``(mode, index, noise_seed)``."""
     base = _mask(cfg, cfg.alphas[0])
-    units = [
-        (exclude_slab(base, mode, index), cfg.Ts[0], cfg.sigmas[0], noise_seed)
-        for mode, index, noise_seed in slabs
-    ]
-    return _rel_errors(cfg, units, threads)
+    units = [(exclude_slab(base, mode, i), cfg.sigmas[0], seed) for mode, i, seed in slabs]
+    return _rel_errors(cfg, [(cfg.Ts[0], units)], threads)
 
 
 def _conjecture_dim2(cfg: ExperimentConfig, threads: int) -> ExperimentResult:

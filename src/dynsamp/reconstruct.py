@@ -14,9 +14,10 @@ m*n unit-basis slab to the longest horizon; column j's matrix is the subset
 of its rows that the mask selects, and its right-hand side is the observed
 values at the same entries, in the same order.  Real operators and
 observations give a real system and a real estimate.  Columns with the same
-horizon and sample pattern share their matrix, also across the problems of
-one ``reconstruct_batch`` call, so each distinct matrix is factored once per
-call and solved for all of its columns' right-hand sides together.
+horizon and sample pattern share their matrix, so ``reconstruct_batch`` and
+``system_condition`` pass each distinct matrix of a call to ``solve_column``
+once: with the right-hand sides of all its columns, across the problems of
+the call, or with none for the condition number alone.
 
 Columns with no samples yield an empty system and cannot be recovered; they
 raise ``UnrecoverableColumnError`` unless the caller asks for a partial
@@ -146,11 +147,17 @@ def _selectors(mask: SampleMask) -> np.ndarray:
     return mask.indicator.transpose(1, 2, 0).reshape(p, m * n)
 
 
-def _column_rhs(samples: SampleData) -> np.ndarray:
-    """(p, T, m*n) observed values of each column at each step, rows as in ``_selectors``."""
+def _column_rhs(samples: SampleData, selectors) -> list[np.ndarray]:
+    """Each column's observed values at the rows its selector picks, in system row order."""
     m, p, n = samples.mask.dims
     obs = np.stack([o.data for o in samples.observations])
-    return obs.transpose(2, 0, 3, 1).reshape(p, samples.horizon, m * n)
+    obs = obs.transpose(2, 0, 3, 1).reshape(p, samples.horizon, m * n)
+    return [o[:, sel].ravel() for o, sel in zip(obs, selectors)]
+
+
+def _column_system(stack: np.ndarray, T: int, sel, j: int, rhs) -> ColumnSystem:
+    """Column ``j``'s system: the rows ``sel`` picks from the first T powers."""
+    return ColumnSystem(j=j, matrix=stack[:T, sel, :].reshape(-1, stack.shape[2]), rhs=rhs)
 
 
 def assemble_column_system(
@@ -161,28 +168,36 @@ def assemble_column_system(
     p = mask.dims[1]
     if not 0 <= j < p:
         raise IndexError(f"column {j} out of range for {p} columns")
-    sel = _selectors(mask)[j]
-    matrix = _power_stack(a, samples.horizon)[:, sel, :].reshape(-1, a.dims[0] * a.dims[2])
-    return ColumnSystem(j=j, matrix=matrix, rhs=_column_rhs(samples)[j][:, sel].ravel())
+    T, sels = samples.horizon, _selectors(mask)
+    return _column_system(_power_stack(a, T), T, sels[j], j, _column_rhs(samples, sels)[j])
 
 
 # -- solving -------------------------------------------------------------------
 
 
-def _factor_solve(M: np.ndarray, B: np.ndarray, tol: float | None):
-    """Truncated minimum-norm least-squares solution of ``M X = B``.
+def solve_column(system: ColumnSystem, tol: float | None = None):
+    """Minimum-norm least-squares solution of one column system.
 
-    One Householder QR of ``[M | B]`` reduces the problem to the square (or,
-    with fewer rows than columns, trapezoidal) factor ``Rm`` of ``M`` and the
-    projected right-hand sides ``C``; ``Rm`` has the singular values of
-    ``M`` (Lawson & Hanson, Solving Least Squares Problems, SIAM 1995).
-    Rank counts singular values above ``tol * s[0]``.  At full rank ``X``
-    comes from back-substitution on ``Rm``, otherwise from the truncated SVD
-    of ``Rm``: the solution LAPACK's ``gelsd`` returns.  Returns
-    ``(X, rank, kappa)``.  When ``B`` has no columns there is nothing to
-    solve, and the values-only SVD of ``M`` itself is cheaper than QR first.
+    Returns ``(x, rank, kappa, residual)``: rank counts singular values above
+    ``tol * sigma_max`` (``tol`` in (0, 1), default ``default_solver_tol``),
+    kappa is the ratio of the largest kept singular value to the smallest,
+    and residual is ``||M x - b||_2``.  A (rows, k) ``rhs`` holds k
+    right-hand sides that share the matrix: ``x`` is then (m*n, k) and
+    ``residual`` has length k; with k = 0 only the values-only SVD of ``M``
+    is taken, for rank and kappa.  Otherwise one Householder QR of ``[M | B]``
+    gives the square (or trapezoidal) factor ``Rm`` of ``M``, which has its
+    singular values, and the projected right-hand sides ``C`` (Lawson &
+    Hanson, Solving Least Squares Problems, SIAM 1995); ``x`` comes from
+    back-substitution on ``Rm`` at full rank, else from its truncated SVD,
+    as from LAPACK's ``gelsd``.  An all-zero ``M`` (an unsampled column)
+    raises ``UnrecoverableColumnError``; a solution or residual that
+    overflows float64, ``SampleOverflowError``.
     """
-    mn = M.shape[1]
+    _check_tol(tol)
+    M, b = system.matrix, system.rhs
+    if not M.any():
+        raise UnrecoverableColumnError((system.j,))
+    mn, B = M.shape[1], b.reshape(len(b), -1)
     Rm, C = M, B
     if B.shape[1]:
         R = np.linalg.qr(np.concatenate([M, B], axis=1), mode="r")
@@ -191,39 +206,38 @@ def _factor_solve(M: np.ndarray, B: np.ndarray, tol: float | None):
     rel = default_solver_tol(M.shape) if tol is None else float(tol)
     rank = int(np.count_nonzero(s > rel * s[0]))
     kappa = float(s[0] / s[rank - 1])
-    if not B.shape[1]:
-        return np.empty((mn, 0)), rank, kappa
-    if rank == mn:
-        # LU of an upper-triangular matrix does not pivot: back-substitution.
-        return np.linalg.solve(Rm, C), rank, kappa
-    u, sv, vh = np.linalg.svd(Rm, full_matrices=False)
-    coef = (u[:, :rank].conj().T @ C) / sv[:rank, None]
-    return vh[:rank].conj().T @ coef, rank, kappa
-
-
-def solve_column(system: ColumnSystem, tol: float | None = None):
-    """Minimum-norm least-squares solution of one column system.
-
-    Returns ``(x, rank, kappa, residual)`` where rank counts singular values
-    above ``tol * sigma_max`` (``tol`` in (0, 1), default
-    ``default_solver_tol``: the cutoff ``system_condition`` applies too),
-    kappa is the ratio of the largest kept singular value to the smallest,
-    and residual is ``||M x - b||_2``.  A 2-D ``rhs`` of shape (rows, k)
-    holds k right-hand sides that share the matrix: ``x`` is then (m*n, k)
-    and ``residual`` a length-k array, one entry per right-hand side.  A
-    system without a nonzero entry raises ``UnrecoverableColumnError`` --
-    that column was never sampled.
-    """
-    _check_tol(tol)
-    M, b = system.matrix, system.rhs
-    if not M.any():
-        raise UnrecoverableColumnError((system.j,))
-    B = b.reshape(len(b), -1)
-    x, rank, kappa = _factor_solve(M, B, tol)
-    residual = np.linalg.norm(M @ x - B, axis=0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if not B.shape[1]:
+            x = np.empty((mn, 0))
+        elif rank == mn:
+            # LU of an upper-triangular matrix does not pivot: back-substitution.
+            x = np.linalg.solve(Rm, C)
+        else:
+            u, sv, vh = np.linalg.svd(Rm, full_matrices=False)
+            x = vh[:rank].conj().T @ ((u[:, :rank].conj().T @ C) / sv[:rank, None])
+        residual = np.linalg.norm(M @ x - B, axis=0)
+    if not (np.isfinite(x).all() and np.isfinite(residual).all()):
+        raise SampleOverflowError(f"column {system.j}: the least-squares solve overflows float64")
     if b.ndim == 1:
         return x[:, 0], rank, kappa, float(residual[0])
     return x, rank, kappa, residual
+
+
+def _solve_groups(a: Tensor3, groups: dict, tol, threads: int) -> list:
+    """``solve_column`` on each ``(T, dtype, selector bytes) -> (selector, (item,
+    column) members, right-hand sides)`` group, in parallel, from one power
+    stack built to the longest T; None for an unsampled group."""
+    stack = _power_stack(a, max((T for T, _, _ in groups), default=1))
+
+    def run(item):
+        (T, _, _), (sel, members, cols) = item
+        rhs = np.reshape(cols, (len(cols), T * int(sel.sum()))).T
+        try:
+            return solve_column(_column_system(stack, T, sel, members[0][1], rhs), tol)
+        except UnrecoverableColumnError:
+            return None
+
+    return pmap(run, groups.items(), threads)
 
 
 def reconstruct_batch(
@@ -237,44 +251,31 @@ def reconstruct_batch(
 ) -> list[ReconstructionReport]:
     """Reconstruct each ``(mask, samples)`` problem on the operator ``a``.
 
-    The power stack is built once, to the longest horizon.  Each column of
-    each problem is keyed by horizon, observation dtype and sample pattern,
-    in order of first appearance over problems, then columns; each key is
-    one ``solve_column`` call with one right-hand side per member, and keys
-    may be solved in parallel.  Reports come in problem order, identical for
-    any thread count; each matches a lone ``reconstruct`` to roundoff, and
-    bit for bit when it shares no key with another problem.
+    Each column of each problem is keyed by horizon, observation dtype and
+    sample pattern, in order of first appearance over problems, then columns;
+    each key is one ``solve_column`` call with one right-hand side per member.
+    Reports come in problem order, identical for any thread count; each
+    matches a lone ``reconstruct`` to roundoff, and bit for bit when it shares
+    no key with another problem.  Overflow raises ``SampleOverflowError``.
     """
     _check_tol(tol)
     m, _, n = a.dims
-    # key -> (row selector, member (problem, column) pairs, their right-hand
-    # sides); only sampled values are kept, so ``problems`` may be a generator.
-    keys: dict[tuple, tuple[np.ndarray, list, list]] = {}
+    # only sampled values are kept, so ``problems`` may be a generator
+    groups: dict[tuple, tuple[np.ndarray, list, list]] = {}
     widths = []
     for q, (mask, samples) in enumerate(problems):
         _check_problem(a, mask, samples)
-        obs = _column_rhs(samples)
-        for j, sel in enumerate(_selectors(mask)):
-            key = (samples.horizon, obs.dtype, sel.tobytes())
-            _, members, cols = keys.setdefault(key, (sel, [], []))
+        selectors = _selectors(mask)
+        for j, (sel, rhs) in enumerate(zip(selectors, _column_rhs(samples, selectors))):
+            key = (samples.horizon, rhs.dtype, sel.tobytes())
+            _, members, cols = groups.setdefault(key, (sel, [], []))
             members.append((q, j))
-            cols.append(obs[j][:, sel].ravel())
-        widths.append(len(obs))
-    stack = _power_stack(a, max((T for T, _, _ in keys), default=1))
-
-    def run(item):
-        (T, _, _), (sel, members, cols) = item
-        matrix = stack[:T, sel, :].reshape(-1, m * n)
-        system = ColumnSystem(j=members[0][1], matrix=matrix, rhs=np.stack(cols).T)
-        try:
-            return solve_column(system, tol)
-        except UnrecoverableColumnError:
-            return None
-
+            cols.append(rhs)
+        widths.append(len(selectors))
     # (x, rank, kappa, residual) of every column; failed columns have no
     # samples, so no misfit either: residual 0.0.
     columns = [[(np.zeros(m * n), 0, None, 0.0)] * p for p in widths]
-    for (_, members, _), res in zip(keys.values(), pmap(run, keys.items(), threads)):
+    for (_, members, _), res in zip(groups.values(), _solve_groups(a, groups, tol, threads)):
         if res is not None:
             x, rank, kappa, residual = res
             for (q, j), xj, r in zip(members, x.T, residual):
@@ -287,9 +288,12 @@ def reconstruct_batch(
             raise UnrecoverableColumnError(failed)
         estimate = Tensor3(np.stack(xs).reshape(len(xs), n, m).transpose(2, 0, 1))
         solved = [k for k in kappas if k is not None]
+        with np.errstate(over="ignore", invalid="ignore"):
+            err = None if ground_truth is None else tensor_rel_error(estimate, ground_truth)
+        if err is not None and not np.isfinite(err):
+            raise SampleOverflowError("the relative error overflows float64")
         reports.append(ReconstructionReport(
-            estimate, residuals, kappas, max(solved) if solved else None, ranks, failed,
-            None if ground_truth is None else tensor_rel_error(estimate, ground_truth),
+            estimate, residuals, kappas, max(solved) if solved else None, ranks, failed, err
         ))
     return reports
 
@@ -323,23 +327,14 @@ def _condition_sweep(a: Tensor3, mask: SampleMask, Ts, tol=None, threads: int = 
     built to the longest; returns one ``(kappas, K)`` per horizon."""
     _check_tol(tol)
     _check_problem(a, mask, None)
-    stack, selectors = _power_stack(a, max(Ts)), _selectors(mask)
-    groups: dict[bytes, list[int]] = {}
-    for j, row in enumerate(selectors):
-        groups.setdefault(row.tobytes(), []).append(j)
-    items = [(t, T, cols) for t, T in enumerate(Ts) for cols in groups.values()]
-
-    def run(item):
-        _, T, cols = item
-        matrix = stack[:T, selectors[cols[0]], :].reshape(-1, stack.shape[2])
-        if not matrix.any():
-            return None
-        return _factor_solve(matrix, np.empty((matrix.shape[0], 0)), tol)[2]
-
-    kappas = [[None] * len(selectors) for _ in Ts]
-    for (t, _, cols), kappa in zip(items, pmap(run, items, threads)):
-        for j in cols:
-            kappas[t][j] = kappa
+    groups: dict[tuple, tuple[np.ndarray, list, list]] = {}
+    for j, sel in enumerate(_selectors(mask)):
+        for t, T in enumerate(Ts):
+            groups.setdefault((T, None, sel.tobytes()), (sel, [], []))[1].append((t, j))
+    kappas = [[None] * mask.dims[1] for _ in Ts]
+    for (_, members, _), res in zip(groups.values(), _solve_groups(a, groups, tol, threads)):
+        for t, j in members:
+            kappas[t][j] = None if res is None else res[2]
     empty = [j for j, k in enumerate(kappas[0]) if k is None]
     if empty:
         raise UnrecoverableColumnError(empty)

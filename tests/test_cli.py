@@ -1,13 +1,17 @@
+import functools
 import hashlib
 import json
 import os
 import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dynsamp import (
     Tensor3,
@@ -138,6 +142,33 @@ def test_reconstruct_non_finite_observation_is_data_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert f"{obs}: line 4: non-finite value" in err
     assert len(err.splitlines()) == 1
+
+
+def _off_mask(ds: Path) -> np.ndarray:
+    obs = read_t3(ds / "obs_0.t3").data.copy()
+    obs[read_t3(ds / "mask.t3").data == 0] = 1.5
+    return obs
+
+
+# case -> (dataset file, its replacement values, the error after the file's path)
+DIMS_ERROR = " has dims (6, 4, 1), mask has (6, 4, 2)"
+DATA_ERRORS = {
+    "obs-dims": ("obs_1.t3", lambda ds: np.zeros((6, 4, 1)), DIMS_ERROR),
+    "obs-off-mask": ("obs_0.t3", _off_mask, " carries values off the mask"),
+    "truth-dims": ("F.t3", lambda ds: np.ones((6, 4, 1)), DIMS_ERROR),
+    "truth-zero": ("F.t3", lambda ds: np.zeros((6, 4, 2)), ": ground truth has zero norm"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DATA_ERRORS))
+def test_reconstruct_data_error_names_the_file(tmp_path, capsys, case):
+    name, values, message = DATA_ERRORS[case]
+    ds = tmp_path / "ds"
+    assert main(["simulate", "--out", str(ds), "--T", "2"] + SMALL) == 0
+    write_t3(ds / name, Tensor3(values(ds)))
+    assert main(["reconstruct", str(ds)]) == 4
+    assert capsys.readouterr().err == f"error: {ds / name}{message}\n"
+    assert not (ds / "report.json").exists()
 
 
 def _edit_meta(ds: Path, **changes) -> None:
@@ -439,6 +470,29 @@ def test_reconstruct_overflowing_operator_is_data_error(tmp_path, capsys):
     assert not (ds / "report.json").exists()
 
 
+def test_reconstruct_overflowing_solve_is_data_error(tmp_path, capsys):
+    ds = tmp_path / "ds"
+    assert main(["simulate", "--out", str(ds), "--T", "2"] + SMALL) == 0
+    obs = read_t3(ds / "obs_0.t3").data.copy()
+    obs.flat[np.flatnonzero(obs)[0]] = 1e308
+    write_t3(ds / "obs_0.t3", Tensor3(obs))
+    assert main(["reconstruct", str(ds)]) == 4
+    err = capsys.readouterr().err
+    assert re.fullmatch(f"error: {re.escape(str(ds))}: column \\d+: the least-squares solve "
+                        "overflows float64\n", err)
+    assert not (ds / "report.json").exists()
+
+
+def test_experiment_overflowing_solve_is_config_error(tmp_path, capsys):
+    out = tmp_path / "exp"
+    argv = ["experiment", "--kind", "recovery-vs-alpha", "--m", "4", "--p", "3", "--n", "2",
+            "--T", "2", "--trials", "1", "--alpha", "0.7", "--sigma", "1e200", "--out", str(out)]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"error: column \d+: the least-squares solve overflows float64\n", err)
+    assert not out.exists()
+
+
 def test_simulate_needs_a_single_point(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     out = tmp_path / "ds"
@@ -493,3 +547,54 @@ def test_simulate_files_are_pinned(tmp_path):
     assert sorted(f.name for f in ds.iterdir()) == sorted(
         [*SIMULATE_SHA256, "obs_0.t3", "obs_1.t3", "obs_2.t3"]
     )
+
+
+FUZZ_FILES = ("A.t3", "F.t3", "mask.t3", "mask.t3.json", "meta.json", "obs_0.t3", "obs_1.t3")
+FUZZ_TOKENS = (b"1e308", b"null", b"[1,2]")
+
+
+@functools.lru_cache(maxsize=1)
+def _fuzz_dataset() -> tuple:
+    """The files of a 4x3x2, T=2 dataset, simulated once."""
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = ["simulate", "--out", tmp, "--m", "4", "--p", "3", "--n", "2", "--T", "2"]
+        assert main(argv) == 0
+        return tuple(dir_bytes(Path(tmp)).items())
+
+
+def _mutate(data: bytes, op: str, pos: int, arg) -> bytes:
+    pos %= len(data) + 1
+    if op == "edit":
+        return data[:pos] + bytes([arg]) + data[pos + 1:]
+    if op == "delete":
+        return data[:pos] + data[pos + arg:]
+    if op == "truncate":
+        return data[:pos]
+    if op == "insert":
+        return data[:pos] + arg + data[pos:]
+    lines = data.split(b"\n")  # "line": the token replaces one line
+    lines[pos % len(lines)] = arg
+    return b"\n".join(lines)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    name=st.sampled_from(FUZZ_FILES),
+    mutation=st.one_of(
+        st.tuples(st.just("edit"), st.integers(0, 2000), st.integers(0, 255)),
+        st.tuples(st.just("delete"), st.integers(0, 2000), st.integers(1, 64)),
+        st.tuples(st.just("truncate"), st.integers(0, 2000), st.none()),
+        st.tuples(
+            st.sampled_from(["insert", "line"]), st.integers(0, 2000), st.sampled_from(FUZZ_TOKENS)
+        ),
+    ),
+)
+# line 3 of obs_0.t3 is a sampled value: a finite value that overflows the solve
+@example(name="obs_0.t3", mutation=("line", 2, b"1e308"))
+def test_reconstruct_fuzzed_dataset_exits_cleanly(name, mutation):
+    files = dict(_fuzz_dataset())
+    files[name] = _mutate(files[name], *mutation)
+    with tempfile.TemporaryDirectory() as tmp:
+        for fname, data in files.items():
+            (Path(tmp) / fname).write_bytes(data)
+        assert main(["reconstruct", tmp]) in (0, 2, 4)

@@ -4,7 +4,15 @@ import json
 import numpy as np
 import pytest
 
-from dynsamp import bernoulli_mask, evolve, exclude_slab, observe, random_tensor, reconstruct
+from dynsamp import (
+    bernoulli_mask,
+    evolve,
+    exclude_slab,
+    observe,
+    random_tensor,
+    reconstruct,
+    system_condition,
+)
 from dynsamp.experiments import (
     STREAM_MASK,
     STREAM_NOISE,
@@ -269,6 +277,17 @@ def test_seed_rule_regenerates_an_optimal_T_row():
     errs = np.array([report.rel_error for report in reports[cfg.trials:]])
     want = {"T": 2, "sigma": 1e-3, "mean_rel_err": float(errs.mean())}
     assert run_experiment(cfg).rows[1] == want
+
+
+def test_seed_rule_regenerates_a_condition_vs_T_row():
+    # the run's sweep over T must give what a lone system_condition gives
+    cfg = config_from_dict({"kind": "condition-vs-T", "T": [1, 2, 4, 6], "alpha": 0.7, **SMALL})
+    a = random_tensor(cfg.m, cfg.m, cfg.n, derive_seed(cfg.seed, STREAM_OPERATOR))
+    mask = _hand_mask(cfg, 0.7)
+    rows = run_experiment(cfg).rows
+    assert [row["T"] for row in rows] == cfg.Ts
+    for row in rows:
+        assert system_condition(a, mask, row["T"])[1] == row["K"]
 
 
 def test_seed_rule_regenerates_a_conjecture_dim2_row():

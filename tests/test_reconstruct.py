@@ -9,6 +9,7 @@ from dynsamp import (
     Tensor3,
     UnrecoverableColumnError,
     bernoulli_mask,
+    default_solver_tol,
     evolve,
     exclude_slab,
     fro_norm,
@@ -502,6 +503,32 @@ def test_condition_rejects_empty_column():
     with pytest.raises(UnrecoverableColumnError) as err:
         system_condition(a, mask, 2)
     assert err.value.columns == (1,)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    m=st.integers(1, 4),
+    p=st.integers(1, 4),
+    n=st.integers(1, 4),
+    T=st.integers(1, 4),
+    alpha=st.sampled_from([0.3, 0.5, 0.8, 1.0]),
+    seed=st.integers(0, 2**32),
+)
+def test_condition_matches_values_only_svd_of_each_column_system(m, p, n, T, alpha, seed):
+    a, _, mask, samples = make_instance(m, p, n, T, alpha, seed)
+    empty = tuple(j for j in range(p) if not mask.indicator[:, j, :].any())
+    if empty:
+        with pytest.raises(UnrecoverableColumnError) as err:
+            system_condition(a, mask, T)
+        assert err.value.columns == empty
+        return
+    kappas, K = system_condition(a, mask, T)
+    for j, kappa in enumerate(kappas):
+        M = assemble_column_system(a, mask, samples, j).matrix
+        s = np.linalg.svd(M, compute_uv=False)
+        rank = np.count_nonzero(s > default_solver_tol(M.shape) * s[0])
+        assert kappa == s[0] / s[rank - 1]
+    assert K == max(kappas)
 
 
 def test_condition_threads_deterministic():
