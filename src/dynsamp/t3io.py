@@ -7,15 +7,16 @@ Layout::
 
 Value lines appear in lexicographic (k, j, i) order -- the depth index k
 varies slowest, the row index i fastest: Fortran order of the (m, p, n)
-array.  A ``real`` file carries one scientific-notation number per line,
-a ``complex`` file carries two (real part, imaginary part).  Entries are
-written with 17 fractional digits so float64 values round-trip exactly.
+array.  A ``real`` value line is one string that Python's ``float``
+accepts; a ``complex`` one is two such strings separated by whitespace
+(real part, imaginary part).  Every value must be finite.  Entries are
+written with ``%.17e`` so float64 values round-trip exactly.
 """
 
 from __future__ import annotations
 
-import cmath
 import json
+import math
 import os
 import tempfile
 from pathlib import Path
@@ -74,15 +75,16 @@ def read_json_object(path) -> dict:
 
 
 def dumps_t3(t: Tensor3) -> str:
-    """Serialize a tensor to T3 v1 text."""
+    """Serialize a tensor to T3 v1 text, one ``%.17e`` format call per file."""
     m, p, n = t.dims
-    kind = "real" if t.is_real else "complex"
-    values = t.data.ravel(order="F").tolist()
+    values = t.data.ravel(order="F")
     if t.is_real:
-        body = [f"{v:.17e}" for v in values]
+        kind, line = "real", "%.17e\n"
     else:
-        body = [f"{v.real:.17e} {v.imag:.17e}" for v in values]
-    return "\n".join([f"{_MAGIC} {_VERSION} {m} {p} {n} {kind}", *body]) + "\n"
+        kind, line = "complex", "%.17e %.17e\n"
+        values = values.view(np.float64)  # real, imaginary, real, ...
+    header = f"{_MAGIC} {_VERSION} {m} {p} {n} {kind}\n"
+    return header + (line * t.data.size) % tuple(values.tolist())
 
 
 def write_t3(path, t: Tensor3) -> None:
@@ -91,7 +93,11 @@ def write_t3(path, t: Tensor3) -> None:
 
 
 def loads_t3(text: str, path="<string>") -> Tensor3:
-    """Parse T3 v1 text; malformed or non-finite input gets a line-numbered error."""
+    """Parse T3 v1 text; malformed or non-finite input gets a line-numbered error.
+
+    All value lines are converted by one numpy call; only when that fails
+    is the text scanned again, to name the first bad line.
+    """
     lines = text.splitlines()
     if not lines:
         raise T3FormatError(path, 1, "empty file, expected T3 header")
@@ -113,29 +119,45 @@ def loads_t3(text: str, path="<string>") -> Tensor3:
         raise T3FormatError(path, 1, f"kind must be 'real' or 'complex', got {kind!r}")
 
     want = m * p * n
-    ncols = 1 if kind == "real" else 2
-    values = []
-    for offset, raw in enumerate(lines[1:], start=2):
-        if raw.strip() == "" and len(values) == want:
+    ncols, dtype = (1, np.float64) if kind == "real" else (2, np.complex128)
+    body = lines[1 : 1 + want]
+    if len(body) == want and not any(line.strip() for line in lines[1 + want :]):
+        rows = body if ncols == 1 else [line.split() for line in body]
+        try:  # raises on a line that does not convert or has the wrong count
+            values = np.array(rows, dtype=np.float64).reshape(want, ncols).view(dtype)
+        except ValueError:
+            pass
+        else:
+            if np.isfinite(values).all():
+                return Tensor3(values.reshape((m, p, n), order="F"), copy=False)
+    raise _first_bad_line(lines, want, ncols, path)
+
+
+def _first_bad_line(lines: list[str], want: int, ncols: int, path) -> T3FormatError:
+    """The error naming the first value line that breaks the format.
+
+    Called only once the whole-file conversion has failed; it counts the
+    entries and never keeps them, so a huge header allocates nothing.
+    """
+    count = 0
+    for line_no, raw in enumerate(lines[1:], start=2):
+        if raw.strip() == "" and count == want:
             continue  # trailing blank line
         parts = raw.split()
         if len(parts) != ncols:
-            raise T3FormatError(
-                path, offset, f"expected {ncols} value(s) per line, got {len(parts)}"
+            return T3FormatError(
+                path, line_no, f"expected {ncols} value(s) per line, got {len(parts)}"
             )
-        if len(values) >= want:
-            raise T3FormatError(path, offset, f"more than {want} entries")
+        if count == want:
+            return T3FormatError(path, line_no, f"more than {want} entries")
         try:
-            value = float(parts[0]) if ncols == 1 else complex(*map(float, parts))
+            numbers = [float(raw)] if ncols == 1 else [float(x) for x in parts]
         except ValueError:
-            raise T3FormatError(path, offset, f"unparseable number in {raw!r}") from None
-        if not cmath.isfinite(value):
-            raise T3FormatError(path, offset, f"non-finite value in {raw!r}")
-        values.append(value)
-    if len(values) != want:
-        raise T3FormatError(path, len(lines) + 1, f"expected {want} entries, got {len(values)}")
-    dtype = np.float64 if ncols == 1 else np.complex128
-    return Tensor3(np.array(values, dtype=dtype).reshape((m, p, n), order="F"), copy=False)
+            return T3FormatError(path, line_no, f"unparseable number in {raw!r}")
+        if not all(map(math.isfinite, numbers)):
+            return T3FormatError(path, line_no, f"non-finite value in {raw!r}")
+        count += 1
+    return T3FormatError(path, len(lines) + 1, f"expected {want} entries, got {count}")
 
 
 def read_t3(path) -> Tensor3:

@@ -100,9 +100,26 @@ def tprod(a: Tensor3, b: Tensor3) -> Tensor3:
 # -- norms and errors --------------------------------------------------------
 
 
+def _norm2(x: np.ndarray) -> float:
+    """2-norm of all entries of a float64 or complex128 array.
+
+    The parts are scaled by 2**-e, e the ``np.frexp`` exponent of the largest,
+    before squaring, so tiny or huge entries neither underflow nor overflow.
+    The scaling is exact: where the plain norm is finite and nonzero it agrees.
+    """
+    parts = np.ascontiguousarray(x).view(np.float64)
+    big = np.max(np.abs(parts))
+    if not 0.0 < big < np.inf:  # all zero, or not finite
+        return float(np.linalg.norm(x))
+    exp = int(np.frexp(big)[1])
+    scaled = np.ldexp(parts, -exp).view(x.dtype)
+    with np.errstate(over="ignore"):  # a norm beyond float64 is inf
+        return float(np.ldexp(np.linalg.norm(scaled), exp))
+
+
 def fro_norm(t: Tensor3) -> float:
     """Frobenius norm."""
-    return float(np.linalg.norm(t.data))
+    return _norm2(t.data)
 
 
 def rel_error(x: Tensor3, f: Tensor3) -> float:
@@ -112,7 +129,7 @@ def rel_error(x: Tensor3, f: Tensor3) -> float:
     denom = fro_norm(f)
     if denom == 0.0:
         raise ValueError("rel_error reference tensor has zero norm")
-    return float(np.linalg.norm(x.data - f.data)) / denom
+    return _norm2(x.data - f.data) / denom
 
 
 # -- random instances --------------------------------------------------------

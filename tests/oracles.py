@@ -8,11 +8,16 @@ frequency-domain form of each column system, which is unitarily similar to
 the library's spatial one.  ``tube_conv``, ``circ`` and ``bcirc_oracle``
 are direct, FFT-free forms of the t-product algebra, and ``identity_tensor``
 is the t-product identity.  Real inputs give real (float64) tensors, as in
-the library.
+the library.  ``dumps_t3_oracle`` and ``loads_t3_oracle`` are the T3 codec
+written one Python statement per entry, the reference for the library's
+vectorized one.
 """
+
+import cmath
 
 import numpy as np
 
+from dynsamp.t3io import T3FormatError
 from dynsamp.tensor3 import ShapeMismatchError, Tensor3
 
 
@@ -182,3 +187,63 @@ def random_complex_tensor(m: int, p: int, n: int, seed: int) -> Tensor3:
     parts drawn in turn from one seeded stream)."""
     rng = np.random.Generator(np.random.Philox(key=int(seed)))
     return Tensor3(rng.standard_normal((m, p, n)) + 1j * rng.standard_normal((m, p, n)))
+
+
+def dumps_t3_oracle(t: Tensor3) -> str:
+    """T3 v1 text with one f-string per entry."""
+    m, p, n = t.dims
+    kind = "real" if t.is_real else "complex"
+    values = t.data.ravel(order="F").tolist()
+    if t.is_real:
+        body = [f"{v:.17e}" for v in values]
+    else:
+        body = [f"{v.real:.17e} {v.imag:.17e}" for v in values]
+    return "\n".join([f"T3 1 {m} {p} {n} {kind}", *body]) + "\n"
+
+
+def loads_t3_oracle(text: str, path="<string>") -> Tensor3:
+    """Parse T3 v1 text one line at a time, splitting every value line."""
+    lines = text.splitlines()
+    if not lines:
+        raise T3FormatError(path, 1, "empty file, expected T3 header")
+    header = lines[0].split()
+    if len(header) != 6:
+        raise T3FormatError(
+            path, 1, f"header needs 6 fields 'T3 1 m p n real|complex', got {lines[0]!r}"
+        )
+    if header[0] != "T3" or header[1] != "1":
+        raise T3FormatError(path, 1, f"unsupported magic/version {header[0]} {header[1]}")
+    try:
+        m, p, n = (int(x) for x in header[2:5])
+    except ValueError:
+        raise T3FormatError(path, 1, f"non-integer dims in header {lines[0]!r}") from None
+    if m < 1 or p < 1 or n < 1:
+        raise T3FormatError(path, 1, f"dims must be positive, got {m} {p} {n}")
+    kind = header[5]
+    if kind not in ("real", "complex"):
+        raise T3FormatError(path, 1, f"kind must be 'real' or 'complex', got {kind!r}")
+
+    want = m * p * n
+    ncols = 1 if kind == "real" else 2
+    values = []
+    for offset, raw in enumerate(lines[1:], start=2):
+        if raw.strip() == "" and len(values) == want:
+            continue  # trailing blank line
+        parts = raw.split()
+        if len(parts) != ncols:
+            raise T3FormatError(
+                path, offset, f"expected {ncols} value(s) per line, got {len(parts)}"
+            )
+        if len(values) >= want:
+            raise T3FormatError(path, offset, f"more than {want} entries")
+        try:
+            value = float(parts[0]) if ncols == 1 else complex(*map(float, parts))
+        except ValueError:
+            raise T3FormatError(path, offset, f"unparseable number in {raw!r}") from None
+        if not cmath.isfinite(value):
+            raise T3FormatError(path, offset, f"non-finite value in {raw!r}")
+        values.append(value)
+    if len(values) != want:
+        raise T3FormatError(path, len(lines) + 1, f"expected {want} entries, got {len(values)}")
+    dtype = np.float64 if ncols == 1 else np.complex128
+    return Tensor3(np.array(values, dtype=dtype).reshape((m, p, n), order="F"), copy=False)

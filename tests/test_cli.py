@@ -1,10 +1,8 @@
+import contextlib
 import functools
 import hashlib
 import json
-import os
 import re
-import subprocess
-import sys
 import tempfile
 from pathlib import Path
 
@@ -25,6 +23,7 @@ from dynsamp import (
     save_sample_data,
     write_t3,
 )
+from dynsamp import _parallel
 from dynsamp.cli import main
 
 
@@ -171,6 +170,18 @@ def test_reconstruct_data_error_names_the_file(tmp_path, capsys, case):
     assert not (ds / "report.json").exists()
 
 
+def test_reconstruct_tiny_ground_truth_has_a_finite_error(tmp_path, capsys):
+    # Every square of 1e-170 underflows: an unscaled norm of F.t3 reads zero.
+    ds = tmp_path / "ds"
+    assert main(["simulate", "--out", str(ds), "--m", "4", "--p", "3", "--n", "2",
+                 "--T", "3", "--seed", "3"]) == 0
+    write_t3(ds / "F.t3", Tensor3(np.full((4, 3, 2), 1.0e-170)))
+    assert main(["reconstruct", str(ds)]) == 0
+    rel_error = json.loads((ds / "report.json").read_text())["rel_error"]
+    assert np.isfinite(rel_error) and rel_error > 0
+    assert f"relative error: {rel_error:.6e}" in capsys.readouterr().out
+
+
 def _edit_meta(ds: Path, **changes) -> None:
     meta = json.loads((ds / "meta.json").read_text())
     meta.update(changes)
@@ -299,18 +310,24 @@ def test_unknown_flag_is_config_error(capsys):
     assert main(["experiment", "--bogus", "1"]) == 3
 
 
-def _cli(args, openblas_threads: int, cwd: Path) -> None:
-    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(openblas_threads))
-    env.pop("DYNSAMP_THREADS", None)
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    subprocess.run(
-        [sys.executable, "-m", "dynsamp.cli", *args], cwd=cwd, env=env, check=True,
-        stdout=subprocess.DEVNULL,
-    )
+@contextlib.contextmanager
+def _openblas_threads(count: int):
+    """Run the body with numpy's OpenBLAS on ``count`` threads (a no-op on
+    another BLAS)."""
+    if _parallel._OPENBLAS is None:
+        yield
+        return
+    get, put = _parallel._OPENBLAS
+    saved = get()
+    put(count)
+    try:
+        yield
+    finally:
+        put(saved)
 
 
-def test_outputs_identical_across_openblas_thread_counts(tmp_path):
+def test_outputs_identical_across_openblas_thread_counts(tmp_path, monkeypatch):
+    monkeypatch.delenv("DYNSAMP_THREADS", raising=False)
     cfg = tmp_path / "cfg.json"
     cfg.write_text(
         json.dumps({"kind": "optimal-T", "T": [4, 8, 12], "sigma": [1e-3],
@@ -319,10 +336,11 @@ def test_outputs_identical_across_openblas_thread_counts(tmp_path):
     outputs = []
     for blas in (1, 2):
         ds, exp = tmp_path / f"ds{blas}", tmp_path / f"exp{blas}"
-        _cli(["simulate", "--out", str(ds), "--m", "32", "--n", "6", "--p", "16",
-              "--sigma", "1e-3", "--seed", "3"], blas, tmp_path)
-        _cli(["reconstruct", str(ds)], blas, tmp_path)
-        _cli(["experiment", "--config", str(cfg), "--out", str(exp)], blas, tmp_path)
+        with _openblas_threads(blas):
+            assert main(["simulate", "--out", str(ds), "--m", "32", "--n", "6", "--p", "16",
+                         "--sigma", "1e-3", "--seed", "3"]) == 0
+            assert main(["reconstruct", str(ds)]) == 0
+            assert main(["experiment", "--config", str(cfg), "--out", str(exp)]) == 0
         outputs.append((dir_bytes(ds), dir_bytes(exp)))
     assert "estimate.t3" in outputs[0][0] and "optimal-T.csv" in outputs[0][1]
     assert outputs[0] == outputs[1]

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dynsamp import T3FormatError, Tensor3, dumps_t3, loads_t3, random_tensor, read_t3, write_t3
+from oracles import dumps_t3_oracle, loads_t3_oracle
 
 
 def test_round_trip_real(tmp_path):
@@ -62,6 +63,7 @@ def test_rewrite_is_byte_identical(tmp_path):
         ("T3 1 1 1 1 real\n0.0\n1.0\n", 3),      # too many entries
         ("T3 1 1 1 1 complex\n0.0\n", 2),        # complex needs two values
         ("T3 1 1 1 1 real\n0.0 1.0\n", 2),       # real takes one value
+        ("T3 1 1 1 1 complex\n1.0 2.0 3.0 4.0\n", 2),  # two values, not two pairs
         ("T3 1 2 1 1 real\n0.0\nnan\n", 3),      # non-finite values
         ("T3 1 2 1 1 real\n0.0\n-Infinity\n", 3),
         ("T3 1 1 1 1 complex\n1.0 inf\n", 2),
@@ -73,6 +75,9 @@ def test_malformed_input_reports_line(text, line):
         loads_t3(text, "bad.t3")
     assert err.value.line_no == line
     assert "bad.t3" in str(err.value)
+    with pytest.raises(T3FormatError) as want:
+        loads_t3_oracle(text, "bad.t3")
+    assert str(err.value) == str(want.value)
 
 
 def test_trailing_newline_tolerated():
@@ -131,3 +136,68 @@ def test_fuzzed_text_raises_only_format_errors(header, lines):
         assert str(err).startswith("fuzz.t3: line ")
     else:
         assert t.data.size == len([line for line in text.splitlines()[1:] if line.strip()])
+
+
+@settings(max_examples=40, deadline=None)
+@given(_tensors())
+def test_dumps_matches_oracle(t):
+    assert dumps_t3(t) == dumps_t3_oracle(t)
+
+
+_PADS = ["", " ", "\t", " \t "]
+_PAIR_JUNK = st.sampled_from(["nan x", "x nan", "1 inf", "inf x", "1\x1f2", "-0.0 5e-324"])
+
+
+@st.composite
+def _t3_texts(draw):
+    """T3 text of a fuzzed tensor with padded, replaced, missing, extra and blank lines."""
+    header, *body = dumps_t3_oracle(draw(_tensors())).splitlines()
+    if draw(st.integers(0, 9)) == 0:
+        header = " ".join(draw(st.lists(_HEADER_FIELD, max_size=7)))
+    # One text in eight may pad with the unit separator \x1f too.
+    pad = st.sampled_from(_PADS + ["\x1f"] * (draw(st.integers(0, 7)) == 0))
+    body = [draw(pad) + line.replace(" ", draw(pad) or " ") + draw(pad) for line in body]
+    junk = st.one_of(_VALUE_LINE, _PAIR_JUNK)
+    for i in draw(st.lists(st.integers(0, len(body) - 1), max_size=2)):
+        body[i] = draw(junk)
+    extra = draw(st.integers(-2, 2))
+    body = body[: len(body) + extra] if extra < 0 else body + [draw(junk) for _ in range(extra)]
+    body += draw(st.lists(st.sampled_from(["", " ", "\t"]), max_size=2))
+    return "\n".join([header, *body]) + draw(st.sampled_from(["", "\n", "\r\n"]))
+
+
+def _outcome(loads, text):
+    """``(line_no, message)`` of the error, or ``(dims, dtype, value bytes)``."""
+    try:
+        t = loads(text, "fuzz.t3")
+    except T3FormatError as err:
+        return err.line_no, str(err)
+    return t.dims, t.data.dtype.str, t.data.tobytes()
+
+
+@settings(max_examples=120, deadline=None)
+@given(_t3_texts())
+def test_loads_matches_oracle(text):
+    got, want = _outcome(loads_t3, text), _outcome(loads_t3_oracle, text)
+    if got == want:
+        return
+    # The one allowed difference: a real value line with the unit separator
+    # \x1f next to its number.  str.split() strips it, so the oracle reads
+    # the number; float() rejects it, so the library names the line.
+    line_no, message = got
+    assert isinstance(line_no, int)
+    bad = text.splitlines()[line_no - 1]
+    assert text.splitlines()[0].split()[5] == "real"
+    assert "\x1f" in bad and len(bad.split()) == 1
+    assert message == f"fuzz.t3: line {line_no}: unparseable number in {bad!r}"
+    assert not isinstance(want[0], int) or want[0] > line_no
+
+
+def test_unit_separator_next_to_a_real_value_is_an_error():
+    text = "T3 1 2 1 1 real\n1.0\n2.0\x1f\n"
+    assert loads_t3_oracle(text).data.ravel().tolist() == [1.0, 2.0]
+    with pytest.raises(T3FormatError) as err:
+        loads_t3(text, "bad.t3")
+    assert str(err.value) == "bad.t3: line 3: unparseable number in '2.0\\x1f'"
+    complex_text = "T3 1 1 1 1 complex\n1.0\x1f 2.0\x1f\n"
+    assert loads_t3(complex_text).data.tobytes() == loads_t3_oracle(complex_text).data.tobytes()

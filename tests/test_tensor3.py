@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from dynsamp import (
     ShapeMismatchError,
@@ -300,3 +302,33 @@ def test_random_tensor_reproducible_and_real():
     assert a.is_real and a.data.dtype == np.float64
     assert np.array_equal(a.data, b.data)
     assert not np.array_equal(a.data, c.data)
+
+
+_NORMAL = st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(_NORMAL, min_size=2, max_size=24), st.booleans(), st.data())
+def test_fro_norm_scales_by_powers_of_two_exactly(values, complex_, data):
+    """fro_norm(2^k t) == 2^k fro_norm(t) bit for bit while 2^k t stays normal."""
+    flat = np.array(values[: len(values) // 2 * 2])
+    t = Tensor3((flat.view(np.complex128) if complex_ else flat).reshape(-1, 1, 1), copy=False)
+    parts = t.data.view(np.float64)
+    norm = fro_norm(t)
+    assume(0.0 < norm < np.inf)
+    # 2^k keeps every nonzero part at or above 2^-1022 and the norm finite.
+    lowest = np.frexp(np.abs(parts[parts != 0]))[1].min()
+    k = data.draw(st.integers(-1021 - int(lowest), 1024 - int(np.frexp(norm)[1])), label="k")
+    scaled = Tensor3(np.ldexp(parts, k).view(t.data.dtype), copy=False)
+    assert fro_norm(scaled) == np.ldexp(norm, k)
+
+
+def test_fro_norm_and_rel_error_survive_tiny_and_huge_entries():
+    ones = Tensor3(np.ones((4, 3, 2)))
+    assert fro_norm(Tensor3(np.full((4, 3, 2), 0.5**600))) == fro_norm(ones) * 0.5**600
+    assert fro_norm(Tensor3(np.full((4, 3, 2), 2.0**600))) == fro_norm(ones) * 2.0**600
+    tiny = Tensor3(np.full((4, 3, 2), 1.0e-170))
+    assert rel_error(Tensor3(np.zeros((4, 3, 2))), tiny) == 1.0
+    huge = Tensor3(np.full((4, 3, 2), 1.0e200))
+    assert rel_error(Tensor3(np.full((4, 3, 2), 2.0e200)), huge) == 1.0
+    assert fro_norm(Tensor3(np.full((4, 3, 2), 1.0e308))) == np.inf
