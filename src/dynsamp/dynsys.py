@@ -68,8 +68,7 @@ def evolve(a: Tensor3, f: Tensor3, T: int) -> list[Tensor3]:
     """Trajectory [f, a*f, a^2*f, ...] of length T under the t-product.
 
     Element 0 is ``f`` itself.  Later steps are computed incrementally in the
-    frequency domain (one slice-wise product per step); real inputs give a
-    real trajectory.
+    frequency domain (one slice-wise product per step).
     """
     ma, pa, na = a.dims
     mf, pf, nf = f.dims

@@ -12,8 +12,7 @@ that produces entry (i, k) of the column at step t.  The stack of powers
 bcirc(A)^0, ..., bcirc(A)^(T-1) is computed once per call by evolving the
 m*n unit-basis slab to the longest horizon; column j's matrix is the subset
 of its rows that the mask selects, and its right-hand side is the observed
-values at the same entries, in the same order.  Real operators and
-observations give a real system and a real estimate.  Columns with the same
+values at the same entries, in the same order.  Columns with the same
 horizon and sample pattern share their matrix, so ``reconstruct_batch`` and
 ``system_condition`` pass each distinct matrix of a call to ``solve_column``
 once: with the right-hand sides of all its columns, across the problems of
@@ -30,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor3 import ShapeMismatchError, Tensor3
+from .tensor3 import ShapeMismatchError, Tensor3, _exponents, _norm2
 from .tensor3 import rel_error as tensor_rel_error
 from .sampling import SampleMask
 from .dynsys import SampleData, SampleOverflowError, evolve
@@ -189,15 +188,19 @@ def solve_column(system: ColumnSystem, tol: float | None = None):
     singular values, and the projected right-hand sides ``C`` (Lawson &
     Hanson, Solving Least Squares Problems, SIAM 1995); ``x`` comes from
     back-substitution on ``Rm`` at full rank, else from its truncated SVD,
-    as from LAPACK's ``gelsd``.  An all-zero ``M`` (an unsampled column)
-    raises ``UnrecoverableColumnError``; a solution or residual that
-    overflows float64, ``SampleOverflowError``.
+    as from LAPACK's ``gelsd``.  Each right-hand side is solved scaled by the
+    power of two that brings its largest entry into [0.5, 1), so ``x`` and
+    the residual scale exactly with the data.  An all-zero ``M`` (an
+    unsampled column) raises ``UnrecoverableColumnError``; a solution or
+    residual norm that does not fit in float64, ``SampleOverflowError``.
     """
     _check_tol(tol)
     M, b = system.matrix, system.rhs
     if not M.any():
         raise UnrecoverableColumnError((system.j,))
     mn, B = M.shape[1], b.reshape(len(b), -1)
+    exp = _exponents(B, axis=0)
+    B = np.ldexp(B, -exp)
     Rm, C = M, B
     if B.shape[1]:
         R = np.linalg.qr(np.concatenate([M, B], axis=1), mode="r")
@@ -214,8 +217,8 @@ def solve_column(system: ColumnSystem, tol: float | None = None):
             x = np.linalg.solve(Rm, C)
         else:
             u, sv, vh = np.linalg.svd(Rm, full_matrices=False)
-            x = vh[:rank].conj().T @ ((u[:, :rank].conj().T @ C) / sv[:rank, None])
-        residual = np.linalg.norm(M @ x - B, axis=0)
+            x = vh[:rank].T @ ((u[:, :rank].T @ C) / sv[:rank, None])
+        x, residual = np.ldexp(x, exp), np.ldexp(_norm2(M @ x - B, axis=0), exp[0])
     if not (np.isfinite(x).all() and np.isfinite(residual).all()):
         raise SampleOverflowError(f"column {system.j}: the least-squares solve overflows float64")
     if b.ndim == 1:
@@ -224,13 +227,13 @@ def solve_column(system: ColumnSystem, tol: float | None = None):
 
 
 def _solve_groups(a: Tensor3, groups: dict, tol, threads: int) -> list:
-    """``solve_column`` on each ``(T, dtype, selector bytes) -> (selector, (item,
+    """``solve_column`` on each ``(T, selector bytes) -> (selector, (item,
     column) members, right-hand sides)`` group, in parallel, from one power
     stack built to the longest T; None for an unsampled group."""
-    stack = _power_stack(a, max((T for T, _, _ in groups), default=1))
+    stack = _power_stack(a, max((T for T, _ in groups), default=1))
 
     def run(item):
-        (T, _, _), (sel, members, cols) = item
+        (T, _), (sel, members, cols) = item
         rhs = np.reshape(cols, (len(cols), T * int(sel.sum()))).T
         try:
             return solve_column(_column_system(stack, T, sel, members[0][1], rhs), tol)
@@ -251,12 +254,12 @@ def reconstruct_batch(
 ) -> list[ReconstructionReport]:
     """Reconstruct each ``(mask, samples)`` problem on the operator ``a``.
 
-    Each column of each problem is keyed by horizon, observation dtype and
-    sample pattern, in order of first appearance over problems, then columns;
-    each key is one ``solve_column`` call with one right-hand side per member.
-    Reports come in problem order, identical for any thread count; each
-    matches a lone ``reconstruct`` to roundoff, and bit for bit when it shares
-    no key with another problem.  Overflow raises ``SampleOverflowError``.
+    Each column of each problem is keyed by horizon and sample pattern, in
+    order of first appearance over problems, then columns; each key is one
+    ``solve_column`` call with one right-hand side per member.  Reports come
+    in problem order, identical for any thread count; each matches a lone
+    ``reconstruct`` to roundoff, and bit for bit when it shares no key with
+    another problem.  Overflow raises ``SampleOverflowError``.
     """
     _check_tol(tol)
     m, _, n = a.dims
@@ -267,7 +270,7 @@ def reconstruct_batch(
         _check_problem(a, mask, samples)
         selectors = _selectors(mask)
         for j, (sel, rhs) in enumerate(zip(selectors, _column_rhs(samples, selectors))):
-            key = (samples.horizon, rhs.dtype, sel.tobytes())
+            key = (samples.horizon, sel.tobytes())
             _, members, cols = groups.setdefault(key, (sel, [], []))
             members.append((q, j))
             cols.append(rhs)
@@ -314,7 +317,6 @@ def reconstruct(
     sample pattern share one ``solve_column`` call, and the report is
     identical for any thread count.  Unsampled columns raise unless
     ``allow_partial`` zero-fills them and lists them in ``failed_columns``.
-    The estimate is real (float64) when the operator and observations are.
     """
     return reconstruct_batch(
         a, [(mask, samples)], tol=tol, allow_partial=allow_partial,
@@ -330,7 +332,7 @@ def _condition_sweep(a: Tensor3, mask: SampleMask, Ts, tol=None, threads: int = 
     groups: dict[tuple, tuple[np.ndarray, list, list]] = {}
     for j, sel in enumerate(_selectors(mask)):
         for t, T in enumerate(Ts):
-            groups.setdefault((T, None, sel.tobytes()), (sel, [], []))[1].append((t, j))
+            groups.setdefault((T, sel.tobytes()), (sel, [], []))[1].append((t, j))
     kappas = [[None] * mask.dims[1] for _ in Ts]
     for (_, members, _), res in zip(groups.values(), _solve_groups(a, groups, tol, threads)):
         for t, j in members:

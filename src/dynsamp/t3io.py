@@ -2,15 +2,15 @@
 
 Layout::
 
-    T3 1 <m> <p> <n> <real|complex>
+    T3 1 <m> <p> <n> real
     <value lines, one entry per line>
 
 Value lines appear in lexicographic (k, j, i) order -- the depth index k
 varies slowest, the row index i fastest: Fortran order of the (m, p, n)
-array.  A ``real`` value line is one string that Python's ``float``
-accepts; a ``complex`` one is two such strings separated by whitespace
-(real part, imaginary part).  Every value must be finite.  Entries are
-written with ``%.17e`` so float64 values round-trip exactly.
+array.  A value line is one string that Python's ``float`` accepts, and
+every value must be finite.  Entries are written with ``%.17e`` so float64
+values round-trip exactly.  The data is real, as in ``Tensor3``: any other
+kind in the header, ``complex`` included, is a line-1 error.
 """
 
 from __future__ import annotations
@@ -77,14 +77,8 @@ def read_json_object(path) -> dict:
 def dumps_t3(t: Tensor3) -> str:
     """Serialize a tensor to T3 v1 text, one ``%.17e`` format call per file."""
     m, p, n = t.dims
-    values = t.data.ravel(order="F")
-    if t.is_real:
-        kind, line = "real", "%.17e\n"
-    else:
-        kind, line = "complex", "%.17e %.17e\n"
-        values = values.view(np.float64)  # real, imaginary, real, ...
-    header = f"{_MAGIC} {_VERSION} {m} {p} {n} {kind}\n"
-    return header + (line * t.data.size) % tuple(values.tolist())
+    header = f"{_MAGIC} {_VERSION} {m} {p} {n} real\n"
+    return header + ("%.17e\n" * t.data.size) % tuple(t.data.ravel(order="F").tolist())
 
 
 def write_t3(path, t: Tensor3) -> None:
@@ -104,7 +98,7 @@ def loads_t3(text: str, path="<string>") -> Tensor3:
     header = lines[0].split()
     if len(header) != 6:
         raise T3FormatError(
-            path, 1, f"header needs 6 fields 'T3 1 m p n real|complex', got {lines[0]!r}"
+            path, 1, f"header needs 6 fields 'T3 1 m p n real', got {lines[0]!r}"
         )
     if header[0] != _MAGIC or header[1] != _VERSION:
         raise T3FormatError(path, 1, f"unsupported magic/version {header[0]} {header[1]}")
@@ -114,26 +108,23 @@ def loads_t3(text: str, path="<string>") -> Tensor3:
         raise T3FormatError(path, 1, f"non-integer dims in header {lines[0]!r}") from None
     if m < 1 or p < 1 or n < 1:
         raise T3FormatError(path, 1, f"dims must be positive, got {m} {p} {n}")
-    kind = header[5]
-    if kind not in ("real", "complex"):
-        raise T3FormatError(path, 1, f"kind must be 'real' or 'complex', got {kind!r}")
+    if header[5] != "real":
+        raise T3FormatError(path, 1, f"kind must be 'real', got {header[5]!r}")
 
     want = m * p * n
-    ncols, dtype = (1, np.float64) if kind == "real" else (2, np.complex128)
     body = lines[1 : 1 + want]
     if len(body) == want and not any(line.strip() for line in lines[1 + want :]):
-        rows = body if ncols == 1 else [line.split() for line in body]
-        try:  # raises on a line that does not convert or has the wrong count
-            values = np.array(rows, dtype=np.float64).reshape(want, ncols).view(dtype)
+        try:  # raises on a line that does not convert
+            values = np.array(body, dtype=np.float64)
         except ValueError:
             pass
         else:
             if np.isfinite(values).all():
                 return Tensor3(values.reshape((m, p, n), order="F"), copy=False)
-    raise _first_bad_line(lines, want, ncols, path)
+    raise _first_bad_line(lines, want, path)
 
 
-def _first_bad_line(lines: list[str], want: int, ncols: int, path) -> T3FormatError:
+def _first_bad_line(lines: list[str], want: int, path) -> T3FormatError:
     """The error naming the first value line that breaks the format.
 
     Called only once the whole-file conversion has failed; it counts the
@@ -144,17 +135,15 @@ def _first_bad_line(lines: list[str], want: int, ncols: int, path) -> T3FormatEr
         if raw.strip() == "" and count == want:
             continue  # trailing blank line
         parts = raw.split()
-        if len(parts) != ncols:
-            return T3FormatError(
-                path, line_no, f"expected {ncols} value(s) per line, got {len(parts)}"
-            )
+        if len(parts) != 1:
+            return T3FormatError(path, line_no, f"expected 1 value per line, got {len(parts)}")
         if count == want:
             return T3FormatError(path, line_no, f"more than {want} entries")
         try:
-            numbers = [float(raw)] if ncols == 1 else [float(x) for x in parts]
+            value = float(raw)
         except ValueError:
             return T3FormatError(path, line_no, f"unparseable number in {raw!r}")
-        if not all(map(math.isfinite, numbers)):
+        if not math.isfinite(value):
             return T3FormatError(path, line_no, f"non-finite value in {raw!r}")
         count += 1
     return T3FormatError(path, len(lines) + 1, f"expected {want} entries, got {count}")

@@ -7,11 +7,10 @@ multiplies tensors by taking the DFT along the third mode, multiplying
 matching frontal slices, and transforming back; it is equivalent to
 multiplication by the block-circulant matrix of the left operand.
 
-Real data is stored as float64 and everything else as complex128, so the
-storage dtype is the realness fact.  The t-product of two real tensors is
-taken through the half-spectrum ``rfft``/``irfft`` pair and is real by
-construction (Kilmer & Martin, "Factorization strategies for third-order
-tensors", LAA 435 (2011)); any complex operand takes the full ``fft``.
+Data is real, as in the paper, and stored as float64; complex input is
+rejected.  The t-product of two real tensors is taken through the
+half-spectrum ``rfft``/``irfft`` pair and is real by construction (Kilmer &
+Martin, "Factorization strategies for third-order tensors", LAA 435 (2011)).
 """
 
 from __future__ import annotations
@@ -26,23 +25,20 @@ class ShapeMismatchError(ValueError):
 class Tensor3:
     """Immutable dense tensor of shape (m, p, n).
 
-    Input of a real dtype, or complex input whose imaginary part is all zero,
-    is stored as float64; anything else as complex128.  ``is_real`` says
-    which.
+    Input of any real dtype is stored as read-only float64; complex input
+    raises ``ValueError``.
     """
 
-    __slots__ = ("data", "dims", "is_real")
+    __slots__ = ("data", "dims")
 
     def __init__(self, data, copy: bool = True):
         arr = np.asarray(data)
-        if np.iscomplexobj(arr) and arr.imag.any():
-            dtype = np.complex128
-        else:
-            arr, dtype = arr.real, np.float64
+        if np.iscomplexobj(arr):
+            raise ValueError(f"Tensor3 holds real data only, got dtype {arr.dtype}")
         if copy:
-            arr = np.array(arr, dtype=dtype, order="C")
+            arr = np.array(arr, dtype=np.float64, order="C")
         else:
-            arr = np.ascontiguousarray(arr, dtype=dtype)
+            arr = np.ascontiguousarray(arr, dtype=np.float64)
         if arr.ndim != 3:
             raise ShapeMismatchError(
                 f"Tensor3 needs a 3-way array, got shape {arr.shape}"
@@ -52,14 +48,12 @@ class Tensor3:
         arr.setflags(write=False)
         object.__setattr__(self, "data", arr)
         object.__setattr__(self, "dims", arr.shape)
-        object.__setattr__(self, "is_real", dtype is np.float64)
 
     def __setattr__(self, name, value):
         raise AttributeError("Tensor3 is immutable")
 
     def __repr__(self) -> str:
-        kind = "real" if self.is_real else "complex"
-        return f"Tensor3(dims={self.dims}, {kind})"
+        return f"Tensor3(dims={self.dims})"
 
 
 # -- the t-product -----------------------------------------------------------
@@ -68,21 +62,17 @@ class Tensor3:
 def _tproducts(a: np.ndarray, b: np.ndarray, steps: int) -> list[np.ndarray]:
     """The ``steps`` arrays a*b, a*(a*b), ... of repeated t-products.
 
-    ``a`` is (m, p, n) and ``b`` is (p, q, n); for ``steps`` > 1, ``a`` is
-    square.  Each product is one matrix product per DFT slice, kept in the
-    frequency domain between steps.  Two float64 operands go through
-    ``rfft``/``irfft`` (half spectrum, real output); otherwise through
-    ``fft``/``ifft``.
+    ``a`` is (m, p, n) and ``b`` is (p, q, n), both float64; for ``steps`` > 1,
+    ``a`` is square.  Each product is one matrix product per slice of the
+    half spectrum, kept in the frequency domain between steps.
     """
     n = a.shape[2]
-    real = not (np.iscomplexobj(a) or np.iscomplexobj(b))
-    fwd, inv = (np.fft.rfft, np.fft.irfft) if real else (np.fft.fft, np.fft.ifft)
-    ahat = fwd(a, axis=2).transpose(2, 0, 1)
-    cur = fwd(b, axis=2).transpose(2, 0, 1)
+    ahat = np.fft.rfft(a, axis=2).transpose(2, 0, 1)
+    cur = np.fft.rfft(b, axis=2).transpose(2, 0, 1)
     out = []
     for _ in range(steps):
         cur = ahat @ cur
-        out.append(inv(cur, n=n, axis=0).transpose(1, 2, 0))
+        out.append(np.fft.irfft(cur, n=n, axis=0).transpose(1, 2, 0))
     return out
 
 
@@ -100,21 +90,24 @@ def tprod(a: Tensor3, b: Tensor3) -> Tensor3:
 # -- norms and errors --------------------------------------------------------
 
 
-def _norm2(x: np.ndarray) -> float:
-    """2-norm of all entries of a float64 or complex128 array.
+def _exponents(x: np.ndarray, axis=None) -> np.ndarray:
+    """``np.frexp`` exponent e of the largest magnitude in ``x``, or in each
+    slice along ``axis`` (kept with length 1): 2**-e scales it into [0.5, 1)
+    exactly.  An all-zero or non-finite slice gets e = 0."""
+    return np.frexp(np.abs(x).max(axis=axis, keepdims=True))[1]
 
-    The parts are scaled by 2**-e, e the ``np.frexp`` exponent of the largest,
-    before squaring, so tiny or huge entries neither underflow nor overflow.
-    The scaling is exact: where the plain norm is finite and nonzero it agrees.
+
+def _norm2(x: np.ndarray, axis=None):
+    """2-norm of a float64 array: of all entries, or of each slice along ``axis``.
+
+    The entries of each norm are scaled by 2**-e (``_exponents``) before
+    squaring, so tiny or huge entries neither underflow nor overflow.  The
+    scaling is exact: where the plain norm is finite and nonzero it agrees.
     """
-    parts = np.ascontiguousarray(x).view(np.float64)
-    big = np.max(np.abs(parts))
-    if not 0.0 < big < np.inf:  # all zero, or not finite
-        return float(np.linalg.norm(x))
-    exp = int(np.frexp(big)[1])
-    scaled = np.ldexp(parts, -exp).view(x.dtype)
+    exp = _exponents(x, axis)
     with np.errstate(over="ignore"):  # a norm beyond float64 is inf
-        return float(np.ldexp(np.linalg.norm(scaled), exp))
+        norm = np.ldexp(np.linalg.norm(np.ldexp(x, -exp), axis=axis, keepdims=True), exp)
+    return norm.item() if axis is None else norm.squeeze(axis)
 
 
 def fro_norm(t: Tensor3) -> float:

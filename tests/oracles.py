@@ -7,13 +7,13 @@ on the column solver.  ``frequency_column_matrix`` builds the paper's
 frequency-domain form of each column system, which is unitarily similar to
 the library's spatial one.  ``tube_conv``, ``circ`` and ``bcirc_oracle``
 are direct, FFT-free forms of the t-product algebra, and ``identity_tensor``
-is the t-product identity.  Real inputs give real (float64) tensors, as in
-the library.  ``dumps_t3_oracle`` and ``loads_t3_oracle`` are the T3 codec
+is the t-product identity; the tensors they return are float64, as
+``Tensor3`` requires.  ``dumps_t3_oracle`` and ``loads_t3_oracle`` are the T3 codec
 written one Python statement per entry, the reference for the library's
 vectorized one.
 """
 
-import cmath
+import math
 
 import numpy as np
 
@@ -22,8 +22,7 @@ from dynsamp.tensor3 import ShapeMismatchError, Tensor3
 
 
 def block_circulant(a) -> np.ndarray:
-    """(m*n)-by-(m*n) real block-circulant matrix of a real square tensor."""
-    assert a.is_real
+    """(m*n)-by-(m*n) real block-circulant matrix of a square tensor."""
     m, _, n = a.dims
     data = a.data
     big = np.zeros((m * n, m * n))
@@ -115,22 +114,21 @@ def frequency_column_matrix(a, mask, T: int, j: int) -> np.ndarray:
     return out / n
 
 
-def tube_conv(a: Tensor3, b: Tensor3) -> Tensor3:
+def tube_conv(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Circular convolution of corresponding tubes, by direct summation.
 
-    out[i,j,c] = sum_d a[i,j,d] * b[i,j,(c-d) mod n].  The direct O(n^2)
-    form keeps real inputs exactly real and is independent of the DFT route
-    (which the tests check it against).
+    out[i,j,c] = sum_d a[i,j,d] * b[i,j,(c-d) mod n] for two arrays of one
+    shape, real or complex.  The direct O(n^2) form is independent of the
+    DFT route (which the tests check it against).
     """
-    if a.dims != b.dims:
+    if a.shape != b.shape:
         raise ShapeMismatchError(
-            f"cannot tube-convolve tensors of dims {a.dims} and {b.dims}"
+            f"cannot tube-convolve arrays of shapes {a.shape} and {b.shape}"
         )
-    n = a.dims[2]
-    out = np.zeros(a.dims, dtype=np.result_type(a.data, b.data))
-    for d in range(n):
-        out += a.data[:, :, d : d + 1] * np.roll(b.data, d, axis=2)
-    return Tensor3(out, copy=False)
+    out = np.zeros(a.shape, dtype=np.result_type(a, b))
+    for d in range(a.shape[2]):
+        out += a[:, :, d : d + 1] * np.roll(b, d, axis=2)
+    return out
 
 
 def circ(v: np.ndarray) -> np.ndarray:
@@ -161,13 +159,13 @@ def bcirc_oracle(a: Tensor3, b: Tensor3) -> Tensor3:
             f"bcirc_oracle needs (m,p,n)x(p,q,n), got {a.dims} and {b.dims}"
         )
     m, p, q, n = ma, pa, qb, na
-    big = np.zeros((m * n, p * n), dtype=np.complex128)
+    big = np.zeros((m * n, p * n))
     for r in range(n):
         for c in range(n):
             big[r * m : (r + 1) * m, c * p : (c + 1) * p] = a.data[:, :, (r - c) % n]
     unfolded = np.concatenate([b.data[:, :, k] for k in range(n)], axis=0)
     prod = big @ unfolded
-    out = np.empty((m, q, n), dtype=np.complex128)
+    out = np.empty((m, q, n))
     for k in range(n):
         out[:, :, k] = prod[k * m : (k + 1) * m, :]
     return Tensor3(out, copy=False)
@@ -182,23 +180,11 @@ def identity_tensor(m: int, n: int) -> Tensor3:
     return Tensor3(data, copy=False)
 
 
-def random_complex_tensor(m: int, p: int, n: int, seed: int) -> Tensor3:
-    """Tensor with i.i.d. standard complex normal entries (real and imaginary
-    parts drawn in turn from one seeded stream)."""
-    rng = np.random.Generator(np.random.Philox(key=int(seed)))
-    return Tensor3(rng.standard_normal((m, p, n)) + 1j * rng.standard_normal((m, p, n)))
-
-
 def dumps_t3_oracle(t: Tensor3) -> str:
     """T3 v1 text with one f-string per entry."""
     m, p, n = t.dims
-    kind = "real" if t.is_real else "complex"
-    values = t.data.ravel(order="F").tolist()
-    if t.is_real:
-        body = [f"{v:.17e}" for v in values]
-    else:
-        body = [f"{v.real:.17e} {v.imag:.17e}" for v in values]
-    return "\n".join([f"T3 1 {m} {p} {n} {kind}", *body]) + "\n"
+    body = [f"{v:.17e}" for v in t.data.ravel(order="F").tolist()]
+    return "\n".join([f"T3 1 {m} {p} {n} real", *body]) + "\n"
 
 
 def loads_t3_oracle(text: str, path="<string>") -> Tensor3:
@@ -209,7 +195,7 @@ def loads_t3_oracle(text: str, path="<string>") -> Tensor3:
     header = lines[0].split()
     if len(header) != 6:
         raise T3FormatError(
-            path, 1, f"header needs 6 fields 'T3 1 m p n real|complex', got {lines[0]!r}"
+            path, 1, f"header needs 6 fields 'T3 1 m p n real', got {lines[0]!r}"
         )
     if header[0] != "T3" or header[1] != "1":
         raise T3FormatError(path, 1, f"unsupported magic/version {header[0]} {header[1]}")
@@ -219,31 +205,26 @@ def loads_t3_oracle(text: str, path="<string>") -> Tensor3:
         raise T3FormatError(path, 1, f"non-integer dims in header {lines[0]!r}") from None
     if m < 1 or p < 1 or n < 1:
         raise T3FormatError(path, 1, f"dims must be positive, got {m} {p} {n}")
-    kind = header[5]
-    if kind not in ("real", "complex"):
-        raise T3FormatError(path, 1, f"kind must be 'real' or 'complex', got {kind!r}")
+    if header[5] != "real":
+        raise T3FormatError(path, 1, f"kind must be 'real', got {header[5]!r}")
 
     want = m * p * n
-    ncols = 1 if kind == "real" else 2
     values = []
     for offset, raw in enumerate(lines[1:], start=2):
         if raw.strip() == "" and len(values) == want:
             continue  # trailing blank line
         parts = raw.split()
-        if len(parts) != ncols:
-            raise T3FormatError(
-                path, offset, f"expected {ncols} value(s) per line, got {len(parts)}"
-            )
+        if len(parts) != 1:
+            raise T3FormatError(path, offset, f"expected 1 value per line, got {len(parts)}")
         if len(values) >= want:
             raise T3FormatError(path, offset, f"more than {want} entries")
         try:
-            value = float(parts[0]) if ncols == 1 else complex(*map(float, parts))
+            value = float(parts[0])
         except ValueError:
             raise T3FormatError(path, offset, f"unparseable number in {raw!r}") from None
-        if not cmath.isfinite(value):
+        if not math.isfinite(value):
             raise T3FormatError(path, offset, f"non-finite value in {raw!r}")
         values.append(value)
     if len(values) != want:
         raise T3FormatError(path, len(lines) + 1, f"expected {want} entries, got {len(values)}")
-    dtype = np.float64 if ncols == 1 else np.complex128
-    return Tensor3(np.array(values, dtype=dtype).reshape((m, p, n), order="F"), copy=False)
+    return Tensor3(np.array(values).reshape((m, p, n), order="F"), copy=False)

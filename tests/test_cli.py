@@ -12,14 +12,17 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dynsamp import (
+    SampleData,
     Tensor3,
     bernoulli_mask,
     dumps_t3,
     evolve,
     lattice_mask,
+    load_sample_data,
     observe,
     random_tensor,
     read_t3,
+    reconstruct,
     save_sample_data,
     write_t3,
 )
@@ -491,9 +494,19 @@ def test_reconstruct_overflowing_operator_is_data_error(tmp_path, capsys):
 def test_reconstruct_overflowing_solve_is_data_error(tmp_path, capsys):
     ds = tmp_path / "ds"
     assert main(["simulate", "--out", str(ds), "--T", "2"] + SMALL) == 0
+    # Samples of alternating sign at the top of the float64 range, whose
+    # least-squares solution does not fit in float64: the same solve on the
+    # samples scaled by 2^-8 has an entry above 2^-8 times the largest float.
     obs = read_t3(ds / "obs_0.t3").data.copy()
-    obs.flat[np.flatnonzero(obs)[0]] = 1e308
+    sampled = np.flatnonzero(obs)
+    obs.flat[sampled] = 1.7e308 * (-1.0) ** np.arange(len(sampled))
     write_t3(ds / "obs_0.t3", Tensor3(obs))
+    samples = load_sample_data(ds)
+    scaled = SampleData(
+        samples.mask, [Tensor3(np.ldexp(o.data, -8)) for o in samples.observations], 0.0, 0
+    )
+    estimate = reconstruct(read_t3(ds / "A.t3"), samples.mask, scaled).estimate
+    assert np.max(np.abs(estimate.data)) > np.ldexp(np.finfo(np.float64).max, -8)
     assert main(["reconstruct", str(ds)]) == 4
     err = capsys.readouterr().err
     assert re.fullmatch(f"error: {re.escape(str(ds))}: column \\d+: the least-squares solve "
@@ -502,13 +515,60 @@ def test_reconstruct_overflowing_solve_is_data_error(tmp_path, capsys):
 
 
 def test_experiment_overflowing_solve_is_config_error(tmp_path, capsys):
+    # Noise of sigma 3e307 stays finite, but the estimate it gives at T=4 and
+    # alpha=0.3 reaches about 2^1026, beyond float64.
     out = tmp_path / "exp"
     argv = ["experiment", "--kind", "recovery-vs-alpha", "--m", "4", "--p", "3", "--n", "2",
-            "--T", "2", "--trials", "1", "--alpha", "0.7", "--sigma", "1e200", "--out", str(out)]
+            "--T", "4", "--trials", "1", "--alpha", "0.3", "--sigma", "3e307", "--out", str(out)]
     assert main(argv) == 3
     err = capsys.readouterr().err
     assert re.fullmatch(r"error: column \d+: the least-squares solve overflows float64\n", err)
     assert not out.exists()
+
+
+def test_experiment_noise_near_1e200_is_no_overflow(tmp_path, capsys):
+    # The squares of such residual entries overflow float64; the estimate
+    # and the residual norms do not.
+    out = tmp_path / "exp"
+    argv = ["experiment", "--kind", "recovery-vs-alpha", "--m", "4", "--p", "3", "--n", "2",
+            "--T", "2", "--trials", "1", "--alpha", "0.7", "--sigma", "1e200", "--out", str(out)]
+    assert main(argv) == 0
+    header, row = (out / "recovery-vs-alpha.csv").read_text().splitlines()
+    assert header == "alpha,mean_rel_err,std_rel_err"
+    assert 1e190 < float(row.split(",")[1]) < np.inf
+
+
+@pytest.mark.parametrize("k", [600, -600])
+def test_reconstruct_outputs_scale_exactly_with_the_data(tmp_path, k):
+    # The squares of the residual entries overflow float64 at 2^600 and
+    # underflow at 2^-600; the residual norms are scaled before squaring.
+    ds, base = tmp_path / "ds", tmp_path / "base"
+    assert main(["simulate", "--out", str(ds), "--T", "4", "--sigma", "1e-3"] + SMALL) == 0
+    assert main(["reconstruct", str(ds), "--out", str(base)]) == 0
+    for name in ["F.t3"] + [f"obs_{t}.t3" for t in range(4)]:
+        write_t3(ds / name, Tensor3(np.ldexp(read_t3(ds / name).data, k)))
+    assert main(["reconstruct", str(ds)]) == 0
+    want = json.loads((base / "report.json").read_text())
+    got = json.loads((ds / "report.json").read_text())
+    assert min(got["residuals"]) > 0
+    assert got["residuals"] == [float(np.ldexp(r, k)) for r in want["residuals"]]
+    assert {**got, "residuals": None} == {**want, "residuals": None}
+    estimate = read_t3(ds / "estimate.t3").data
+    assert np.array_equal(estimate, np.ldexp(read_t3(base / "estimate.t3").data, k))
+
+
+@pytest.mark.parametrize("name", ["A.t3", "F.t3", "obs_0.t3", "mask.t3"])
+def test_reconstruct_complex_t3_file_is_data_error(tmp_path, capsys, name):
+    ds = tmp_path / "ds"
+    assert main(["simulate", "--out", str(ds), "--T", "2"] + SMALL) == 0
+    # A well-formed file of the retired complex kind: two values per line.
+    path = ds / name
+    header, *values = path.read_text().splitlines()
+    path.write_text("\n".join([header.replace("real", "complex")]
+                              + [f"{v} 0.0" for v in values]) + "\n")
+    assert main(["reconstruct", str(ds)]) == 4
+    assert capsys.readouterr().err == f"error: {path}: line 1: kind must be 'real', got 'complex'\n"
+    assert not (ds / "report.json").exists()
 
 
 def test_simulate_needs_a_single_point(tmp_path, capsys):

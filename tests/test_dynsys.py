@@ -20,7 +20,7 @@ from dynsamp import (
 )
 from dynsamp.tensor3 import ShapeMismatchError
 
-from oracles import bcirc_oracle, identity_tensor, random_complex_tensor
+from oracles import bcirc_oracle, identity_tensor
 
 
 def small_instance():
@@ -59,19 +59,6 @@ def test_real_trajectory_and_observations_are_float64():
     mask = bernoulli_mask(4, 3, 2, 0.5, 103)
     samples = observe(traj, mask, 1e-3, 104)
     assert all(obs.data.dtype == np.float64 for obs in samples.observations)
-
-
-@pytest.mark.parametrize("kinds", ["complex-complex", "complex-real", "real-complex"])
-def test_complex_evolution_matches_stepwise_oracle(kinds):
-    make = {"real": random_tensor, "complex": random_complex_tensor}
-    left, right = (make[k] for k in kinds.split("-"))
-    a, f = left(4, 4, 3, 105), right(4, 3, 3, 106)
-    traj = evolve(a, f, 4)
-    cur = f
-    for t in range(1, 4):
-        cur = bcirc_oracle(a, cur)
-        assert traj[t].data.dtype == np.complex128
-        assert np.max(np.abs(traj[t].data - cur.data)) <= 1e-10 * fro_norm(cur)
 
 
 def test_semigroup_property():

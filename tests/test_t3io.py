@@ -17,27 +17,17 @@ def test_round_trip_real(tmp_path):
     assert np.array_equal(back.data, t.data)
 
 
-def test_round_trip_complex(tmp_path):
-    rng = np.random.Generator(np.random.Philox(key=8))
-    t = Tensor3(rng.standard_normal((2, 3, 2)) + 1j * rng.standard_normal((2, 3, 2)))
-    path = tmp_path / "t.t3"
-    write_t3(path, t)
-    back = read_t3(path)
-    assert not back.is_real
-    assert np.array_equal(back.data, t.data)
-
-
 def test_header_and_order():
     t = Tensor3(np.arange(1, 13, dtype=float).reshape(2, 3, 2))
     text = dumps_t3(t)
     lines = text.splitlines()
     assert lines[0] == "T3 1 2 3 2 real"
     # (k, j, i) lexicographic: first data line is entry (0, 0, 0), second (1, 0, 0)
-    assert float(lines[1]) == t.data[0, 0, 0].real
-    assert float(lines[2]) == t.data[1, 0, 0].real
-    assert float(lines[3]) == t.data[0, 1, 0].real
+    assert float(lines[1]) == t.data[0, 0, 0]
+    assert float(lines[2]) == t.data[1, 0, 0]
+    assert float(lines[3]) == t.data[0, 1, 0]
     # first entry of the second frontal slice comes after all of slice 0
-    assert float(lines[1 + 6]) == t.data[0, 0, 1].real
+    assert float(lines[1 + 6]) == t.data[0, 0, 1]
 
 
 def test_rewrite_is_byte_identical(tmp_path):
@@ -61,12 +51,13 @@ def test_rewrite_is_byte_identical(tmp_path):
         ("T3 1 2 1 1 real\n0.0\nnot_a_number\n", 3),
         ("T3 1 2 1 1 real\n0.0\n", 3),           # too few entries
         ("T3 1 1 1 1 real\n0.0\n1.0\n", 3),      # too many entries
-        ("T3 1 1 1 1 complex\n0.0\n", 2),        # complex needs two values
-        ("T3 1 1 1 1 real\n0.0 1.0\n", 2),       # real takes one value
-        ("T3 1 1 1 1 complex\n1.0 2.0 3.0 4.0\n", 2),  # two values, not two pairs
+        # data is real only: a complex header is the error, whatever follows
+        ("T3 1 1 1 1 complex\n0.0\n", 1),
+        ("T3 1 1 1 1 complex\n1.0 2.0 3.0 4.0\n", 1),
+        ("T3 1 1 1 1 complex\n1.0 inf\n", 1),
+        ("T3 1 1 1 1 real\n0.0 1.0\n", 2),       # one value per line
         ("T3 1 2 1 1 real\n0.0\nnan\n", 3),      # non-finite values
         ("T3 1 2 1 1 real\n0.0\n-Infinity\n", 3),
-        ("T3 1 1 1 1 complex\n1.0 inf\n", 2),
         ("T3 1 100000 100000 100000 real\n0.0\n", 3),  # counted, never allocated
     ],
 )
@@ -97,19 +88,14 @@ _DIMS = st.tuples(st.integers(1, 3), st.integers(1, 3), st.integers(1, 3))
 def _tensors(draw):
     dims = draw(_DIMS)
     size = dims[0] * dims[1] * dims[2]
-    re = np.array(draw(st.lists(_FINITE, min_size=size, max_size=size)))
-    if draw(st.booleans()):
-        im = np.array(draw(st.lists(_FINITE, min_size=size, max_size=size)))
-        return Tensor3((re + 1j * im).reshape(dims))
-    return Tensor3(re.reshape(dims))
+    return Tensor3(np.reshape(draw(st.lists(_FINITE, min_size=size, max_size=size)), dims))
 
 
 @settings(max_examples=60, deadline=None)
 @given(_tensors())
 def test_round_trip_is_bit_exact(t):
     back = loads_t3(dumps_t3(t))
-    assert back.dims == t.dims and back.is_real == t.is_real
-    assert back.data.dtype == t.data.dtype
+    assert back.dims == t.dims and back.data.dtype == np.float64
     assert back.data.tobytes() == t.data.tobytes()
 
 
@@ -181,13 +167,12 @@ def test_loads_matches_oracle(text):
     got, want = _outcome(loads_t3, text), _outcome(loads_t3_oracle, text)
     if got == want:
         return
-    # The one allowed difference: a real value line with the unit separator
-    # \x1f next to its number.  str.split() strips it, so the oracle reads
-    # the number; float() rejects it, so the library names the line.
+    # The one allowed difference: a value line with the unit separator \x1f
+    # next to its number.  str.split() strips it, so the oracle reads the
+    # number; float() rejects it, so the library names the line.
     line_no, message = got
     assert isinstance(line_no, int)
     bad = text.splitlines()[line_no - 1]
-    assert text.splitlines()[0].split()[5] == "real"
     assert "\x1f" in bad and len(bad.split()) == 1
     assert message == f"fuzz.t3: line {line_no}: unparseable number in {bad!r}"
     assert not isinstance(want[0], int) or want[0] > line_no
@@ -199,5 +184,3 @@ def test_unit_separator_next_to_a_real_value_is_an_error():
     with pytest.raises(T3FormatError) as err:
         loads_t3(text, "bad.t3")
     assert str(err.value) == "bad.t3: line 3: unparseable number in '2.0\\x1f'"
-    complex_text = "T3 1 1 1 1 complex\n1.0\x1f 2.0\x1f\n"
-    assert loads_t3(complex_text).data.tobytes() == loads_t3_oracle(complex_text).data.tobytes()
