@@ -27,7 +27,7 @@ import numpy as np
 from .tensor3 import random_tensor
 from .sampling import bernoulli_mask, exclude_slab
 from .dynsys import evolve, observe
-from .reconstruct import _condition_sweep, reconstruct, reconstruct_batch
+from .reconstruct import _condition_sweep, reconstruct_batch
 from .svgplot import render_plot
 from .t3io import atomic_write_text
 
@@ -229,14 +229,15 @@ def _rel_errors(cfg: ExperimentConfig, batches, threads: int) -> list[float]:
     """Recovery error of each ``(mask, sigma, noise_seed)`` unit of each
     ``(T, units)`` batch, in order.  The instance is evolved once, to the
     largest T, and units observe prefixes; each batch is one
-    ``reconstruct_batch``, which factors each shared column system once."""
+    ``reconstruct_batch``, which factors each shared column system once and
+    takes no condition numbers."""
     a, f = _instance(cfg)
     traj = evolve(a, f, max(T for T, _ in batches))
     errors = []
     for T, units in batches:
         problems = ((mask, observe(traj[:T], mask, sigma, seed)) for mask, sigma, seed in units)
         reports = reconstruct_batch(
-            a, problems, allow_partial=True, ground_truth=f, threads=threads
+            a, problems, allow_partial=True, ground_truth=f, threads=threads, kappa=False
         )
         errors += [report.rel_error for report in reports]
     return errors
@@ -258,7 +259,9 @@ def _recovery_vs_alpha(cfg: ExperimentConfig, threads: int) -> ExperimentResult:
 
 def _pointwise_gap(cfg: ExperimentConfig, threads: int) -> ExperimentResult:
     a, f, samples = draw_point(cfg)
-    report = reconstruct(a, samples.mask, samples, allow_partial=True, threads=threads)
+    report = reconstruct_batch(
+        a, [(samples.mask, samples)], allow_partial=True, threads=threads, kappa=False
+    )[0]
     gaps = np.abs(report.estimate.data - f.data).ravel()
     rows = [{"index": i, "abs_gap": float(g)} for i, g in enumerate(gaps)]
     return ExperimentResult(cfg.kind, ["index", "abs_gap"], rows)

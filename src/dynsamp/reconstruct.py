@@ -14,9 +14,11 @@ m*n unit-basis slab to the longest horizon; column j's matrix is the subset
 of its rows that the mask selects, and its right-hand side is the observed
 values at the same entries, in the same order.  Columns with the same
 horizon and sample pattern share their matrix, so ``reconstruct_batch`` and
-``system_condition`` pass each distinct matrix of a call to ``solve_column``
-once: with the right-hand sides of all its columns, across the problems of
-the call, or with none for the condition number alone.
+``system_condition`` solve each distinct matrix of a call once: with the
+right-hand sides of all its columns, across the problems of the call, or
+with none for the condition number alone.  Distinct matrices of one shape
+are solved as one stack, each LAPACK routine called once per stack, with
+the bits that ``solve_column`` gives each matrix alone.
 
 Columns with no samples yield an empty system and cannot be recovered; they
 raise ``UnrecoverableColumnError`` unless the caller asks for a partial
@@ -173,6 +175,113 @@ def assemble_column_system(
 
 # -- solving -------------------------------------------------------------------
 
+# The largest stack, in bytes of [M | B], that ``_solve_groups`` gathers and
+# solves in one call: a cap keeps peak memory flat however many systems share a shape.
+_STACK_BYTES = 256 * 1024
+# Full rank is certified without an SVD when ||Rm||_F ||Rm^-1||_F, an upper
+# bound on the 2-norm condition number, is below this margin over the tolerance.
+_CERTIFY_MARGIN = 1e-3
+
+
+def _triangular_inverse(R: np.ndarray) -> np.ndarray:
+    """Inverse of each upper-triangular matrix of a (g, n, n) stack, by
+    blocks: [[A, B], [0, D]]^-1 = [[A^-1, -A^-1 B D^-1], [0, D^-1]].  About
+    2 n^3 / 3 flops, where ``np.linalg.inv``, an LU solve against the
+    identity, takes 8 n^3 / 3."""
+    n = R.shape[-1]
+    if n <= 32:  # small blocks go to LAPACK whole
+        return np.linalg.inv(R)
+    h = n // 2
+    Ai, Di = _triangular_inverse(R[:, :h, :h]), _triangular_inverse(R[:, h:, h:])
+    X = np.zeros_like(R)
+    X[:, :h, :h], X[:, h:, h:] = Ai, Di
+    X[:, :h, h:] = -(Ai @ R[:, :h, h:] @ Di)
+    return X
+
+
+def _certified(Rm: np.ndarray, rel: float) -> np.ndarray:
+    """Mask of the nonsingular upper-triangular factors of a stack that are
+    certified full rank: ||Rm||_F ||Rm^-1||_F < ``_CERTIFY_MARGIN / rel``.
+
+    The product bounds kappa from above.  A computed inverse X of a
+    triangular matrix has a residual ||X Rm - I|| of order n eps ||X|| ||Rm||,
+    well below 1 wherever the test passes, so the true product is at most
+    about that computed; the margin covers this and the rounding of the SVD,
+    so a certified factor has every singular value above ``rel * sigma_max``.
+    ``Rm^-1`` has diagonal 1/r_ii, so ||Rm||_F ||1/r_ii||_2 bounds the
+    product from below: where that alone reaches the limit, or an r_ii is
+    zero, no inverse is taken.  Each factor is first scaled by the power of
+    two that brings its largest entry into [0.5, 1), which leaves the product
+    unchanged, so no norm overflows or underflows where the test can pass.
+    """
+    limit = _CERTIFY_MARGIN / rel
+    Rs = np.ldexp(Rm, -_exponents(Rm, axis=(1, 2)))
+    norms = np.linalg.norm(Rs, axis=(1, 2))
+    certified = np.zeros(len(Rm), dtype=bool)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        inv_diag = 1 / np.diagonal(Rs, axis1=1, axis2=2)
+        hopeful = np.flatnonzero(norms * np.linalg.norm(inv_diag, axis=1) < limit)
+        if len(hopeful):
+            inv = _triangular_inverse(Rs if len(hopeful) == len(Rs) else Rs[hopeful])
+            certified[hopeful] = norms[hopeful] * np.linalg.norm(inv, axis=(1, 2)) < limit
+    return certified
+
+
+def _solve_stack(A: np.ndarray, mn: int, tol=None, kappa: bool = True):
+    """``solve_column`` on each system ``A[i] = [M_i | B_i]`` of a (g, rows,
+    m*n + k) stack; ``B`` is scaled in place.
+
+    Returns one ``(x, rank, kappa, residual)`` per member, ``x`` (m*n, k) and
+    ``residual`` of length k, and a mask of the members whose solution and
+    residuals fit in float64.  numpy's linalg functions run LAPACK once per
+    matrix of a stack, so each member gets a lone system's bits.  With
+    ``kappa`` False, a member whose factor ``_certified`` shows full rank
+    skips its SVD and reports kappa None; it takes the LU solve that its SVD's
+    rank would have chosen.
+    """
+    g, rows, _ = A.shape
+    M, B = A[:, :, :mn], A[:, :, mn:]
+    k = B.shape[2]
+    rel = default_solver_tol((rows, mn)) if tol is None else float(tol)
+    Rm = M
+    if k:
+        exp = _exponents(B, axis=1)
+        np.ldexp(B, -exp, out=B)
+        R = np.linalg.qr(A, mode="r")
+        Rm, C = R[:, :mn, :mn], R[:, :mn, mn:]
+    todo = np.arange(g)  # the members that take the values-only SVD
+    if not kappa and k and Rm.shape[1] == mn:
+        todo = np.flatnonzero(~_certified(Rm, rel))
+    ranks, kappas = np.full(g, mn), [None] * g
+    if len(todo):
+        s = np.linalg.svd(Rm if len(todo) == g else Rm[todo], compute_uv=False)
+        ranks[todo] = np.count_nonzero(s > rel * s[:, :1], axis=1)
+        for i, kap in zip(todo, (s[:, 0] / s[np.arange(len(todo)), ranks[todo] - 1]).tolist()):
+            kappas[i] = kap
+    if not k:  # condition numbers only
+        x, residual = np.empty((g, mn, 0)), np.empty((g, 0))
+        return list(zip(x, ranks.tolist(), kappas, residual)), [True] * g
+    full = ranks == mn
+    with np.errstate(over="ignore", invalid="ignore"):
+        if full.all():
+            # LU of an upper-triangular matrix does not pivot: back-substitution.
+            x = np.linalg.solve(Rm, C)
+        else:
+            x = np.empty((g, mn, k))
+            if full.any():
+                x[full] = np.linalg.solve(Rm[full], C[full])
+            for i in np.flatnonzero(~full):
+                r = ranks[i]
+                u, sv, vh = np.linalg.svd(Rm[i], full_matrices=False)
+                x[i] = vh[:r].T @ ((u[:, :r].T @ C[i]) / sv[:r, None])
+        x, residual = np.ldexp(x, exp), np.ldexp(_norm2(M @ x - B, axis=1), exp[:, 0])
+    fits = np.isfinite(x).all(axis=(1, 2)) & np.isfinite(residual).all(axis=1)
+    return list(zip(x, ranks.tolist(), kappas, residual)), fits
+
+
+def _overflow(j: int) -> SampleOverflowError:
+    return SampleOverflowError(f"column {j}: the least-squares solve overflows float64")
+
 
 def solve_column(system: ColumnSystem, tol: float | None = None):
     """Minimum-norm least-squares solution of one column system.
@@ -193,54 +302,66 @@ def solve_column(system: ColumnSystem, tol: float | None = None):
     the residual scale exactly with the data.  An all-zero ``M`` (an
     unsampled column) raises ``UnrecoverableColumnError``; a solution or
     residual norm that does not fit in float64, ``SampleOverflowError``.
+    This is the one-system case of ``_solve_stack``, which solves the column
+    systems of ``reconstruct_batch`` and ``system_condition`` in stacks.
     """
     _check_tol(tol)
     M, b = system.matrix, system.rhs
     if not M.any():
         raise UnrecoverableColumnError((system.j,))
-    mn, B = M.shape[1], b.reshape(len(b), -1)
-    exp = _exponents(B, axis=0)
-    B = np.ldexp(B, -exp)
-    Rm, C = M, B
-    if B.shape[1]:
-        R = np.linalg.qr(np.concatenate([M, B], axis=1), mode="r")
-        Rm, C = R[:mn, :mn], R[:mn, mn:]
-    s = np.linalg.svd(Rm, compute_uv=False)
-    rel = default_solver_tol(M.shape) if tol is None else float(tol)
-    rank = int(np.count_nonzero(s > rel * s[0]))
-    kappa = float(s[0] / s[rank - 1])
-    with np.errstate(over="ignore", invalid="ignore"):
-        if not B.shape[1]:
-            x = np.empty((mn, 0))
-        elif rank == mn:
-            # LU of an upper-triangular matrix does not pivot: back-substitution.
-            x = np.linalg.solve(Rm, C)
-        else:
-            u, sv, vh = np.linalg.svd(Rm, full_matrices=False)
-            x = vh[:rank].T @ ((u[:, :rank].T @ C) / sv[:rank, None])
-        x, residual = np.ldexp(x, exp), np.ldexp(_norm2(M @ x - B, axis=0), exp[0])
-    if not (np.isfinite(x).all() and np.isfinite(residual).all()):
-        raise SampleOverflowError(f"column {system.j}: the least-squares solve overflows float64")
+    A = np.concatenate([M, b.reshape(len(b), -1)], axis=1, dtype=np.float64)
+    ((x, rank, kappa, residual),), fits = _solve_stack(A[None], M.shape[1], tol)
+    if not fits[0]:
+        raise _overflow(system.j)
     if b.ndim == 1:
         return x[:, 0], rank, kappa, float(residual[0])
     return x, rank, kappa, residual
 
 
-def _solve_groups(a: Tensor3, groups: dict, tol, threads: int) -> list:
+def _solve_groups(a: Tensor3, groups: dict, tol, threads: int, kappa: bool = True) -> list:
     """``solve_column`` on each ``(T, selector bytes) -> (selector, (item,
-    column) members, right-hand sides)`` group, in parallel, from one power
-    stack built to the longest T; None for an unsampled group."""
+    column) members, right-hand sides)`` group, from one power stack built to
+    the longest T; None for an unsampled group.
+
+    Groups of one shape (T, samples per step, right-hand sides) are gathered
+    into stacks of at most ``_STACK_BYTES`` and solved by ``_solve_stack``,
+    one ``pmap`` item per stack.  ``kappa`` False lets it skip the SVD of
+    members certified full rank.  An overflow names the first such group.
+    """
     stack = _power_stack(a, max((T for T, _ in groups), default=1))
+    mn = stack.shape[1]
+    entries = list(groups.values())
+    shapes: dict[tuple, list[int]] = {}
+    for i, ((T, _), (sel, _, cols)) in enumerate(groups.items()):
+        s = int(np.count_nonzero(sel))
+        if s:
+            shapes.setdefault((T, s, len(cols)), []).append(i)
+    stacks = []
+    for (T, s, k), idx in shapes.items():
+        size = max(1, _STACK_BYTES // (T * s * (mn + k) * 8))
+        stacks += [(T, s, k, idx[c:c + size]) for c in range(0, len(idx), size)]
 
     def run(item):
-        (T, _), (sel, members, cols) = item
-        rhs = np.reshape(cols, (len(cols), T * int(sel.sum()))).T
-        try:
-            return solve_column(_column_system(stack, T, sel, members[0][1], rhs), tol)
-        except UnrecoverableColumnError:
-            return None
+        T, s, k, idx = item
+        A = np.empty((len(idx), T, s, mn + k))
+        for g, i in enumerate(idx):
+            sel, _, cols = entries[i]
+            A[g, :, :, :mn] = stack[:T, sel]
+            if k:
+                A[g, :, :, mn:] = np.reshape(cols, (k, T, s)).transpose(1, 2, 0)
+        return _solve_stack(A.reshape(len(idx), T * s, mn + k), mn, tol, kappa)
 
-    return pmap(run, groups.items(), threads)
+    results: list = [None] * len(entries)
+    bad = []
+    for (*_, idx), (res, fits) in zip(stacks, pmap(run, stacks, threads)):
+        for i, r, ok in zip(idx, res, fits):
+            results[i] = r
+            if not ok:
+                bad.append(i)
+    if bad:
+        _, members, _ = entries[min(bad)]
+        raise _overflow(members[0][1])
+    return results
 
 
 def reconstruct_batch(
@@ -251,15 +372,18 @@ def reconstruct_batch(
     allow_partial: bool = False,
     ground_truth: Tensor3 | None = None,
     threads: int = 1,
+    kappa: bool = True,
 ) -> list[ReconstructionReport]:
     """Reconstruct each ``(mask, samples)`` problem on the operator ``a``.
 
     Each column of each problem is keyed by horizon and sample pattern, in
     order of first appearance over problems, then columns; each key is one
-    ``solve_column`` call with one right-hand side per member.  Reports come
+    column system, solved once with one right-hand side per member.  Reports come
     in problem order, identical for any thread count; each matches a lone
     ``reconstruct`` to roundoff, and bit for bit when it shares no key with
-    another problem.  Overflow raises ``SampleOverflowError``.
+    another problem.  Overflow raises ``SampleOverflowError``.  With
+    ``kappa`` False, columns whose full rank is certified without an SVD
+    report kappa None, and K is the largest kappa that was computed.
     """
     _check_tol(tol)
     m, _, n = a.dims
@@ -276,23 +400,23 @@ def reconstruct_batch(
             cols.append(rhs)
         widths.append(len(selectors))
     # (x, rank, kappa, residual) of every column; failed columns have no
-    # samples, so no misfit either: residual 0.0.
+    # samples, so rank 0 and no misfit either: residual 0.0.
     columns = [[(np.zeros(m * n), 0, None, 0.0)] * p for p in widths]
-    for (_, members, _), res in zip(groups.values(), _solve_groups(a, groups, tol, threads)):
+    results = _solve_groups(a, groups, tol, threads, kappa)
+    for (_, members, _), res in zip(groups.values(), results):
         if res is not None:
-            x, rank, kappa, residual = res
+            x, rank, kap, residual = res
             for (q, j), xj, r in zip(members, x.T, residual):
-                columns[q][j] = (xj, rank, kappa, float(r))
+                columns[q][j] = (xj, rank, kap, float(r))
     reports = []
     for cols in columns:
         xs, ranks, kappas, residuals = (list(v) for v in zip(*cols))
-        failed = [j for j, k in enumerate(kappas) if k is None]
+        failed = [j for j, r in enumerate(ranks) if r == 0]
         if failed and not allow_partial:
             raise UnrecoverableColumnError(failed)
         estimate = Tensor3(np.stack(xs).reshape(len(xs), n, m).transpose(2, 0, 1))
         solved = [k for k in kappas if k is not None]
-        with np.errstate(over="ignore", invalid="ignore"):
-            err = None if ground_truth is None else tensor_rel_error(estimate, ground_truth)
+        err = None if ground_truth is None else tensor_rel_error(estimate, ground_truth)
         if err is not None and not np.isfinite(err):
             raise SampleOverflowError("the relative error overflows float64")
         reports.append(ReconstructionReport(
@@ -314,7 +438,7 @@ def reconstruct(
     """Solve all column systems and assemble the estimated initial signal.
 
     This is ``reconstruct_batch`` on one problem: columns with the same
-    sample pattern share one ``solve_column`` call, and the report is
+    sample pattern share one solve, and the report is
     identical for any thread count.  Unsampled columns raise unless
     ``allow_partial`` zero-fills them and lists them in ``failed_columns``.
     """

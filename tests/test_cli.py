@@ -526,6 +526,17 @@ def test_experiment_overflowing_solve_is_config_error(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_experiment_relative_error_beyond_the_difference_range_fits(tmp_path):
+    # At T=2 the estimate fits, but estimate minus signal does not: the
+    # relative error, about 3.7e307, is formed without that difference.
+    out = tmp_path / "exp"
+    argv = ["experiment", "--kind", "recovery-vs-alpha", "--m", "4", "--p", "3", "--n", "2",
+            "--T", "2", "--trials", "1", "--alpha", "0.3", "--sigma", "3e307", "--out", str(out)]
+    assert main(argv) == 0
+    text = (out / "recovery-vs-alpha.csv").read_text()
+    assert 1e307 < float(text.splitlines()[1].split(",")[1]) < np.inf
+
+
 def test_experiment_noise_near_1e200_is_no_overflow(tmp_path, capsys):
     # The squares of such residual entries overflow float64; the estimate
     # and the residual norms do not.

@@ -1,3 +1,4 @@
+import importlib
 import json
 
 import numpy as np
@@ -22,7 +23,9 @@ from dynsamp import (
     solve_column,
     system_condition,
 )
-from dynsamp.reconstruct import ColumnSystem, assemble_column_system, reconstruct_batch
+from dynsamp.reconstruct import (
+    ColumnSystem, _solve_stack, assemble_column_system, reconstruct_batch,
+)
 from oracles import (
     brute_force_estimate,
     frequency_column_matrix,
@@ -30,6 +33,8 @@ from oracles import (
     mask_conv_matrix,
     materialized_sampling_map,
 )
+
+reconstruct_module = importlib.import_module("dynsamp.reconstruct")
 
 
 def make_instance(m, p, n, T, alpha, seed, sigma=0.0):
@@ -235,6 +240,127 @@ def test_solve_column_2d_rhs_matches_separate_solves():
             np.testing.assert_allclose(X[:, c], x, rtol=1e-12, atol=1e-12 * np.abs(x).max())
             assert (rank, kappa) == (r, k)
             assert residual[c] == pytest.approx(res, rel=1e-12)
+
+
+# -- stacked solves ---------------------------------------------------------------
+
+
+def _stack(rng, g, rows, mn, k, spread):
+    """(g, rows, mn + k) stack of [M | B]; column c of M is scaled by
+    10**(-spread * c / mn), so kappa grows with ``spread``."""
+    A = rng.standard_normal((g, rows, mn + k))
+    A[:, :, :mn] *= 10.0 ** (-spread * np.arange(mn) / max(mn, 1))
+    return A
+
+
+def _assert_same_solution(got, want):
+    (x, rank, kappa, residual), (x0, rank0, kappa0, residual0) = got, want
+    assert x.tobytes() == x0.tobytes() and residual.tobytes() == residual0.tobytes()
+    assert (rank, kappa) == (rank0, kappa0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    g=st.integers(1, 5),
+    rows=st.integers(1, 14),
+    mn=st.integers(1, 8),
+    k=st.sampled_from([0, 1, 3]),
+    spread=st.sampled_from([0.0, 8.0, 20.0]),
+    duplicate=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(g=3, rows=4, mn=8, k=1, spread=0.0, duplicate=False, seed=0)  # rows < m*n
+@example(g=3, rows=12, mn=6, k=3, spread=0.0, duplicate=True, seed=1)  # rank-deficient
+def test_each_stack_member_matches_a_lone_solve_bit_for_bit(
+    g, rows, mn, k, spread, duplicate, seed
+):
+    """A member of a stack gets the bits of ``solve_column`` on its system
+    alone: x, rank, kappa and residual, for any stack size."""
+    A = _stack(np.random.default_rng(seed), g, rows, mn, k, spread)
+    if duplicate and mn > 1:
+        A[-1, :, 1] = A[-1, :, 0]  # a rank-deficient member
+    members, fits = _solve_stack(A.copy(), mn)
+    assert len(members) == g and all(fits)
+    for i, got in enumerate(members):
+        _assert_same_solution(got, solve_column(ColumnSystem(i, A[i, :, :mn], A[i, :, mn:])))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    g=st.integers(1, 5),
+    extra=st.integers(0, 12),
+    mn=st.one_of(st.integers(1, 8), st.sampled_from([33, 40])),
+    k=st.sampled_from([1, 3]),
+    spread=st.sampled_from([0.0, 4.0, 10.0, 13.0, 16.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_certified_members_have_full_svd_rank_and_the_same_solution(g, extra, mn, k, spread, seed):
+    """With kappa off, a member certified full rank reports kappa None, its
+    SVD gives rank m*n, and x and the residual keep their bits; every other
+    member is solved as with kappa on."""
+    A = _stack(np.random.default_rng(seed), g, mn + extra, mn, k, spread)
+    cheap, fits = _solve_stack(A.copy(), mn, kappa=False)
+    full, fits_full = _solve_stack(A.copy(), mn)
+    assert list(fits) == list(fits_full)
+    for got, want in zip(cheap, full):
+        if got[2] is None:
+            assert want[1] == mn
+            got = (got[0], got[1], want[2], got[3])
+        _assert_same_solution(got, want)
+
+
+@pytest.mark.parametrize("n", [1, 7, 32, 33, 64, 100])
+def test_triangular_inverse_matches_the_lu_inverse(n):
+    rng = np.random.default_rng(750 + n)
+    R = np.triu(rng.standard_normal((3, n, n))) + 4.0 * np.eye(n)
+    np.testing.assert_allclose(
+        reconstruct_module._triangular_inverse(R), np.linalg.inv(R), rtol=0, atol=1e-12
+    )
+
+
+def test_certificate_declines_singular_and_ill_conditioned_members():
+    rng = np.random.default_rng(760)
+    mn = 6
+    A = _stack(rng, 3, 10, mn, 1, 0.0)
+    A[1, :, :mn] = _stack(rng, 1, 10, mn, 0, 15.0)[0]  # full rank, kappa beyond the certificate
+    A[2, :, 3] = 0.0  # an exactly singular R factor: no inverse is taken
+    cheap, _ = _solve_stack(A.copy(), mn, kappa=False)
+    full, _ = _solve_stack(A.copy(), mn)
+    assert [r[2] is None for r in cheap] == [True, False, False]
+    assert full[2][1] < mn
+    for got, want in zip(cheap[1:], full[1:]):
+        _assert_same_solution(got, want)
+
+
+def test_stacks_respect_the_byte_cap_and_do_not_change_results(monkeypatch):
+    a, f, _, _ = make_instance(4, 12, 3, 3, 0.5, 770)
+    masks = [bernoulli_mask(4, 12, 3, 0.5, 771 + i) for i in range(3)]
+    problems = [(m, observe(evolve(a, f, 3), m, 1e-2, 775 + i)) for i, m in enumerate(masks)]
+    solve, shapes = reconstruct_module._solve_stack, []
+
+    def spy(A, *args):
+        shapes.append(A.shape)
+        return solve(A, *args)
+
+    monkeypatch.setattr(reconstruct_module, "_solve_stack", spy)
+    want = reconstruct_batch(a, problems, allow_partial=True)
+    uncapped, shapes[:] = list(shapes), []
+    cap = 2 * 24 * 13 * 8  # room for two systems of 24 rows and 13 columns
+    monkeypatch.setattr(reconstruct_module, "_STACK_BYTES", cap)
+    got = reconstruct_batch(a, problems, allow_partial=True)
+    assert max(g for g, _, _ in uncapped) > max(g for g, _, _ in shapes) > 1
+    assert all(g == 1 or g * rows * width * 8 <= cap for g, rows, width in shapes)
+    for r, r0 in zip(got, want):
+        assert r.estimate.data.tobytes() == r0.estimate.data.tobytes()
+        assert _report_json(r) == _report_json(r0)
+
+
+def test_unsampled_group_yields_none_without_a_solve(monkeypatch):
+    a = random_tensor(3, 3, 2, 780)
+    sel = np.zeros(6, dtype=bool)
+    monkeypatch.setattr(reconstruct_module, "_solve_stack", None)  # never called
+    groups = {(2, sel.tobytes()): (sel, [(0, 0)], [np.empty(0)])}
+    assert reconstruct_module._solve_groups(a, groups, None, 1) == [None]
 
 
 def _report_json(report) -> str:

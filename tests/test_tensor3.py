@@ -314,3 +314,28 @@ def test_fro_norm_and_rel_error_survive_tiny_and_huge_entries():
     huge = Tensor3(np.full((4, 3, 2), 1.0e200))
     assert rel_error(Tensor3(np.full((4, 3, 2), 2.0e200)), huge) == 1.0
     assert fro_norm(Tensor3(np.full((4, 3, 2), 1.0e308))) == np.inf
+
+
+def test_rel_error_fits_when_only_the_difference_overflows():
+    big = Tensor3(np.full((4, 3, 2), 1.5e308))
+    assert rel_error(big, Tensor3(np.full((4, 3, 2), 2.0))) == pytest.approx(7.5e307, rel=1e-15)
+    assert rel_error(big, Tensor3(np.full((4, 3, 2), -1.5e308))) == 2.0
+    assert rel_error(Tensor3(np.full((4, 3, 2), -1.5e308)), big) == 2.0
+    assert rel_error(big, Tensor3(np.full((4, 3, 2), 1e-300))) == np.inf
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.tuples(_NORMAL, _NORMAL), min_size=1, max_size=24),
+    st.data(),
+)
+def test_rel_error_of_tensors_scaled_by_a_power_of_two_is_unchanged(pairs, data):
+    """rel_error(2^k x, 2^k f) == rel_error(x, f) bit for bit while every
+    nonzero entry of 2^k x and 2^k f stays normal."""
+    x, f = (np.array(v).reshape(-1, 1, 1) for v in zip(*pairs))
+    assume(np.abs(f).max() > 0)
+    err = rel_error(Tensor3(x), Tensor3(f))
+    values = np.concatenate([x.ravel(), f.ravel()])
+    exps = np.frexp(values[values != 0])[1]
+    k = data.draw(st.integers(-1021 - int(exps.min()), 1024 - int(exps.max())), label="k")
+    assert rel_error(Tensor3(np.ldexp(x, k)), Tensor3(np.ldexp(f, k))) == err
