@@ -75,6 +75,14 @@ class ExperimentConfig:
     def validate(self) -> None:
         if min(self.m, self.p, self.n) < 1:
             raise ConfigError(f"dims must be positive, got {self.m} {self.p} {self.n}")
+        # The operator is m x m x n and the signal m x p x n float64 values.
+        # Past 2**57 bytes no address space holds one, so none is allocated.
+        largest = 8 * self.m * self.n * max(self.m, self.p)
+        if largest > 2**57:
+            raise ConfigError(
+                f"dims {self.m}x{self.p}x{self.n} need a {largest / 2**50:,.0f} PiB "
+                "tensor, more than any 57-bit address space holds"
+            )
         if self.trials < 1:
             raise ConfigError(f"trials must be >= 1, got {self.trials}")
         if self.seed < 0:

@@ -11,6 +11,12 @@ array.  A value line is one string that Python's ``float`` accepts, and
 every value must be finite.  Entries are written with ``%.17e`` so float64
 values round-trip exactly.  The data is real, as in ``Tensor3``: any other
 kind in the header, ``complex`` included, is a line-1 error.
+
+The writer's text is byte-identical to Python's ``%.17e`` of every entry.
+It computes the 18 significant digits with exact integer arithmetic in
+numpy, in chunks of at most ``_CHUNK`` entries; entries outside the
+kernel's range (``|x| < 1e-10`` or ``|x| >= 2**49``), non-finite values and
+the rare entry whose decade ``log10`` misses are formatted with ``%``.
 """
 
 from __future__ import annotations
@@ -74,11 +80,101 @@ def read_json_object(path) -> dict:
     return value
 
 
+# -- writer: an exact ``%.17e`` in numpy ------------------------------------------
+#
+# A finite nonzero |x| is f * 2**(e - 53) with f a 53-bit integer (np.frexp).
+# With E = floor(log10 |x|), k = 17 - E and s = 53 - e - k, its 18 significant
+# digits are D = round-half-even(f * 5**k / 2**s), an integer in
+# [10**17, 10**18).  f * 5**k is formed exactly in two 64-bit words from
+# 32-bit halves, which holds k <= 27 (5**27 < 2**64) and s >= 1: that is
+# 1e-10 <= |x| < 2**49, where the exponent has two digits.  Every other
+# entry is formatted by ``%``, and so is any entry whose decade log10 missed
+# (D outside the range above), which happens only within an ulp or two of a
+# power of ten.  Explicit unsigned dtypes keep the arithmetic the same under
+# numpy 1.x and NEP 50 promotion.
+
+_CHUNK = 8192  # entries per kernel call: bounds the writer's working memory
+_KERNEL_MIN, _KERNEL_MAX = 1e-10, 2.0**49
+_U64, _U32, _U8 = np.uint64, np.uint32, np.uint8
+_POW5 = np.array([5**k for k in range(28)], dtype=np.uint64)
+_LOW32 = _U64(0xFFFFFFFF)
+_E17, _E18, _E9 = _U64(10**17), _U64(10**18), _U64(10**9)
+# Each value line is one row of _WIDTH bytes, whose NUL bytes are dropped.
+# A kernel line holds its sign (NUL if positive) in column 0, its leading
+# digit in 1, its other 17 digits in 3-19 and its exponent's sign and two
+# digits in 21-23.  The widest ``%`` line, -1.79769313486231571e+308 and its
+# newline, fills the row.
+_WIDTH = 26
+_DIGIT_COLS = [1, *range(3, 20)]
+_TEMPLATE = np.zeros(_WIDTH, dtype=np.uint8)
+_TEMPLATE[[2, 20, 24]] = np.frombuffer(b".e\n", dtype=np.uint8)
+
+
+def _kernel_digits(a: np.ndarray):
+    """``(D, E, exact)`` of ``a`` in [_KERNEL_MIN, _KERNEL_MAX): 18 significant
+    digits and the decimal exponent, and whether E is the true decade."""
+    mant, e = np.frexp(a)
+    f = np.ldexp(mant, 53).astype(np.uint64)
+    E = np.clip(np.floor(np.log10(a)), -10, 14).astype(np.int64)
+    k = 17 - E
+    s = (53 - e - k).astype(np.uint64)  # 1 <= s <= 59 on the kernel's range
+    p = _POW5[k]
+    f_lo, f_hi = f & _LOW32, f >> _U64(32)
+    p_lo, p_hi = p & _LOW32, p >> _U64(32)
+    ll, lh, hl = f_lo * p_lo, f_lo * p_hi, f_hi * p_lo
+    mid = (ll >> _U64(32)) + (lh & _LOW32) + (hl & _LOW32)
+    lo = (ll & _LOW32) | (mid << _U64(32))
+    hi = f_hi * p_hi + (lh >> _U64(32)) + (hl >> _U64(32)) + (mid >> _U64(32))
+    q = (hi << (_U64(64) - s)) | (lo >> s)
+    rest = lo & ((_U64(1) << s) - _U64(1))
+    half = _U64(1) << (s - _U64(1))
+    d = q + ((rest > half) | ((rest == half) & ((q & _U64(1)) == _U64(1))))
+    return d, E, (q >= _E17) & (d < _E18)
+
+
+def _format_values(x: np.ndarray) -> str:
+    """``"".join("%.17e\\n" % v for v in x)`` for a 1-D float64 array."""
+    a = np.abs(x)
+    # Only entries in the kernel's range enter it (NaN is in neither bound),
+    # which lets _kernel_digits clip the decade to that range.
+    held = np.flatnonzero((a >= _KERNEL_MIN) & (a < _KERNEL_MAX))
+    d = np.zeros(x.size, dtype=np.uint64)  # zeros write 0.00000000000000000e+00
+    E = np.zeros(x.size, dtype=np.int64)
+    d[held], E[held], ok = _kernel_digits(a[held])
+    exact = a == 0
+    exact[held[ok]] = True
+
+    grid = np.empty((x.size, _WIDTH), dtype=np.uint8)
+    grid[:] = _TEMPLATE
+    grid[:, 0] = np.signbit(x) * _U8(ord("-"))
+    top = d // _E9
+    halves = np.empty((2, x.size), dtype=np.uint32)
+    halves[0], halves[1] = top, d - top * _E9
+    for i in range(8, -1, -1):
+        tens = halves // _U32(10)
+        digit = (halves - tens * _U32(10)).astype(np.uint8) + _U8(ord("0"))
+        grid[:, _DIGIT_COLS[i]] = digit[0]
+        grid[:, _DIGIT_COLS[9 + i]] = digit[1]
+        halves = tens
+    grid[:, 21] = np.where(E < 0, _U8(ord("-")), _U8(ord("+")))
+    exp = np.abs(E).astype(np.uint8)
+    grid[:, 22] = exp // _U8(10) + _U8(ord("0"))
+    grid[:, 23] = exp % _U8(10) + _U8(ord("0"))
+    slow = np.flatnonzero(~exact)
+    if slow.size:
+        lines = [b"%.17e\n" % v for v in x[slow].tolist()]
+        grid[slow] = np.array(lines, dtype=f"S{_WIDTH}").view(np.uint8).reshape(-1, _WIDTH)
+    return str(grid[grid != 0].data, "ascii")
+
+
 def dumps_t3(t: Tensor3) -> str:
-    """Serialize a tensor to T3 v1 text, one ``%.17e`` format call per file."""
+    """Serialize a tensor to T3 v1 text, each entry as Python's ``%.17e``."""
     m, p, n = t.dims
-    header = f"{_MAGIC} {_VERSION} {m} {p} {n} real\n"
-    return header + ("%.17e\n" * t.data.size) % tuple(t.data.ravel(order="F").tolist())
+    flat = t.data.ravel(order="F")
+    chunks = (
+        _format_values(flat[start : start + _CHUNK]) for start in range(0, flat.size, _CHUNK)
+    )
+    return "".join([f"{_MAGIC} {_VERSION} {m} {p} {n} real\n", *chunks])
 
 
 def write_t3(path, t: Tensor3) -> None:

@@ -356,6 +356,26 @@ def test_simulate_negative_seed_is_config_error(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "command,dims,size",
+    [
+        (["simulate", "--T", "1"], (300000, 300000, 300000), "192"),
+        (["experiment", "--kind", "pointwise-gap"], (300000, 3, 300000), "192"),
+        (["simulate", "--T", "1"], (3000000, 3, 3000000), "191,847"),
+    ],
+)
+def test_oversized_dims_are_config_errors(tmp_path, capsys, command, dims, size):
+    # 192 PiB is past any 57-bit address space: the check comes before any allocation.
+    out = tmp_path / "out"
+    m, p, n = dims
+    assert main(command + ["--out", str(out), f"--m={m}", f"--p={p}", f"--n={n}"]) == 3
+    assert capsys.readouterr().err == (
+        f"error: dims {m}x{p}x{n} need a {size} PiB tensor, "
+        "more than any 57-bit address space holds\n"
+    )
+    assert not out.exists()
+
+
 def test_experiment_negative_seed_is_config_error(tmp_path, capsys):
     out = tmp_path / "exp"
     argv = ["experiment", "--kind", "condition-vs-T", "--T", "3", "--seed", "-1"]

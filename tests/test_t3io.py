@@ -1,6 +1,9 @@
+import math
+from decimal import Decimal
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dynsamp import T3FormatError, Tensor3, dumps_t3, loads_t3, random_tensor, read_t3, write_t3
@@ -124,8 +127,64 @@ def test_fuzzed_text_raises_only_format_errors(header, lines):
         assert t.data.size == len([line for line in text.splitlines()[1:] if line.strip()])
 
 
+def _column(values) -> Tensor3:
+    return Tensor3(np.asarray(values, dtype=np.float64).reshape(-1, 1, 1))
+
+
+def _random_bits(count: int, seed: int) -> Tensor3:
+    """Finite float64 values from ``count`` random 64-bit patterns."""
+    values = np.random.default_rng(seed).integers(0, 1 << 64, count, dtype=np.uint64)
+    values = values.view(np.float64)
+    return _column(values[np.isfinite(values)])
+
+
+def _decimal_ties(seed: int) -> list[float]:
+    """Dyadic m / 2**j whose exact decimal has 19 significant digits, the last
+    a 5: ties for ``%.17e``, about half of them rounding down to an even digit."""
+    rng = np.random.default_rng(seed)
+    ties = []
+    for exponent in range(-7, 16):  # 1 <= m < 2**53 with j = 18 - exponent
+        j = 18 - exponent
+        for x in rng.uniform(10.0**exponent, 10.0 ** (exponent + 1), 40):
+            m = int(x * 2.0**j) | 1
+            value = math.ldexp(m, -j)
+            digits = Decimal(value).as_tuple().digits
+            if len(digits) == 19 and digits[-1] == 5:
+                ties.append(value)
+    return ties
+
+
+def _edge_values() -> Tensor3:
+    """Powers of ten with their neighbours, ties, integers and range ends."""
+    tens = np.array([float(f"1e{k}") for k in range(-323, 309)])
+    ends = np.array([1e-10, 2.0**49, 2.2250738585072014e-308, 5e-324, 1.7976931348623157e308])
+    near = np.concatenate([tens, ends])
+    integers = np.concatenate(
+        [2.0 ** np.arange(54), 2.0 ** np.arange(1, 54) - 1, 10.0 ** np.arange(16),
+         np.random.default_rng(3).integers(0, 1 << 53, 500)]
+    )
+    below_max = near[near < np.finfo(np.float64).max]
+    values = np.concatenate(
+        [near, np.nextafter(near, 0), np.nextafter(below_max, np.inf), integers,
+         _decimal_ties(4), [0.0]]
+    )
+    return _column(np.concatenate([values, -values]))
+
+
+def _past_one_chunk() -> Tensor3:
+    """More entries than the writer formats at once, with signs and zeros."""
+    rng = np.random.default_rng(6)
+    values = rng.standard_normal((41, 20, 11)) * 10.0 ** rng.integers(-12, 16, (41, 20, 11))
+    values[rng.random(values.shape) < 0.3] = 0.0
+    values[rng.random(values.shape) < 0.05] = -0.0
+    return Tensor3(values)
+
+
 @settings(max_examples=40, deadline=None)
 @given(_tensors())
+@example(_random_bits(100_000, seed=2))
+@example(_edge_values())
+@example(_past_one_chunk())
 def test_dumps_matches_oracle(t):
     assert dumps_t3(t) == dumps_t3_oracle(t)
 

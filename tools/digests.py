@@ -8,7 +8,8 @@ to this script:
 - ``dynsamp experiment`` on the default grid of each of the six kinds;
 - ``dynsamp simulate`` and then ``dynsamp reconstruct`` at the benchmark's
   dataset shapes (20x15x5 at alpha 0.5 and 0.3, 32x16x6 at alpha 0.3 with
-  sigma 1e-3) and at 8x3x5, with seeds 1 and 2.
+  sigma 1e-3) and at 8x3x5 (T=5, and T=20, whose observations grow to about
+  1e16 and so are written by the T3 writer's ``%`` path), with seeds 1 and 2.
 
 OUT_DIR must not exist.  Each output file gives one ``sha256  path`` line,
 path relative to OUT_DIR, in sorted order, so two commits or two values of
@@ -35,6 +36,7 @@ DATASETS = (
     (20, 15, 5, 5, 0.3, 0.0),
     (32, 16, 6, 5, 0.3, 1e-3),
     (8, 3, 5, 5, 0.5, 1e-3),
+    (8, 3, 5, 20, 0.5, 1e-3),
 )
 SEEDS = (1, 2)
 
@@ -51,7 +53,7 @@ def write_outputs(out: Path) -> None:
         run(["experiment", "--kind", kind, "--out", str(out / kind)])
     for m, p, n, T, alpha, sigma in DATASETS:
         for seed in SEEDS:
-            ds = out / f"{m}x{p}x{n}-a{alpha}-s{sigma}-seed{seed}"
+            ds = out / f"{m}x{p}x{n}-T{T}-a{alpha}-s{sigma}-seed{seed}"
             run(["simulate", "--out", str(ds), f"--m={m}", f"--p={p}", f"--n={n}",
                  f"--T={T}", f"--alpha={alpha}", f"--sigma={sigma}", f"--seed={seed}"])
             run(["reconstruct", str(ds)])
