@@ -9,7 +9,6 @@ with conditioning diagnostics along the way.
 from .tensor3 import (
     ShapeMismatchError,
     Tensor3,
-    fro_norm,
     random_tensor,
     rel_error,
     tprod,
@@ -28,7 +27,6 @@ from .dynsys import SampleData, evolve, load_sample_data, observe, save_sample_d
 from .reconstruct import (
     ReconstructionReport,
     UnrecoverableColumnError,
-    default_solver_tol,
     reconstruct,
     solve_column,
     system_condition,
@@ -39,7 +37,6 @@ __version__ = "0.1.0"
 __all__ = [
     "ShapeMismatchError",
     "Tensor3",
-    "fro_norm",
     "random_tensor",
     "rel_error",
     "tprod",
@@ -62,7 +59,6 @@ __all__ = [
     "save_sample_data",
     "ReconstructionReport",
     "UnrecoverableColumnError",
-    "default_solver_tol",
     "reconstruct",
     "solve_column",
     "system_condition",

@@ -17,7 +17,7 @@ import json
 import sys
 from pathlib import Path
 
-from .t3io import T3FormatError, atomic_write_text, read_t3, write_t3
+from .t3io import T3FormatError, read_t3, write_json, write_t3
 from .dynsys import SampleOverflowError, load_sample_data, save_sample_data
 from .reconstruct import UnrecoverableColumnError, reconstruct
 from .experiments import (
@@ -126,7 +126,7 @@ def cmd_simulate(args) -> int:
         "mask_seed": samples.mask.provenance["seed"],
         "noise_seed": samples.seed,
     }
-    atomic_write_text(out / "manifest.json", json.dumps(manifest, sort_keys=True, indent=2) + "\n")
+    write_json(out / "manifest.json", manifest)
     count = samples.mask.sample_count
     print(f"wrote dataset ({cfg.Ts[0]} observations, {count} samples) to {out}")
     return 0
@@ -167,10 +167,7 @@ def cmd_reconstruct(args) -> int:
     out = Path(args.out) if args.out else dataset
     out.mkdir(parents=True, exist_ok=True)
     write_t3(out / "estimate.t3", report.estimate)
-    atomic_write_text(
-        out / "report.json",
-        json.dumps(report.to_json_dict(), sort_keys=True, indent=2) + "\n",
-    )
+    write_json(out / "report.json", report.to_json_dict())
     if report.rel_error is not None:
         print(f"relative error: {report.rel_error:.6e}")
     if report.K is not None:

@@ -7,7 +7,6 @@ additive real Gaussian noise, drawn independently per time step.
 
 from __future__ import annotations
 
-import json
 import math
 from pathlib import Path
 
@@ -15,7 +14,7 @@ import numpy as np
 
 from .tensor3 import ShapeMismatchError, Tensor3, _tproducts
 from .sampling import SampleMask, load_mask, project, save_mask
-from .t3io import atomic_write_text, read_json_object, read_t3, write_t3
+from .t3io import read_json_object, read_t3, write_json, write_t3
 
 
 class SampleOverflowError(ValueError):
@@ -130,9 +129,7 @@ def save_sample_data(directory, samples: SampleData) -> None:
         "seed": samples.seed,
         "dims": [m, p, n],
     }
-    atomic_write_text(
-        directory / "meta.json", json.dumps(meta, sort_keys=True, indent=2) + "\n"
-    )
+    write_json(directory / "meta.json", meta)
 
 
 def _meta_number(meta: dict, key: str, path, kind):

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -29,7 +28,7 @@ from .sampling import bernoulli_mask, exclude_slab
 from .dynsys import evolve, observe
 from .reconstruct import _condition_sweep, reconstruct_batch
 from .svgplot import render_plot
-from .t3io import atomic_write_text
+from .t3io import atomic_write_text, write_json
 
 # Stream labels for seed derivation; see derive_seed.
 STREAM_OPERATOR, STREAM_SIGNAL, STREAM_MASK, STREAM_NOISE = 0, 1, 2, 3
@@ -197,8 +196,7 @@ def config_from_dict(raw: dict, keys=EXPERIMENT_KEYS) -> ExperimentConfig:
 @dataclass
 class ExperimentResult:
     kind: str
-    fieldnames: list[str]
-    rows: list[dict]
+    rows: list[dict]  # the first row's keys are the CSV columns, in order
 
 
 def _instance(cfg: ExperimentConfig):
@@ -262,7 +260,7 @@ def _recovery_vs_alpha(cfg: ExperimentConfig, threads: int) -> ExperimentResult:
         {"alpha": alpha, "mean_rel_err": float(e.mean()), "std_rel_err": float(e.std())}
         for alpha, e in zip(cfg.alphas, errs)
     ]
-    return ExperimentResult(cfg.kind, ["alpha", "mean_rel_err", "std_rel_err"], rows)
+    return ExperimentResult(cfg.kind, rows)
 
 
 def _pointwise_gap(cfg: ExperimentConfig, threads: int) -> ExperimentResult:
@@ -272,7 +270,7 @@ def _pointwise_gap(cfg: ExperimentConfig, threads: int) -> ExperimentResult:
     )[0]
     gaps = np.abs(report.estimate.data - f.data).ravel()
     rows = [{"index": i, "abs_gap": float(g)} for i, g in enumerate(gaps)]
-    return ExperimentResult(cfg.kind, ["index", "abs_gap"], rows)
+    return ExperimentResult(cfg.kind, rows)
 
 
 def _optimal_T(cfg: ExperimentConfig, threads: int) -> ExperimentResult:
@@ -289,7 +287,7 @@ def _optimal_T(cfg: ExperimentConfig, threads: int) -> ExperimentResult:
         {"T": T, "sigma": sigma, "mean_rel_err": float(e.mean())}
         for T, errs_T in zip(cfg.Ts, errs) for sigma, e in zip(cfg.sigmas, errs_T)
     ]
-    return ExperimentResult(cfg.kind, ["T", "sigma", "mean_rel_err"], rows)
+    return ExperimentResult(cfg.kind, rows)
 
 
 def _condition_vs_T(cfg: ExperimentConfig, threads: int) -> ExperimentResult:
@@ -297,7 +295,7 @@ def _condition_vs_T(cfg: ExperimentConfig, threads: int) -> ExperimentResult:
     mask = _mask(cfg, cfg.alphas[0])
     Ks = [K for _, K in _condition_sweep(a, mask, cfg.Ts, threads=threads)]
     rows = [{"T": T, "K": float(K)} for T, K in zip(cfg.Ts, Ks)]
-    return ExperimentResult(cfg.kind, ["T", "K"], rows)
+    return ExperimentResult(cfg.kind, rows)
 
 
 def _slab_errors(cfg: ExperimentConfig, slabs, threads: int) -> list[float]:
@@ -311,7 +309,7 @@ def _slab_errors(cfg: ExperimentConfig, slabs, threads: int) -> list[float]:
 def _conjecture_dim2(cfg: ExperimentConfig, threads: int) -> ExperimentResult:
     errs = _slab_errors(cfg, [(2, j, _noise(cfg, j)) for j in range(cfg.p)], threads)
     rows = [{"excluded_j": j, "rel_err": float(e)} for j, e in enumerate(errs)]
-    return ExperimentResult(cfg.kind, ["excluded_j", "rel_err"], rows)
+    return ExperimentResult(cfg.kind, rows)
 
 
 def _slab_dim1_dim3(cfg: ExperimentConfig, threads: int) -> ExperimentResult:
@@ -323,7 +321,7 @@ def _slab_dim1_dim3(cfg: ExperimentConfig, threads: int) -> ExperimentResult:
         {"mode": mode, "excluded_index": index, "rel_err": float(e)}
         for (mode, index), e in zip(slabs, errs)
     ]
-    return ExperimentResult(cfg.kind, ["mode", "excluded_index", "rel_err"], rows)
+    return ExperimentResult(cfg.kind, rows)
 
 
 _RUNNERS = {
@@ -429,13 +427,14 @@ def write_experiment(cfg: ExperimentConfig, threads: int = 1) -> dict:
     csv_path = out_dir / f"{cfg.kind}.csv"
     svg_path = out_dir / f"{cfg.kind}.svg"
     manifest_path = out_dir / "manifest.json"
-    atomic_write_text(csv_path, rows_to_csv_text(result.fieldnames, result.rows))
+    columns = list(result.rows[0])
+    atomic_write_text(csv_path, rows_to_csv_text(columns, result.rows))
     manifest = {
         "kind": cfg.kind, "m": cfg.m, "p": cfg.p, "n": cfg.n,
         "T": cfg.Ts, "alpha": cfg.alphas, "sigma": cfg.sigmas,
         "trials": cfg.trials, "seed": cfg.seed, **instance_seeds(cfg),
-        "csv": csv_path.name, "svg": svg_path.name, "columns": result.fieldnames,
+        "csv": csv_path.name, "svg": svg_path.name, "columns": columns,
     }
-    atomic_write_text(manifest_path, json.dumps(manifest, sort_keys=True, indent=2) + "\n")
+    write_json(manifest_path, manifest)
     plot_from_csv(cfg.kind, csv_path, svg_path)
     return {"manifest": manifest_path, "csv": csv_path, "svg": svg_path}

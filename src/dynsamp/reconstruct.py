@@ -100,7 +100,7 @@ class ReconstructionReport:
         return out
 
 
-def default_solver_tol(shape) -> float:
+def _default_tol(shape) -> float:
     """Relative singular-value cutoff: max(rows, cols) * machine epsilon."""
     return max(int(shape[0]), int(shape[1])) * _EPS
 
@@ -156,21 +156,17 @@ def _column_rhs(samples: SampleData, selectors) -> list[np.ndarray]:
     return [o[:, sel].ravel() for o, sel in zip(obs, selectors)]
 
 
-def _column_system(stack: np.ndarray, T: int, sel, j: int, rhs) -> ColumnSystem:
-    """Column ``j``'s system: the rows ``sel`` picks from the first T powers."""
-    return ColumnSystem(j=j, matrix=stack[:T, sel, :].reshape(-1, stack.shape[2]), rhs=rhs)
-
-
 def assemble_column_system(
     a: Tensor3, mask: SampleMask, samples: SampleData, j: int
 ) -> ColumnSystem:
     """Build the stacked system for column ``j`` from operator, mask, samples."""
     _check_problem(a, mask, samples)
-    p = mask.dims[1]
+    m, p, n = mask.dims
     if not 0 <= j < p:
         raise IndexError(f"column {j} out of range for {p} columns")
     T, sels = samples.horizon, _selectors(mask)
-    return _column_system(_power_stack(a, T), T, sels[j], j, _column_rhs(samples, sels)[j])
+    matrix = _power_stack(a, T)[:, sels[j], :].reshape(-1, m * n)
+    return ColumnSystem(j=j, matrix=matrix, rhs=_column_rhs(samples, sels)[j])
 
 
 # -- solving -------------------------------------------------------------------
@@ -242,7 +238,7 @@ def _solve_stack(A: np.ndarray, mn: int, tol=None, kappa: bool = True):
     g, rows, _ = A.shape
     M, B = A[:, :, :mn], A[:, :, mn:]
     k = B.shape[2]
-    rel = default_solver_tol((rows, mn)) if tol is None else float(tol)
+    rel = _default_tol((rows, mn)) if tol is None else float(tol)
     Rm = M
     if k:
         exp = _exponents(B, axis=1)
@@ -287,7 +283,7 @@ def solve_column(system: ColumnSystem, tol: float | None = None):
     """Minimum-norm least-squares solution of one column system.
 
     Returns ``(x, rank, kappa, residual)``: rank counts singular values above
-    ``tol * sigma_max`` (``tol`` in (0, 1), default ``default_solver_tol``),
+    ``tol * sigma_max`` (``tol`` in (0, 1), default ``_default_tol``),
     kappa is the ratio of the largest kept singular value to the smallest,
     and residual is ``||M x - b||_2``.  A (rows, k) ``rhs`` holds k
     right-hand sides that share the matrix: ``x`` is then (m*n, k) and

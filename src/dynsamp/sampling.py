@@ -9,13 +9,12 @@ sidecar metadata alone.
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 
 import numpy as np
 
 from .tensor3 import ShapeMismatchError, Tensor3
-from .t3io import T3FormatError, atomic_write_text, read_json_object, read_t3, write_t3
+from .t3io import T3FormatError, read_json_object, read_t3, write_json, write_t3
 
 
 class SampleMask:
@@ -140,10 +139,7 @@ def save_mask(path, mask: SampleMask) -> None:
     """Write ``<path>`` as T3 v1 (0/1 entries) plus a ``.json`` provenance sidecar."""
     path = Path(path)
     write_t3(path, mask.as_tensor())
-    sidecar = path.with_suffix(path.suffix + ".json")
-    atomic_write_text(
-        sidecar, json.dumps(mask.provenance, sort_keys=True, indent=2) + "\n"
-    )
+    write_json(path.with_suffix(path.suffix + ".json"), mask.provenance)
 
 
 def load_mask(path) -> SampleMask:

@@ -63,15 +63,15 @@ def render_plot(
     axis is decimal-log scaled and nonpositive values are clamped to a small
     floor so failed/zero entries stay visible at the bottom of the plot.
     """
-    pts = []
-    for _, xs, ys in series:
-        for x, y in zip(xs, ys):
-            yy = math.log10(max(float(y), _LOG_FLOOR)) if logy else float(y)
-            pts.append((float(x), yy))
+    plotted = [  # (label, points) with each point's y on the axis scale
+        (label, [(float(x), math.log10(max(float(y), _LOG_FLOOR)) if logy else float(y))
+                 for x, y in zip(xs, ys)])
+        for label, xs, ys in series
+    ]
+    pts = [pt for _, points in plotted for pt in points]
     if not pts:
         raise ValueError("nothing to plot")
-    xs_all = [p[0] for p in pts]
-    ys_all = [p[1] for p in pts]
+    xs_all, ys_all = zip(*pts)
     x_lo, x_hi = min(xs_all), max(xs_all)
     y_lo, y_hi = min(ys_all), max(ys_all)
     if x_hi == x_lo:
@@ -140,12 +140,9 @@ def render_plot(
         f'transform="rotate(-90 20 {_MT + plot_h / 2:.1f})">{ylabel}</text>'
     )
 
-    for idx, (label, xs, ys) in enumerate(series):
+    for idx, (label, points) in enumerate(plotted):
         color = _PALETTE[idx % len(_PALETTE)]
-        coords = []
-        for x, y in zip(xs, ys):
-            yy = math.log10(max(float(y), _LOG_FLOOR)) if logy else float(y)
-            coords.append((sx(float(x)), sy(yy)))
+        coords = [(sx(x), sy(y)) for x, y in points]
         if not scatter and len(coords) > 1:
             path = " ".join(f"{_fmt(cx)},{_fmt(cy)}" for cx, cy in coords)
             out.append(

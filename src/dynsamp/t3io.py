@@ -58,6 +58,11 @@ def atomic_write_text(path, text: str) -> None:
         raise
 
 
+def write_json(path, obj) -> None:
+    """Write ``obj`` as JSON, keys sorted, two-space indent, final newline, atomically."""
+    atomic_write_text(path, json.dumps(obj, sort_keys=True, indent=2) + "\n")
+
+
 def _read_ascii(path) -> str:
     """File text; a non-ASCII byte is a ``T3FormatError`` naming file and line."""
     try:

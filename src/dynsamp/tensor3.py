@@ -110,11 +110,6 @@ def _norm2(x: np.ndarray, axis=None):
     return norm.item() if axis is None else norm.squeeze(axis)
 
 
-def fro_norm(t: Tensor3) -> float:
-    """Frobenius norm."""
-    return _norm2(t.data)
-
-
 def rel_error(x: Tensor3, f: Tensor3) -> float:
     """||x - f||_F / ||f||_F; rejects a zero-norm reference.
 
