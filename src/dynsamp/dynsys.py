@@ -67,7 +67,9 @@ def evolve(a: Tensor3, f: Tensor3, T: int) -> list[Tensor3]:
     """Trajectory [f, a*f, a^2*f, ...] of length T under the t-product.
 
     Element 0 is ``f`` itself.  Later steps are computed incrementally in the
-    frequency domain (one slice-wise product per step).
+    frequency domain (one slice-wise product per step).  The first step that
+    is not finite in float64 raises ``SampleOverflowError`` naming it, before
+    any later step is computed.
     """
     ma, pa, na = a.dims
     mf, pf, nf = f.dims
@@ -80,10 +82,13 @@ def evolve(a: Tensor3, f: Tensor3, T: int) -> list[Tensor3]:
     T = int(T)
     if T < 1:
         raise ValueError(f"T must be >= 1, got {T}")
-    # A trajectory that outgrows float64 holds inf or nan; observe reports it.
-    with np.errstate(over="ignore", invalid="ignore"):
-        steps = _tproducts(a.data, f.data, T - 1)
-    return [f] + [Tensor3(x, copy=False) for x in steps]
+    trajectory = [f]
+    with np.errstate(over="ignore", invalid="ignore"):  # checked step by step
+        for t, x in enumerate(_tproducts(a.data, f.data, T - 1), start=1):
+            if not np.isfinite(x).all():
+                raise SampleOverflowError(f"step {t}: the signal overflows float64")
+            trajectory.append(Tensor3(x, copy=False))
+    return trajectory
 
 
 def observe(trajectory, mask: SampleMask, sigma: float, seed: int) -> SampleData:

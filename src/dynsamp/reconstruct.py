@@ -127,19 +127,21 @@ def _power_stack(a: Tensor3, T: int) -> np.ndarray:
     Row r = i + m*k of each power produces entry (i, k) of a column.  The
     stack at horizon T is a prefix of the stack at any longer horizon, bit
     for bit, because ``evolve`` computes each step from the one before.
-    Powers that overflow float64 raise ``SampleOverflowError``.
+    Powers that overflow float64 raise ``SampleOverflowError`` at the first
+    such step.
     """
     m, _, n = a.dims
     mn = m * n
     # Lateral slice q of the basis slab is the unit (m, n) slab with a one at
     # vec index q = i + m*k, so evolving it yields the columns of bcirc(A)^t.
     basis = Tensor3(np.eye(mn).reshape(n, m, mn).transpose(1, 2, 0))
-    stack = np.stack(
-        [s.data.transpose(2, 0, 1).reshape(mn, mn) for s in evolve(a, basis, T)]
-    )
-    if not np.isfinite(stack).all():
-        raise SampleOverflowError(f"the powers of the operator overflow float64 by T={T}")
-    return stack
+    try:
+        powers = evolve(a, basis, T)
+    except SampleOverflowError:
+        raise SampleOverflowError(
+            f"the powers of the operator overflow float64 by T={T}"
+        ) from None
+    return np.stack([s.data.transpose(2, 0, 1).reshape(mn, mn) for s in powers])
 
 
 def _selectors(mask: SampleMask) -> np.ndarray:

@@ -59,8 +59,9 @@ class Tensor3:
 # -- the t-product -----------------------------------------------------------
 
 
-def _tproducts(a: np.ndarray, b: np.ndarray, steps: int) -> list[np.ndarray]:
-    """The ``steps`` arrays a*b, a*(a*b), ... of repeated t-products.
+def _tproducts(a: np.ndarray, b: np.ndarray, steps: int):
+    """Yield the ``steps`` arrays a*b, a*(a*b), ... of repeated t-products,
+    one at a time.
 
     ``a`` is (m, p, n) and ``b`` is (p, q, n), both float64; for ``steps`` > 1,
     ``a`` is square.  Each product is one matrix product per slice of the
@@ -69,11 +70,9 @@ def _tproducts(a: np.ndarray, b: np.ndarray, steps: int) -> list[np.ndarray]:
     n = a.shape[2]
     ahat = np.fft.rfft(a, axis=2).transpose(2, 0, 1)
     cur = np.fft.rfft(b, axis=2).transpose(2, 0, 1)
-    out = []
     for _ in range(steps):
         cur = ahat @ cur
-        out.append(np.fft.irfft(cur, n=n, axis=0).transpose(1, 2, 0))
-    return out
+        yield np.fft.irfft(cur, n=n, axis=0).transpose(1, 2, 0)
 
 
 def tprod(a: Tensor3, b: Tensor3) -> Tensor3:
@@ -84,7 +83,7 @@ def tprod(a: Tensor3, b: Tensor3) -> Tensor3:
         raise ShapeMismatchError(
             f"tprod needs (m,p,n)x(p,q,n), got {a.dims} and {b.dims}"
         )
-    return Tensor3(_tproducts(a.data, b.data, 1)[0], copy=False)
+    return Tensor3(next(_tproducts(a.data, b.data, 1)), copy=False)
 
 
 # -- norms and errors --------------------------------------------------------

@@ -2,7 +2,11 @@ import contextlib
 import functools
 import hashlib
 import json
+import os
 import re
+import resource
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -498,6 +502,43 @@ def test_experiment_overflow_is_config_error(tmp_path, capsys, kind, case, messa
     argv = ["experiment", "--kind", kind, "--trials", "1", "--out", str(out)]
     assert main(argv + SMALL + flags) == 3
     assert re.fullmatch(f"error: {message or step_message}\n", capsys.readouterr().err)
+    assert not out.exists()
+
+
+def run_capped(argv, cwd) -> subprocess.CompletedProcess:
+    """``python -m dynsamp.cli argv`` in a child whose address space is capped
+    at 1.5 GiB, with one OpenBLAS thread so that per-thread buffers do not
+    count against the cap on a many-core host."""
+    cap = 3 * 2**29
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS="1")
+    return subprocess.run(
+        [sys.executable, "-m", "dynsamp.cli", *argv], cwd=cwd, env=env,
+        capture_output=True, text=True, preexec_fn=limit, timeout=300,
+    )
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["simulate"], r"step \d+: the signal overflows float64"),
+        (["experiment", "--kind", "condition-vs-T"],
+         "the powers of the operator overflow float64 by T=200000"),
+    ],
+)
+def test_huge_horizon_fails_at_the_overflowing_step_under_a_memory_cap(tmp_path, argv, message):
+    # Keeping all 200,000 steps of a 20x15x5 trajectory (or the 100x100 powers
+    # of its operator) takes gigabytes; the signal overflows within a few
+    # hundred steps, where the command stops.
+    out = tmp_path / "huge"
+    proc = run_capped(argv + ["--out", str(out), "--T", "200000"], tmp_path)
+    assert proc.returncode == 3, proc.stderr
+    assert re.fullmatch(f"error: {message}\n", proc.stderr)
     assert not out.exists()
 
 

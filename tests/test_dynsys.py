@@ -17,6 +17,7 @@ from dynsamp import (
     save_sample_data,
     tprod,
 )
+from dynsamp.dynsys import SampleOverflowError
 from dynsamp.tensor3 import ShapeMismatchError
 
 from oracles import bcirc_oracle, identity_tensor
@@ -89,6 +90,16 @@ def test_evolve_validates_shapes_and_horizon():
         evolve(a, random_tensor(5, 3, 2, 1), 2)
     with pytest.raises(ValueError):
         evolve(a, f, 0)
+
+
+def test_evolve_raises_at_the_first_step_that_overflows():
+    # 2^400 times the identity: step t is 2^(400 t) f, finite up to t = 2
+    a = Tensor3(np.ldexp(identity_tensor(4, 2).data, 400))
+    f = random_tensor(4, 3, 2, 102)
+    step2 = np.ldexp(evolve(a, f, 3)[2].data, -800)
+    assert np.allclose(step2, f.data, rtol=1e-12, atol=1e-12)
+    with pytest.raises(SampleOverflowError, match=r"^step 3: the signal overflows float64$"):
+        evolve(a, f, 10_000)
 
 
 def test_observe_noiseless_full_mask():
