@@ -1,4 +1,5 @@
 import importlib
+import itertools
 import json
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from dynsamp import (
     SampleData,
+    SampleMask,
     Tensor3,
     UnrecoverableColumnError,
     bernoulli_mask,
@@ -281,6 +283,38 @@ def test_each_stack_member_matches_a_lone_solve_bit_for_bit(
     assert len(members) == g and all(fits)
     for i, got in enumerate(members):
         _assert_same_solution(got, solve_column(ColumnSystem(i, A[i, :, :mn], A[i, :, mn:])))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    m=st.integers(2, 4),
+    p=st.integers(1, 5),
+    n=st.integers(3, 4),
+    T=st.integers(1, 4),
+    share=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_assembled_column_solve_matches_reconstruct_bit_for_bit(m, p, n, T, share, seed):
+    """With every column's sample pattern distinct, and all of one size so
+    that ``reconstruct`` solves them as one stack, ``solve_column`` on a
+    column's ``assemble_column_system`` gives the bits of that column of
+    ``reconstruct``: x, rank, kappa and residual."""
+    mn = m * n
+    rng = np.random.default_rng(seed)
+    combos = list(itertools.combinations(range(mn), 1 + round(share * (mn - 2))))
+    indicator = np.zeros((m, p, n), dtype=bool)
+    for j, c in enumerate(rng.choice(len(combos), p, replace=False)):
+        col = np.zeros(mn, dtype=bool)
+        col[list(combos[c])] = True
+        indicator[:, j, :] = col.reshape(n, m).T  # vec index i + m*k
+    mask = SampleMask(indicator)
+    a, f = random_tensor(m, m, n, seed), random_tensor(m, p, n, seed + 1)
+    samples = observe(evolve(a, f, T), mask, 1e-3, seed + 2)
+    report = reconstruct(a, mask, samples)
+    for j in range(p):
+        x, rank, kappa, residual = solve_column(assemble_column_system(a, mask, samples, j))
+        assert x.tobytes() == report.estimate.data[:, j, :].ravel(order="F").tobytes()
+        assert (rank, kappa, residual) == (report.ranks[j], report.kappa[j], report.residuals[j])
 
 
 @settings(max_examples=60, deadline=None)
