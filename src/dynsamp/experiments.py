@@ -6,7 +6,8 @@ randomness from the base seed with a documented rule.  A row regenerates
 bit for bit from ``SEED_RULE`` with its batch (every sigma and trial of one
 ``optimal-T`` horizon, every trial of one ``recovery-vs-alpha`` alpha, all
 units of a slab kind), and to within roundoff with a lone ``reconstruct``
-(2.5e-3 relative at sigma=1e-3 and K near 1e10 on the default grids).
+(at most 4.2e-7 relative at sigma=1e-3, where K nears 1e10, on the
+default grids).
 Identical configurations produce byte-identical outputs for any thread
 count.
 """

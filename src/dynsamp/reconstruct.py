@@ -11,8 +11,8 @@ and every sample (t, i, k) of column j contributes the row of bcirc(A)^t
 that produces entry (i, k) of the column at step t.  The stack of powers
 bcirc(A)^0, ..., bcirc(A)^(T-1) is computed once per call by evolving the
 m*n unit-basis slab to the longest horizon; column j's matrix is the subset
-of its rows that the mask selects, and its right-hand side is the observed
-values at the same entries, in the same order.  Columns with the same
+of its rows that the mask selects, latest step first, and its right-hand
+side is the observed values at the same entries, in the same order.  Columns with the same
 horizon and sample pattern share their matrix, so ``reconstruct_batch`` and
 ``system_condition`` solve each distinct matrix of a call once: with the
 right-hand sides of all its columns, across the problems of the call, or
@@ -54,7 +54,8 @@ class ColumnSystem:
     """Stacked least-squares system for one second-mode column.
 
     ``matrix`` is (T*s, m*n) and ``rhs`` has length T*s, where s is the
-    number of samples the mask places in column ``j``.  A (T*s, k) ``rhs``
+    number of samples the mask places in column ``j``; rows run over the
+    steps T-1 down to 0, each step's samples in order of r = i + m*k.  A (T*s, k) ``rhs``
     holds the right-hand sides of k columns with the same sample pattern,
     ``j`` the first of them.
     """
@@ -151,11 +152,13 @@ def _selectors(mask: SampleMask) -> np.ndarray:
 
 
 def _column_rhs(samples: SampleData, selectors) -> list[np.ndarray]:
-    """Each column's observed values at the rows its selector picks, in system row order."""
+    """Each column's observed values at the rows its selector picks, in system
+    row order: latest step first."""
     m, p, n = samples.mask.dims
+    T = samples.horizon
     obs = np.stack([o.data for o in samples.observations])
-    obs = obs.transpose(2, 0, 3, 1).reshape(p, samples.horizon, m * n)
-    return [o[:, sel].ravel() for o, sel in zip(obs, selectors)]
+    obs = obs.transpose(2, 0, 3, 1).reshape(p, T, m * n)
+    return [o[T - 1::-1, sel].ravel() for o, sel in zip(obs, selectors)]
 
 
 def assemble_column_system(
@@ -167,7 +170,7 @@ def assemble_column_system(
     if not 0 <= j < p:
         raise IndexError(f"column {j} out of range for {p} columns")
     T, sels = samples.horizon, _selectors(mask)
-    matrix = _power_stack(a, T)[:, sels[j], :].reshape(-1, m * n)
+    matrix = _power_stack(a, T)[T - 1::-1, sels[j], :].reshape(-1, m * n)
     return ColumnSystem(j=j, matrix=matrix, rhs=_column_rhs(samples, sels)[j])
 
 
@@ -300,7 +303,10 @@ def solve_column(system: ColumnSystem, tol: float | None = None):
     the residual scale exactly with the data.  An all-zero ``M`` (an
     unsampled column) raises ``UnrecoverableColumnError``; a solution or
     residual norm that does not fit in float64, ``SampleOverflowError``.
-    This is the one-system case of ``_solve_stack``, which solves the column
+    The column systems that ``assemble_column_system`` and ``reconstruct``
+    build put the latest step's rows first, so where the powers of the
+    operator grow, the QR meets the largest rows first (Cox & Higham, BIT 38
+    (1998)).  This is the one-system case of ``_solve_stack``, which solves the column
     systems of ``reconstruct_batch`` and ``system_condition`` in stacks.
     """
     _check_tol(tol)
@@ -344,7 +350,7 @@ def _solve_groups(a: Tensor3, groups: dict, tol, threads: int, kappa: bool = Tru
         A = np.empty((len(idx), T, s, mn + k))
         for g, i in enumerate(idx):
             sel, _, cols = entries[i]
-            A[g, :, :, :mn] = stack[:T, sel]
+            A[g, :, :, :mn] = stack[T - 1::-1, sel]
             if k:
                 A[g, :, :, mn:] = np.reshape(cols, (k, T, s)).transpose(1, 2, 0)
         return _solve_stack(A.reshape(len(idx), T * s, mn + k), mn, tol, kappa)
