@@ -12,13 +12,14 @@ that produces entry (i, k) of the column at step t.  The stack of powers
 bcirc(A)^0, ..., bcirc(A)^(T-1) is computed once per call by evolving the
 m*n unit-basis slab to the longest horizon; column j's matrix is the subset
 of its rows that the mask selects, latest step first, and its right-hand
-side is the observed values at the same entries, in the same order.  Columns with the same
-horizon and sample pattern share their matrix, so ``reconstruct_batch`` and
-``system_condition`` solve each distinct matrix of a call once: with the
-right-hand sides of all its columns, across the problems of the call, or
-with none for the condition number alone.  Distinct matrices of one shape
-are solved as one stack, each LAPACK routine called once per stack, with
-the bits that ``solve_column`` gives each matrix alone.
+side is the observed values at the same entries, in the same order.
+Columns with the same horizon and sample pattern share their matrix, so
+``reconstruct_batch`` and ``system_condition`` solve each distinct matrix
+of a call once: with the right-hand sides of all its columns, across the
+problems of the call, or with none for the condition number alone.
+Distinct matrices of one shape are solved as one stack, each LAPACK routine
+called once per stack, with the bits that ``solve_column`` gives each
+matrix alone.
 
 Columns with no samples yield an empty system and cannot be recovered; they
 raise ``UnrecoverableColumnError`` unless the caller asks for a partial
@@ -55,9 +56,9 @@ class ColumnSystem:
 
     ``matrix`` is (T*s, m*n) and ``rhs`` has length T*s, where s is the
     number of samples the mask places in column ``j``; rows run over the
-    steps T-1 down to 0, each step's samples in order of r = i + m*k.  A (T*s, k) ``rhs``
-    holds the right-hand sides of k columns with the same sample pattern,
-    ``j`` the first of them.
+    steps T-1 down to 0, each step's samples in order of r = i + m*k.  A
+    (T*s, k) ``rhs`` holds the right-hand sides of k columns with the same
+    sample pattern, ``j`` the first of them.
     """
 
     j: int
@@ -306,8 +307,9 @@ def solve_column(system: ColumnSystem, tol: float | None = None):
     The column systems that ``assemble_column_system`` and ``reconstruct``
     build put the latest step's rows first, so where the powers of the
     operator grow, the QR meets the largest rows first (Cox & Higham, BIT 38
-    (1998)).  This is the one-system case of ``_solve_stack``, which solves the column
-    systems of ``reconstruct_batch`` and ``system_condition`` in stacks.
+    (1998)).  This is the one-system case of ``_solve_stack``, which solves
+    the column systems of ``reconstruct_batch`` and ``system_condition`` in
+    stacks.
     """
     _check_tol(tol)
     M, b = system.matrix, system.rhs
