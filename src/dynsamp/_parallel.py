@@ -62,16 +62,16 @@ def _single_threaded_blas():
                 put(_saved_threads)
 
 
-def resolve_threads(requested: int | None = None) -> int:
-    """Thread budget: requested count (or cpu count), capped by DYNSAMP_THREADS."""
-    threads = requested if requested else (os.cpu_count() or 1)
+def resolve_threads() -> int:
+    """Thread budget: the cpu count, capped by DYNSAMP_THREADS."""
+    threads = os.cpu_count() or 1
     cap = os.environ.get("DYNSAMP_THREADS")
     if cap is not None:
         try:
             threads = min(threads, max(1, int(cap)))
         except ValueError:
             raise ValueError(f"DYNSAMP_THREADS must be an integer, got {cap!r}") from None
-    return max(1, threads)
+    return threads
 
 
 def pmap(fn, items, threads: int = 1) -> list:

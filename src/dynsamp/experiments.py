@@ -87,7 +87,8 @@ class ExperimentConfig:
             raise ConfigError(f"trials must be >= 1, got {self.trials}")
         if self.seed < 0:
             raise ConfigError(f"seed must be nonnegative, got {self.seed}")
-        for name, grid in (("T", self.Ts), ("alpha", self.alphas), ("sigma", self.sigmas)):
+        grids = (("T", self.Ts), ("alpha", self.alphas), ("sigma", self.sigmas))
+        for name, grid in grids:
             if not grid:
                 raise ConfigError(f"{name} grid must be nonempty")
         if any(t < 1 for t in self.Ts):
@@ -96,25 +97,10 @@ class ExperimentConfig:
             raise ConfigError(f"alpha values must lie in [0, 1], got {self.alphas}")
         if any(s < 0.0 for s in self.sigmas):
             raise ConfigError(f"sigma values must be nonnegative, got {self.sigmas}")
-        if self.kind not in ("optimal-T", "condition-vs-T") and len(self.Ts) != 1:
-            raise ConfigError(f"{self.kind} needs a single T, got {self.Ts}")
-        if self.kind != "recovery-vs-alpha" and len(self.alphas) != 1:
-            raise ConfigError(f"{self.kind} needs a single alpha, got {self.alphas}")
-        if self.kind != "optimal-T" and len(self.sigmas) != 1:
-            raise ConfigError(f"{self.kind} needs a single sigma, got {self.sigmas}")
-
-
-_KIND_DEFAULTS = {
-    "recovery-vs-alpha": {"alphas": lambda: [round(0.05 * i, 2) for i in range(1, 21)]},
-    "optimal-T": {
-        "Ts": lambda: list(range(1, 16)),
-        "sigmas": lambda: [0.0, 1e-4, 1e-3, 1e-2],
-    },
-    "condition-vs-T": {"Ts": lambda: list(range(1, 16)), "trials": lambda: 1},
-    "pointwise-gap": {"trials": lambda: 1},
-    "conjecture-dim2": {"alphas": lambda: [1.0]},
-    "slab-dim1-dim3": {"alphas": lambda: [0.5]},
-}
+        several = _KINDS[self.kind].grids if self.kind in _KINDS else ()
+        for name, grid in grids:
+            if name not in several and len(grid) != 1:
+                raise ConfigError(f"{self.kind} needs a single {name}, got {grid}")
 
 
 def as_int(value) -> int:
@@ -182,7 +168,8 @@ def config_from_dict(raw: dict, keys=EXPERIMENT_KEYS) -> ExperimentConfig:
             raise ConfigError("config needs a 'kind' field")
         _check_kind(raw["kind"])
     cfg = ExperimentConfig(kind=raw.get("kind", "simulate"))
-    for name, source in _KIND_DEFAULTS.get(cfg.kind, {}).items():
+    defaults = _KINDS[cfg.kind].defaults if cfg.kind in _KINDS else {}
+    for name, source in defaults.items():
         setattr(cfg, name, source())
     for key, (name, cast, _) in _CONFIG_KEYS.items():
         if key in raw:
@@ -192,12 +179,6 @@ def config_from_dict(raw: dict, keys=EXPERIMENT_KEYS) -> ExperimentConfig:
 
 
 # -- runners -------------------------------------------------------------------
-
-
-@dataclass
-class ExperimentResult:
-    kind: str
-    rows: list[dict]  # the first row's keys are the CSV columns, in order
 
 
 def _instance(cfg: ExperimentConfig):
@@ -242,7 +223,7 @@ def _rel_errors(cfg: ExperimentConfig, batches, threads: int) -> list[float]:
     traj = evolve(a, f, max(T for T, _ in batches))
     errors = []
     for T, units in batches:
-        problems = ((mask, observe(traj[:T], mask, sigma, seed)) for mask, sigma, seed in units)
+        problems = (observe(traj[:T], mask, sigma, seed) for mask, sigma, seed in units)
         reports = reconstruct_batch(
             a, problems, allow_partial=True, ground_truth=f, threads=threads, kappa=False
         )
@@ -250,31 +231,27 @@ def _rel_errors(cfg: ExperimentConfig, batches, threads: int) -> list[float]:
     return errors
 
 
-def _recovery_vs_alpha(cfg: ExperimentConfig, threads: int) -> ExperimentResult:
+def _recovery_vs_alpha(cfg: ExperimentConfig, threads: int) -> list[dict]:
     batches = [
         (cfg.Ts[0], [(_mask(cfg, alpha, g, r), cfg.sigmas[0], _noise(cfg, g, r))
                      for r in range(cfg.trials)])
         for g, alpha in enumerate(cfg.alphas)
     ]
     errs = np.reshape(_rel_errors(cfg, batches, threads), (-1, cfg.trials))
-    rows = [
+    return [
         {"alpha": alpha, "mean_rel_err": float(e.mean()), "std_rel_err": float(e.std())}
         for alpha, e in zip(cfg.alphas, errs)
     ]
-    return ExperimentResult(cfg.kind, rows)
 
 
-def _pointwise_gap(cfg: ExperimentConfig, threads: int) -> ExperimentResult:
+def _pointwise_gap(cfg: ExperimentConfig, threads: int) -> list[dict]:
     a, f, samples = draw_point(cfg)
-    report = reconstruct_batch(
-        a, [(samples.mask, samples)], allow_partial=True, threads=threads, kappa=False
-    )[0]
+    report = reconstruct_batch(a, [samples], allow_partial=True, threads=threads, kappa=False)[0]
     gaps = np.abs(report.estimate.data - f.data).ravel()
-    rows = [{"index": i, "abs_gap": float(g)} for i, g in enumerate(gaps)]
-    return ExperimentResult(cfg.kind, rows)
+    return [{"index": i, "abs_gap": float(g)} for i, g in enumerate(gaps)]
 
 
-def _optimal_T(cfg: ExperimentConfig, threads: int) -> ExperimentResult:
+def _optimal_T(cfg: ExperimentConfig, threads: int) -> list[dict]:
     # masks are shared across T and sigma so the horizon is the only
     # thing that changes along a curve; noise streams differ per sigma
     masks = [_mask(cfg, cfg.alphas[0], 0, r) for r in range(cfg.trials)]
@@ -284,19 +261,17 @@ def _optimal_T(cfg: ExperimentConfig, threads: int) -> ExperimentResult:
         for T in cfg.Ts
     ]
     errs = np.reshape(_rel_errors(cfg, batches, threads), (len(cfg.Ts), len(cfg.sigmas), -1))
-    rows = [
+    return [
         {"T": T, "sigma": sigma, "mean_rel_err": float(e.mean())}
         for T, errs_T in zip(cfg.Ts, errs) for sigma, e in zip(cfg.sigmas, errs_T)
     ]
-    return ExperimentResult(cfg.kind, rows)
 
 
-def _condition_vs_T(cfg: ExperimentConfig, threads: int) -> ExperimentResult:
+def _condition_vs_T(cfg: ExperimentConfig, threads: int) -> list[dict]:
     a, _ = _instance(cfg)
     mask = _mask(cfg, cfg.alphas[0])
     Ks = [K for _, K in _condition_sweep(a, mask, cfg.Ts, threads=threads)]
-    rows = [{"T": T, "K": float(K)} for T, K in zip(cfg.Ts, Ks)]
-    return ExperimentResult(cfg.kind, rows)
+    return [{"T": T, "K": float(K)} for T, K in zip(cfg.Ts, Ks)]
 
 
 def _slab_errors(cfg: ExperimentConfig, slabs, threads: int) -> list[float]:
@@ -307,52 +282,20 @@ def _slab_errors(cfg: ExperimentConfig, slabs, threads: int) -> list[float]:
     return _rel_errors(cfg, [(cfg.Ts[0], units)], threads)
 
 
-def _conjecture_dim2(cfg: ExperimentConfig, threads: int) -> ExperimentResult:
+def _conjecture_dim2(cfg: ExperimentConfig, threads: int) -> list[dict]:
     errs = _slab_errors(cfg, [(2, j, _noise(cfg, j)) for j in range(cfg.p)], threads)
-    rows = [{"excluded_j": j, "rel_err": float(e)} for j, e in enumerate(errs)]
-    return ExperimentResult(cfg.kind, rows)
+    return [{"excluded_j": j, "rel_err": float(e)} for j, e in enumerate(errs)]
 
 
-def _slab_dim1_dim3(cfg: ExperimentConfig, threads: int) -> ExperimentResult:
+def _slab_dim1_dim3(cfg: ExperimentConfig, threads: int) -> list[dict]:
     slabs = [(1, i) for i in range(cfg.m)] + [(3, k) for k in range(cfg.n)]
     errs = _slab_errors(
         cfg, [(mode, index, _noise(cfg, mode, index)) for mode, index in slabs], threads
     )
-    rows = [
+    return [
         {"mode": mode, "excluded_index": index, "rel_err": float(e)}
         for (mode, index), e in zip(slabs, errs)
     ]
-    return ExperimentResult(cfg.kind, rows)
-
-
-_RUNNERS = {
-    "recovery-vs-alpha": _recovery_vs_alpha,
-    "pointwise-gap": _pointwise_gap,
-    "optimal-T": _optimal_T,
-    "condition-vs-T": _condition_vs_T,
-    "conjecture-dim2": _conjecture_dim2,
-    "slab-dim1-dim3": _slab_dim1_dim3,
-}
-EXPERIMENT_KINDS = tuple(_RUNNERS)
-
-
-def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> ExperimentResult:
-    """Compute the rows for one experiment kind; pure apart from the RNG seeds."""
-    _check_kind(cfg.kind)
-    cfg.validate()
-    return _RUNNERS[cfg.kind](cfg, threads)
-
-
-# -- CSV / SVG / manifest --------------------------------------------------------
-
-
-def rows_to_csv_text(fieldnames: list[str], rows: list[dict]) -> str:
-    buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=fieldnames, lineterminator="\n")
-    writer.writeheader()
-    for row in rows:
-        writer.writerow({k: repr(v) if isinstance(v, float) else v for k, v in row.items()})
-    return buf.getvalue()
 
 
 class _Plot(NamedTuple):
@@ -367,40 +310,92 @@ class _Plot(NamedTuple):
     scatter: bool = False
 
 
-_PLOTS = {
-    "recovery-vs-alpha": _Plot(
-        "alpha", "mean_rel_err", "Recovery error vs sampling rate",
-        "sampling rate alpha", "relative error", label=lambda _: "mean",
+class _Kind(NamedTuple):
+    run: Callable[[ExperimentConfig, int], list[dict]]
+    plot: _Plot
+    defaults: dict = {}  # ExperimentConfig field -> its default for this kind
+    grids: tuple[str, ...] = ()  # the grids that may hold several values
+
+
+_KINDS = {
+    "recovery-vs-alpha": _Kind(
+        _recovery_vs_alpha,
+        _Plot(
+            "alpha", "mean_rel_err", "Recovery error vs sampling rate",
+            "sampling rate alpha", "relative error", label=lambda _: "mean",
+        ),
+        {"alphas": lambda: [round(0.05 * i, 2) for i in range(1, 21)]},
+        ("alpha",),
     ),
-    "pointwise-gap": _Plot(
-        "index", "abs_gap", "Entrywise gap between estimate and truth",
-        "linear index", "absolute gap", scatter=True,
+    "pointwise-gap": _Kind(
+        _pointwise_gap,
+        _Plot(
+            "index", "abs_gap", "Entrywise gap between estimate and truth",
+            "linear index", "absolute gap", scatter=True,
+        ),
+        {"trials": lambda: 1},
     ),
-    "optimal-T": _Plot(
-        "T", "mean_rel_err", "Recovery error vs horizon", "horizon T",
-        "mean relative error", "sigma", lambda sigma: f"sigma={sigma:g}",
+    "optimal-T": _Kind(
+        _optimal_T,
+        _Plot(
+            "T", "mean_rel_err", "Recovery error vs horizon", "horizon T",
+            "mean relative error", "sigma", lambda sigma: f"sigma={sigma:g}",
+        ),
+        {"Ts": lambda: list(range(1, 16)), "sigmas": lambda: [0.0, 1e-4, 1e-3, 1e-2]},
+        ("T", "sigma"),
     ),
-    "condition-vs-T": _Plot(
-        "T", "K", "System condition number vs horizon", "horizon T", "condition number K"
+    "condition-vs-T": _Kind(
+        _condition_vs_T,
+        _Plot("T", "K", "System condition number vs horizon", "horizon T", "condition number K"),
+        {"Ts": lambda: list(range(1, 16)), "trials": lambda: 1},
+        ("T",),
     ),
-    "conjecture-dim2": _Plot(
-        "excluded_j", "rel_err", "Recovery error with one second-mode slab removed",
-        "excluded second-mode index", "relative error", logy=False,
+    "conjecture-dim2": _Kind(
+        _conjecture_dim2,
+        _Plot(
+            "excluded_j", "rel_err", "Recovery error with one second-mode slab removed",
+            "excluded second-mode index", "relative error", logy=False,
+        ),
+        {"alphas": lambda: [1.0]},
     ),
-    "slab-dim1-dim3": _Plot(
-        "excluded_index", "rel_err",
-        "Recovery error with one first/third-mode slab removed",
-        "excluded index", "relative error",
-        "mode", {1: "first mode", 3: "third mode"}.get,
+    "slab-dim1-dim3": _Kind(
+        _slab_dim1_dim3,
+        _Plot(
+            "excluded_index", "rel_err",
+            "Recovery error with one first/third-mode slab removed",
+            "excluded index", "relative error",
+            "mode", {1: "first mode", 3: "third mode"}.get,
+        ),
+        {"alphas": lambda: [0.5]},
     ),
 }
+EXPERIMENT_KINDS = tuple(_KINDS)
+
+
+def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> list[dict]:
+    """Compute the rows of one experiment kind, the first row's keys being the
+    CSV columns in order; pure apart from the RNG seeds."""
+    _check_kind(cfg.kind)
+    cfg.validate()
+    return _KINDS[cfg.kind].run(cfg, threads)
+
+
+# -- CSV / SVG / manifest --------------------------------------------------------
+
+
+def rows_to_csv_text(fieldnames: list[str], rows: list[dict]) -> str:
+    buf = io.StringIO()
+    writer = csv.DictWriter(buf, fieldnames=fieldnames, lineterminator="\n")
+    writer.writeheader()
+    for row in rows:
+        writer.writerow({k: repr(v) if isinstance(v, float) else v for k, v in row.items()})
+    return buf.getvalue()
 
 
 def plot_from_csv(kind: str, csv_path, svg_path) -> None:
     """Regenerate the experiment plot purely from its CSV file."""
-    plot = _PLOTS.get(kind)
-    if plot is None:
-        raise ConfigError(f"unknown experiment kind {kind!r}")
+    _check_kind(kind)
+    plot = _KINDS[kind].plot
     with open(csv_path, newline="", encoding="ascii") as fh:
         groups: dict[float, list[dict]] = {}
         for row in csv.DictReader(fh):
@@ -422,14 +417,14 @@ def write_experiment(cfg: ExperimentConfig, threads: int = 1) -> dict:
 
     Returns {"manifest": path, "csv": path, "svg": path}.
     """
-    result = run_experiment(cfg, threads)
+    rows = run_experiment(cfg, threads)
     out_dir = Path(cfg.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / f"{cfg.kind}.csv"
     svg_path = out_dir / f"{cfg.kind}.svg"
     manifest_path = out_dir / "manifest.json"
-    columns = list(result.rows[0])
-    atomic_write_text(csv_path, rows_to_csv_text(columns, result.rows))
+    columns = list(rows[0])
+    atomic_write_text(csv_path, rows_to_csv_text(columns, rows))
     manifest = {
         "kind": cfg.kind, "m": cfg.m, "p": cfg.p, "n": cfg.n,
         "T": cfg.Ts, "alpha": cfg.alphas, "sigma": cfg.sigmas,

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor3 import ShapeMismatchError, Tensor3, _exponents, _norm2
+from .tensor3 import ShapeMismatchError, Tensor3, _exponents
 from .tensor3 import rel_error as tensor_rel_error
 from .sampling import SampleMask
 from .dynsys import SampleData, SampleOverflowError, evolve
@@ -276,7 +276,7 @@ def _solve_stack(A: np.ndarray, mn: int, tol=None, kappa: bool = True):
                 r = ranks[i]
                 u, sv, vh = np.linalg.svd(Rm[i], full_matrices=False)
                 x[i] = vh[:r].T @ ((u[:, :r].T @ C[i]) / sv[:r, None])
-        x, residual = np.ldexp(x, exp), np.ldexp(_norm2(M @ x - B, axis=1), exp[:, 0])
+        x, residual = np.ldexp(x, exp), np.ldexp(np.linalg.norm(M @ x - B, axis=1), exp[:, 0])
     fits = np.isfinite(x).all(axis=(1, 2)) & np.isfinite(residual).all(axis=1)
     return list(zip(x, ranks.tolist(), kappas, residual)), fits
 
@@ -324,49 +324,57 @@ def solve_column(system: ColumnSystem, tol: float | None = None):
     return x, rank, kappa, residual
 
 
-def _solve_groups(a: Tensor3, groups: dict, tol, threads: int, kappa: bool = True) -> list:
-    """``solve_column`` on each ``(T, selector bytes) -> (selector, (item,
-    column) members, right-hand sides)`` group, from one power stack built to
-    the longest T; None for an unsampled group.
+def _solve_groups(a: Tensor3, columns: list, tol, threads: int, kappa: bool = True) -> list:
+    """``solve_column`` on each ``(T, selector, rhs, j)`` column, from one
+    power stack built to the longest T: one ``(x, rank, kappa, residual)``
+    per column, or None where the selector picks no row.  ``rhs`` None asks
+    for rank and kappa only (``x`` and ``residual`` None); ``j`` names the
+    column in the overflow error, raised for the first system that overflows.
 
-    Groups of one shape (T, samples per step, right-hand sides) are gathered
-    into stacks of at most ``_STACK_BYTES`` and solved by ``_solve_stack``,
-    one ``pmap`` item per stack.  ``kappa`` False lets it skip the SVD of
-    members certified full rank.  An overflow names the first such group.
+    Columns with equal ``(T, selector)`` share one system, in order of first
+    appearance.  Systems of one shape (T, samples per step, right-hand sides)
+    go in stacks of at most ``_STACK_BYTES``, one ``_solve_stack`` call and
+    ``pmap`` item each; ``kappa`` False lets it skip the SVD of members
+    certified full rank.
     """
-    stack = _power_stack(a, max((T for T, _ in groups), default=1))
+    groups: dict[tuple, list[int]] = {}
+    for c, (T, sel, _, _) in enumerate(columns):
+        groups.setdefault((T, sel.tobytes()), []).append(c)
+    members = list(groups.values())
+    stack = _power_stack(a, max((T for T, *_ in columns), default=1))
     mn = stack.shape[1]
-    entries = list(groups.values())
     shapes: dict[tuple, list[int]] = {}
-    for i, ((T, _), (sel, _, cols)) in enumerate(groups.items()):
+    for g, cs in enumerate(members):
+        T, sel, rhs, _ = columns[cs[0]]
         s = int(np.count_nonzero(sel))
         if s:
-            shapes.setdefault((T, s, len(cols)), []).append(i)
+            shapes.setdefault((T, s, 0 if rhs is None else len(cs)), []).append(g)
     stacks = []
-    for (T, s, k), idx in shapes.items():
+    for (T, s, k), gs in shapes.items():
         size = max(1, _STACK_BYTES // (T * s * (mn + k) * 8))
-        stacks += [(T, s, k, idx[c:c + size]) for c in range(0, len(idx), size)]
+        stacks += [(T, s, k, gs[c:c + size]) for c in range(0, len(gs), size)]
 
     def run(item):
-        T, s, k, idx = item
-        A = np.empty((len(idx), T, s, mn + k))
-        for g, i in enumerate(idx):
-            sel, _, cols = entries[i]
-            A[g, :, :, :mn] = stack[T - 1::-1, sel]
+        T, s, k, gs = item
+        A = np.empty((len(gs), T, s, mn + k))
+        for i, g in enumerate(gs):
+            A[i, :, :, :mn] = stack[T - 1::-1, columns[members[g][0]][1]]
             if k:
-                A[g, :, :, mn:] = np.reshape(cols, (k, T, s)).transpose(1, 2, 0)
-        return _solve_stack(A.reshape(len(idx), T * s, mn + k), mn, tol, kappa)
+                rhs = [columns[c][2] for c in members[g]]
+                A[i, :, :, mn:] = np.reshape(rhs, (k, T, s)).transpose(1, 2, 0)
+        return _solve_stack(A.reshape(len(gs), T * s, mn + k), mn, tol, kappa)
 
-    results: list = [None] * len(entries)
+    results: list = [None] * len(columns)
     bad = []
-    for (*_, idx), (res, fits) in zip(stacks, pmap(run, stacks, threads)):
-        for i, r, ok in zip(idx, res, fits):
-            results[i] = r
+    for (*_, k, gs), (res, fits) in zip(stacks, pmap(run, stacks, threads)):
+        for g, (x, rank, kap, residual), ok in zip(gs, res, fits):
             if not ok:
-                bad.append(i)
+                bad.append(g)
+            for i, c in enumerate(members[g]):
+                xc, r = (x[:, i], float(residual[i])) if k else (None, None)
+                results[c] = (xc, rank, kap, r)
     if bad:
-        _, members, _ = entries[min(bad)]
-        raise _overflow(members[0][1])
+        raise _overflow(columns[members[min(bad)][0]][3])
     return results
 
 
@@ -380,42 +388,32 @@ def reconstruct_batch(
     threads: int = 1,
     kappa: bool = True,
 ) -> list[ReconstructionReport]:
-    """Reconstruct each ``(mask, samples)`` problem on the operator ``a``.
+    """Reconstruct each ``SampleData`` problem, on the mask it carries, with
+    the operator ``a``.
 
-    Each column of each problem is keyed by horizon and sample pattern, in
-    order of first appearance over problems, then columns; each key is one
-    column system, solved once with one right-hand side per member.  Reports come
-    in problem order, identical for any thread count; each matches a lone
-    ``reconstruct`` to roundoff, and bit for bit when it shares no key with
-    another problem.  Overflow raises ``SampleOverflowError``.  With
-    ``kappa`` False, columns whose full rank is certified without an SVD
+    Columns of every problem that share horizon and sample pattern are one
+    column system, solved once with one right-hand side per column.  Reports
+    come in problem order, identical for any thread count; each matches a
+    lone ``reconstruct`` to roundoff, and bit for bit when it shares no
+    system with another problem.  Overflow raises ``SampleOverflowError``.
+    With ``kappa`` False, columns whose full rank is certified without an SVD
     report kappa None, and K is the largest kappa that was computed.
     """
     _check_tol(tol)
     m, _, n = a.dims
     # only sampled values are kept, so ``problems`` may be a generator
-    groups: dict[tuple, tuple[np.ndarray, list, list]] = {}
-    widths = []
-    for q, (mask, samples) in enumerate(problems):
-        _check_problem(a, mask, samples)
-        selectors = _selectors(mask)
-        for j, (sel, rhs) in enumerate(zip(selectors, _column_rhs(samples, selectors))):
-            key = (samples.horizon, sel.tobytes())
-            _, members, cols = groups.setdefault(key, (sel, [], []))
-            members.append((q, j))
-            cols.append(rhs)
-        widths.append(len(selectors))
-    # (x, rank, kappa, residual) of every column; failed columns have no
-    # samples, so rank 0 and no misfit either: residual 0.0.
-    columns = [[(np.zeros(m * n), 0, None, 0.0)] * p for p in widths]
-    results = _solve_groups(a, groups, tol, threads, kappa)
-    for (_, members, _), res in zip(groups.values(), results):
-        if res is not None:
-            x, rank, kap, residual = res
-            for (q, j), xj, r in zip(members, x.T, residual):
-                columns[q][j] = (xj, rank, kap, float(r))
+    columns, widths = [], []
+    for samples in problems:
+        _check_problem(a, samples.mask, None)
+        sels = _selectors(samples.mask)
+        rhs = _column_rhs(samples, sels)
+        columns += [(samples.horizon, sel, b, j) for j, (sel, b) in enumerate(zip(sels, rhs))]
+        widths.append(len(sels))
+    results = iter(_solve_groups(a, columns, tol, threads, kappa))
     reports = []
-    for cols in columns:
+    for p in widths:
+        # failed columns have no samples, so rank 0 and no misfit either: residual 0.0
+        cols = [next(results) or (np.zeros(m * n), 0, None, 0.0) for _ in range(p)]
         xs, ranks, kappas, residuals = (list(v) for v in zip(*cols))
         failed = [j for j, r in enumerate(ranks) if r == 0]
         if failed and not allow_partial:
@@ -448,8 +446,9 @@ def reconstruct(
     identical for any thread count.  Unsampled columns raise unless
     ``allow_partial`` zero-fills them and lists them in ``failed_columns``.
     """
+    _check_problem(a, mask, samples)
     return reconstruct_batch(
-        a, [(mask, samples)], tol=tol, allow_partial=allow_partial,
+        a, [samples], tol=tol, allow_partial=allow_partial,
         ground_truth=ground_truth, threads=threads,
     )[0]
 
@@ -459,14 +458,9 @@ def _condition_sweep(a: Tensor3, mask: SampleMask, Ts, tol=None, threads: int = 
     built to the longest; returns one ``(kappas, K)`` per horizon."""
     _check_tol(tol)
     _check_problem(a, mask, None)
-    groups: dict[tuple, tuple[np.ndarray, list, list]] = {}
-    for j, sel in enumerate(_selectors(mask)):
-        for t, T in enumerate(Ts):
-            groups.setdefault((T, sel.tobytes()), (sel, [], []))[1].append((t, j))
-    kappas = [[None] * mask.dims[1] for _ in Ts]
-    for (_, members, _), res in zip(groups.values(), _solve_groups(a, groups, tol, threads)):
-        for t, j in members:
-            kappas[t][j] = None if res is None else res[2]
+    columns = [(T, sel, None, j) for j, sel in enumerate(_selectors(mask)) for T in Ts]
+    results = _solve_groups(a, columns, tol, threads)
+    kappas = [[None if r is None else r[2] for r in results[t::len(Ts)]] for t in range(len(Ts))]
     empty = [j for j, k in enumerate(kappas[0]) if k is None]
     if empty:
         raise UnrecoverableColumnError(empty)

@@ -86,7 +86,7 @@ def test_criterion_2_exact_recovery_statistics():
         {"kind": "recovery-vs-alpha", "alpha": [0.4], "T": 5, "sigma": 0.0,
          "trials": 10, "seed": RECOVERY_SEED}
     )
-    row = run_experiment(cfg).rows[0]
+    row = run_experiment(cfg)[0]
     elapsed = time.perf_counter() - start
     mean, std = row["mean_rel_err"], row["std_rel_err"]
     check(
@@ -101,7 +101,7 @@ def test_criterion_3_pointwise_recovery():
     cfg = config_from_dict(
         {"kind": "pointwise-gap", "alpha": 0.4, "T": 5, "seed": RECOVERY_SEED}
     )
-    rows = run_experiment(cfg).rows
+    rows = run_experiment(cfg)
     f = random_tensor(M, P, N, derive_seed(RECOVERY_SEED, STREAM_SIGNAL))
     worst = max(r["abs_gap"] for r in rows)
     bound = 1e-6 * np.linalg.norm(f.data)
@@ -144,13 +144,9 @@ def test_criterion_4_lattice_missing_column_is_structural():
 
 def test_criterion_5_slab_exclusion_experiments():
     start = time.perf_counter()
-    rows2 = run_experiment(
-        config_from_dict({"kind": "conjecture-dim2", "seed": BASE_SEED})
-    ).rows
+    rows2 = run_experiment(config_from_dict({"kind": "conjecture-dim2", "seed": BASE_SEED}))
     min2 = min(r["rel_err"] for r in rows2)
-    rows13 = run_experiment(
-        config_from_dict({"kind": "slab-dim1-dim3", "seed": BASE_SEED})
-    ).rows
+    rows13 = run_experiment(config_from_dict({"kind": "slab-dim1-dim3", "seed": BASE_SEED}))
     max13 = max(r["rel_err"] for r in rows13)
     elapsed = time.perf_counter() - start
     check(
@@ -189,7 +185,7 @@ def test_criterion_7_interior_optimal_horizon():
         {"kind": "optimal-T", "T": list(range(1, 16)), "sigma": [1e-3],
          "alpha": 0.4, "trials": 3, "seed": BASE_SEED}
     )
-    rows = run_experiment(cfg, threads=4).rows
+    rows = run_experiment(cfg, threads=4)
     errs = {r["T"]: r["mean_rel_err"] for r in rows}
     t_star = min(errs, key=errs.get)
     check(

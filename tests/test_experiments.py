@@ -74,33 +74,33 @@ def test_derive_seed_is_stable_and_distinct():
 
 def test_recovery_vs_alpha_full_sampling_is_exact():
     cfg = config_from_dict({"kind": "recovery-vs-alpha", "alpha": [1.0], **SMALL})
-    result = run_experiment(cfg)
-    assert len(result.rows) == 1
-    assert result.rows[0]["mean_rel_err"] <= 1e-10
+    rows = run_experiment(cfg)
+    assert len(rows) == 1
+    assert rows[0]["mean_rel_err"] <= 1e-10
 
 
 def test_recovery_vs_alpha_row_grid_order():
     cfg = config_from_dict(
         {"kind": "recovery-vs-alpha", "alpha": [0.3, 0.9, 0.6], **SMALL}
     )
-    result = run_experiment(cfg)
-    assert [r["alpha"] for r in result.rows] == [0.3, 0.9, 0.6]
+    rows = run_experiment(cfg)
+    assert [r["alpha"] for r in rows] == [0.3, 0.9, 0.6]
 
 
 def test_pointwise_gap_covers_every_entry():
     cfg = config_from_dict({"kind": "pointwise-gap", "alpha": 0.9, "T": 4, **SMALL})
-    result = run_experiment(cfg)
-    assert len(result.rows) == 6 * 4 * 2
-    assert [r["index"] for r in result.rows] == list(range(48))
-    assert all(r["abs_gap"] >= 0.0 for r in result.rows)
+    rows = run_experiment(cfg)
+    assert len(rows) == 6 * 4 * 2
+    assert [r["index"] for r in rows] == list(range(48))
+    assert all(r["abs_gap"] >= 0.0 for r in rows)
 
 
 def test_optimal_T_grid_order():
     cfg = config_from_dict(
         {"kind": "optimal-T", "T": [1, 3], "sigma": [0.0, 1e-3], "alpha": 0.8, **SMALL}
     )
-    result = run_experiment(cfg)
-    assert [(r["T"], r["sigma"]) for r in result.rows] == [
+    rows = run_experiment(cfg)
+    assert [(r["T"], r["sigma"]) for r in rows] == [
         (1, 0.0), (1, 1e-3), (3, 0.0), (3, 1e-3),
     ]
 
@@ -109,24 +109,24 @@ def test_condition_vs_T_is_nondecreasing_locally():
     cfg = config_from_dict(
         {"kind": "condition-vs-T", "T": [2, 6], "alpha": 0.8, **SMALL}
     )
-    result = run_experiment(cfg)
-    assert result.rows[0]["K"] >= 1.0
-    assert result.rows[1]["K"] >= result.rows[0]["K"]
+    rows = run_experiment(cfg)
+    assert rows[0]["K"] >= 1.0
+    assert rows[1]["K"] >= rows[0]["K"]
 
 
 def test_conjecture_dim2_every_exclusion_fails():
     cfg = config_from_dict({"kind": "conjecture-dim2", **SMALL})
-    result = run_experiment(cfg)
-    assert len(result.rows) == 4
-    assert all(r["rel_err"] > 0.1 for r in result.rows)
+    rows = run_experiment(cfg)
+    assert len(rows) == 4
+    assert all(r["rel_err"] > 0.1 for r in rows)
 
 
 def test_slab_dim1_dim3_recovers():
     cfg = config_from_dict({"kind": "slab-dim1-dim3", "alpha": 0.8, "T": 4, **SMALL})
-    result = run_experiment(cfg)
-    assert len(result.rows) == 6 + 2
-    assert all(r["rel_err"] <= 1e-9 for r in result.rows)
-    modes = [r["mode"] for r in result.rows]
+    rows = run_experiment(cfg)
+    assert len(rows) == 6 + 2
+    assert all(r["rel_err"] <= 1e-9 for r in rows)
+    modes = [r["mode"] for r in rows]
     assert modes == [1] * 6 + [3] * 2
 
 
@@ -136,7 +136,7 @@ def test_threads_do_not_change_rows():
     )
     r1 = run_experiment(cfg, threads=1)
     r8 = run_experiment(cfg, threads=8)
-    assert r1.rows == r8.rows
+    assert r1 == r8
 
 
 def test_csv_text_deterministic_and_parseable():
@@ -255,7 +255,7 @@ def test_seed_rule_regenerates_a_recovery_vs_alpha_row():
         for r in range(cfg.trials)
     ])
     want = {"alpha": 0.7, "mean_rel_err": float(errs.mean()), "std_rel_err": float(errs.std())}
-    assert run_experiment(cfg).rows[1] == want
+    assert run_experiment(cfg)[1] == want
 
 
 def test_seed_rule_regenerates_an_optimal_T_row():
@@ -272,11 +272,11 @@ def test_seed_rule_regenerates_an_optimal_T_row():
         for r in range(cfg.trials):
             mask = _hand_mask(cfg, 0.8, 0, r)
             noise = derive_seed(cfg.seed, STREAM_NOISE, s, r)
-            problems.append((mask, observe(traj, mask, sigma, noise)))
+            problems.append(observe(traj, mask, sigma, noise))
     reports = reconstruct_batch(a, problems, allow_partial=True, ground_truth=f)
     errs = np.array([report.rel_error for report in reports[cfg.trials:]])
     want = {"T": 2, "sigma": 1e-3, "mean_rel_err": float(errs.mean())}
-    assert run_experiment(cfg).rows[1] == want
+    assert run_experiment(cfg)[1] == want
 
 
 def test_seed_rule_regenerates_a_condition_vs_T_row():
@@ -284,7 +284,7 @@ def test_seed_rule_regenerates_a_condition_vs_T_row():
     cfg = config_from_dict({"kind": "condition-vs-T", "T": [1, 2, 4, 6], "alpha": 0.7, **SMALL})
     a = random_tensor(cfg.m, cfg.m, cfg.n, derive_seed(cfg.seed, STREAM_OPERATOR))
     mask = _hand_mask(cfg, 0.7)
-    rows = run_experiment(cfg).rows
+    rows = run_experiment(cfg)
     assert [row["T"] for row in rows] == cfg.Ts
     for row in rows:
         assert system_condition(a, mask, row["T"])[1] == row["K"]
@@ -294,7 +294,7 @@ def test_seed_rule_regenerates_a_conjecture_dim2_row():
     cfg = config_from_dict({"kind": "conjecture-dim2", "sigma": 1e-3, **SMALL})
     mask = exclude_slab(_hand_mask(cfg, 1.0), 2, 3)
     want = {"excluded_j": 3, "rel_err": _hand_error(cfg, mask, 5, 1e-3, (3, 0))}
-    assert run_experiment(cfg).rows[3] == want
+    assert run_experiment(cfg)[3] == want
 
 
 def test_seed_rule_regenerates_a_slab_dim1_dim3_row():
@@ -303,4 +303,4 @@ def test_seed_rule_regenerates_a_slab_dim1_dim3_row():
     )
     mask = exclude_slab(_hand_mask(cfg, 0.6), 3, 1)
     want = {"mode": 3, "excluded_index": 1, "rel_err": _hand_error(cfg, mask, 3, 1e-3, (3, 1))}
-    assert run_experiment(cfg).rows[cfg.m + 1] == want
+    assert run_experiment(cfg)[cfg.m + 1] == want

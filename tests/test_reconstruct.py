@@ -367,7 +367,7 @@ def test_certificate_declines_singular_and_ill_conditioned_members():
 def test_stacks_respect_the_byte_cap_and_do_not_change_results(monkeypatch):
     a, f, _, _ = make_instance(4, 12, 3, 3, 0.5, 770)
     masks = [bernoulli_mask(4, 12, 3, 0.5, 771 + i) for i in range(3)]
-    problems = [(m, observe(evolve(a, f, 3), m, 1e-2, 775 + i)) for i, m in enumerate(masks)]
+    problems = [observe(evolve(a, f, 3), m, 1e-2, 775 + i) for i, m in enumerate(masks)]
     solve, shapes = reconstruct_module._solve_stack, []
 
     def spy(A, *args):
@@ -391,8 +391,8 @@ def test_unsampled_group_yields_none_without_a_solve(monkeypatch):
     a = random_tensor(3, 3, 2, 780)
     sel = np.zeros(6, dtype=bool)
     monkeypatch.setattr(reconstruct_module, "_solve_stack", None)  # never called
-    groups = {(2, sel.tobytes()): (sel, [(0, 0)], [np.empty(0)])}
-    assert reconstruct_module._solve_groups(a, groups, None, 1) == [None]
+    columns = [(2, sel, np.empty(0), 0)]
+    assert reconstruct_module._solve_groups(a, columns, None, 1) == [None]
 
 
 def _report_json(report) -> str:
@@ -487,13 +487,13 @@ def test_batch_matches_lone_reconstructs(m, p, n, seed, data):
     for q in range(data.draw(st.integers(2, 4))):
         mask = data.draw(st.sampled_from(masks))
         T, sigma = data.draw(st.integers(1, 4)), data.draw(st.sampled_from([0.0, 1e-3]))
-        problems.append((mask, observe(evolve(a, f, T), mask, sigma, seed + 5 + q)))
+        problems.append(observe(evolve(a, f, T), mask, sigma, seed + 5 + q))
     batch = reconstruct_batch(a, problems, allow_partial=True, ground_truth=f, threads=1)
     three = reconstruct_batch(a, problems, allow_partial=True, ground_truth=f, threads=3)
-    for (mask, samples), got, par in zip(problems, batch, three, strict=True):
+    for samples, got, par in zip(problems, batch, three, strict=True):
         assert _report_json(par) == _report_json(got)
         assert par.estimate.data.tobytes() == got.estimate.data.tobytes()
-        lone = reconstruct(a, mask, samples, allow_partial=True, ground_truth=f)
+        lone = reconstruct(a, samples.mask, samples, allow_partial=True, ground_truth=f)
         assert got.ranks == lone.ranks
         assert got.failed_columns == lone.failed_columns
         scale = np.linalg.norm(lone.estimate.data)
