@@ -5,9 +5,11 @@
     dynsamp experiment --kind KIND --out DIR [--config cfg.json] [overrides]
 
 Exit codes: 0 success, 2 unrecoverable columns, 3 configuration error,
-4 I/O or data-file error.  DYNSAMP_THREADS caps worker parallelism, the
-only parallel layer: OpenBLAS runs on one thread inside it.  Results are
-byte-identical for any DYNSAMP_THREADS and any OpenBLAS thread count.
+4 I/O or data-file error.  Running out of memory exits 3, or 4 from
+reconstruct, whose dataset sets its size.  DYNSAMP_THREADS caps worker
+parallelism, the only parallel layer: OpenBLAS runs on one thread inside
+it.  Results are byte-identical for any DYNSAMP_THREADS and any OpenBLAS
+thread count.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ def _load_config_file(path: str | None) -> dict:
         return {}
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as err:
+    except (OSError, UnicodeDecodeError) as err:
         raise ConfigError(f"cannot read config {path}: {err}") from None
     try:
         raw = json.loads(text)
@@ -207,6 +209,9 @@ def main(argv=None) -> int:
     except (OSError, T3FormatError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 4
+    except MemoryError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return 4 if args.command == "reconstruct" else 3
 
 
 if __name__ == "__main__":

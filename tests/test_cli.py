@@ -96,6 +96,19 @@ def test_simulate_rejects_bad_json(tmp_path, capsys):
     assert "line 1" in err
 
 
+def test_simulate_rejects_a_config_that_is_not_utf8(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_bytes(b"\xff{}")
+    out = tmp_path / "x"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err == (
+        f"error: cannot read config {cfg}: 'utf-8' codec can't decode byte 0xff "
+        "in position 0: invalid start byte\n"
+    )
+    assert not out.exists()
+
+
 def test_simulate_requires_out(capsys):
     assert main(["simulate"]) == 3
 
@@ -540,6 +553,33 @@ def test_huge_horizon_fails_at_the_overflowing_step_under_a_memory_cap(tmp_path,
     assert proc.returncode == 3, proc.stderr
     assert re.fullmatch(f"error: {message}\n", proc.stderr)
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [["simulate"], ["experiment", "--kind", "pointwise-gap"]])
+def test_a_signal_too_large_for_memory_is_a_config_error(tmp_path, argv):
+    # 20 x 10^9 x 5 float64 values do not fit under the cap; the allocation
+    # fails before anything is written.
+    out = tmp_path / "wide"
+    proc = run_capped(argv + ["--out", str(out), "--p", "1000000000"], tmp_path)
+    assert proc.returncode == 3, proc.stderr
+    assert re.fullmatch(
+        r"error: Unable to allocate [^\n]* shape \(20, 1000000000, 5\)[^\n]*\n", proc.stderr
+    )
+    assert not out.exists()
+
+
+def test_a_dataset_too_large_for_memory_is_a_data_error(tmp_path):
+    # Its one column system is 20000 x 20000 float64 values, 3 GB.
+    ds = tmp_path / "ds"
+    assert main(["simulate", "--out", str(ds), "--m", "1", "--p", "1", "--n", "20000",
+                 "--T", "1"]) == 0
+    before = dir_bytes(ds)
+    proc = run_capped(["reconstruct", str(ds)], tmp_path)
+    assert proc.returncode == 4, proc.stderr
+    assert re.fullmatch(
+        r"error: Unable to allocate [^\n]* shape \(20000, 20000\)[^\n]*\n", proc.stderr
+    )
+    assert dir_bytes(ds) == before
 
 
 def test_reconstruct_overflowing_operator_is_data_error(tmp_path, capsys):
