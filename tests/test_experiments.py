@@ -65,6 +65,30 @@ def test_config_rejects_bad_values():
         config_from_dict({})
 
 
+# The (kind, grid) pairs that may hold several values; every other pair needs one.
+SEVERAL = {("recovery-vs-alpha", "alpha"), ("optimal-T", "T"), ("optimal-T", "sigma"),
+           ("condition-vs-T", "T")}
+TWO_VALUES = {
+    "T": ("Ts", [2, 3]), "alpha": ("alphas", [0.4, 0.6]), "sigma": ("sigmas", [0.0, 1e-3]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TWO_VALUES))
+@pytest.mark.parametrize("kind", [
+    "recovery-vs-alpha", "pointwise-gap", "optimal-T", "condition-vs-T",
+    "conjecture-dim2", "slab-dim1-dim3",
+])
+def test_grid_rule_of_every_kind(kind, name):
+    field_name, values = TWO_VALUES[name]
+    raw = {"kind": kind, name: values, **SMALL}
+    if (kind, name) in SEVERAL:
+        assert getattr(config_from_dict(raw), field_name) == values
+    else:
+        with pytest.raises(ConfigError) as err:
+            config_from_dict(raw)
+        assert str(err.value) == f"{kind} needs a single {name}, got {values}"
+
+
 def test_derive_seed_is_stable_and_distinct():
     assert derive_seed(1, 0) == derive_seed(1, 0)
     assert derive_seed(1, 0) != derive_seed(1, 1)
