@@ -7,7 +7,8 @@ additive real Gaussian noise, drawn independently per time step.
 
 from __future__ import annotations
 
-import math
+import numbers
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +21,26 @@ from .t3io import read_json_object, read_t3, write_json, write_t3
 class SampleOverflowError(ValueError):
     """The evolved signal, its noisy observation or a solve on it overflows
     float64: the operator, horizon, sigma or an observed value is too large."""
+
+
+def _rejected(noun: str, value, name) -> ValueError:
+    return ValueError(f"{name + ': ' if name else ''}expected {noun}, got {value!r}")
+
+
+def as_int(value, name: str | None = None) -> int:
+    """``value`` as an int: an integral number, not a bool; errors name ``name``."""
+    integral = isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    if integral or (isinstance(value, float) and value.is_integer()):
+        return int(value)
+    raise _rejected("an integer", value, name)
+
+
+def as_float(value, name: str | None = None) -> float:
+    """``value`` as a float: a real number finite in float64, not a bool; errors name ``name``."""
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    if real and abs(value) <= sys.float_info.max:  # not nan, inf or an int past float64
+        return float(value)
+    raise _rejected("a finite number", value, name)
 
 
 class SampleData:
@@ -37,12 +58,13 @@ class SampleData:
             raise ValueError("SampleData needs at least one observation")
         for t, obs in enumerate(observations):
             _check_observation(mask, obs, f"observation {t}")
+        noise_sigma = as_float(noise_sigma, "noise_sigma")
         if noise_sigma < 0:
             raise ValueError(f"noise_sigma must be nonnegative, got {noise_sigma}")
         object.__setattr__(self, "mask", mask)
         object.__setattr__(self, "horizon", len(observations))
         object.__setattr__(self, "observations", observations)
-        object.__setattr__(self, "noise_sigma", float(noise_sigma))
+        object.__setattr__(self, "noise_sigma", noise_sigma)
         object.__setattr__(self, "seed", int(seed))
 
     def __setattr__(self, name, value):
@@ -79,7 +101,7 @@ def evolve(a: Tensor3, f: Tensor3, T: int) -> list[Tensor3]:
         raise ShapeMismatchError(
             f"operator dims {a.dims} incompatible with signal dims {f.dims}"
         )
-    T = int(T)
+    T = as_int(T, "T")
     if T < 1:
         raise ValueError(f"T must be >= 1, got {T}")
     trajectory = [f]
@@ -100,7 +122,7 @@ def observe(trajectory, mask: SampleMask, sigma: float, seed: int) -> SampleData
     A step whose signal, or signal plus noise, is not finite in float64
     raises ``SampleOverflowError`` naming the step.
     """
-    sigma = float(sigma)
+    sigma = as_float(sigma, "sigma")
     if sigma < 0:
         raise ValueError(f"sigma must be nonnegative, got {sigma}")
     observations = []
@@ -137,20 +159,16 @@ def save_sample_data(directory, samples: SampleData) -> None:
     write_json(directory / "meta.json", meta)
 
 
-def _meta_number(meta: dict, key: str, path, kind):
-    """``meta[key]`` as a finite ``kind`` (int or float), else a one-line error."""
+def _meta_number(meta: dict, key: str, path, cast):
+    """``cast(meta[key])`` (``as_int`` or ``as_float``), else a one-line error."""
     value = meta.get(key)
     if value is None:
         raise ValueError(f"{path}: missing '{key}'")
-    if (
-        isinstance(value, bool)
-        or not isinstance(value, (int, float))
-        or not math.isfinite(value)
-        or kind(value) != value
-    ):
-        noun = "an integer" if kind is int else "a number"
-        raise ValueError(f"{path}: '{key}' must be {noun}, got {value!r}")
-    return kind(value)
+    try:
+        return cast(value)
+    except ValueError:
+        noun = "an integer" if cast is as_int else "a number"
+        raise ValueError(f"{path}: '{key}' must be {noun}, got {value!r}") from None
 
 
 def load_sample_data(directory) -> SampleData:
@@ -165,13 +183,13 @@ def load_sample_data(directory) -> SampleData:
     if not meta_path.exists():
         raise FileNotFoundError(f"{directory}: missing meta.json")
     meta = read_json_object(meta_path)
-    T = _meta_number(meta, "T", meta_path, int)
+    T = _meta_number(meta, "T", meta_path, as_int)
     if T < 1:
         raise ValueError(f"{meta_path}: 'T' must be at least 1, got {T}")
-    sigma = _meta_number(meta, "sigma", meta_path, float)
+    sigma = _meta_number(meta, "sigma", meta_path, as_float)
     if sigma < 0:
         raise ValueError(f"{meta_path}: 'sigma' must be nonnegative, got {sigma}")
-    seed = _meta_number(meta, "seed", meta_path, int)
+    seed = _meta_number(meta, "seed", meta_path, as_int)
     dims = meta.get("dims")
     if not (isinstance(dims, list) and all(type(d) is int for d in dims)):
         raise ValueError(f"{meta_path}: 'dims' must be a list of integers, got {dims!r}")

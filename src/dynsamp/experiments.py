@@ -16,8 +16,6 @@ from __future__ import annotations
 
 import csv
 import io
-import math
-import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -26,7 +24,7 @@ import numpy as np
 
 from .tensor3 import random_tensor
 from .sampling import bernoulli_mask, exclude_slab
-from .dynsys import evolve, observe
+from .dynsys import as_float, as_int, evolve, observe
 from .reconstruct import _condition_sweep, reconstruct_batch
 from .svgplot import render_plot
 from .t3io import atomic_write_text, write_json
@@ -101,22 +99,6 @@ class ExperimentConfig:
         for name, grid in grids:
             if name not in several and len(grid) != 1:
                 raise ConfigError(f"{self.kind} needs a single {name}, got {grid}")
-
-
-def as_int(value) -> int:
-    """``value`` as an int; only integral numbers are accepted, not bools."""
-    integral = isinstance(value, numbers.Integral) and not isinstance(value, bool)
-    if integral or (isinstance(value, float) and value.is_integer()):
-        return int(value)
-    raise ValueError(f"expected an integer, got {value!r}")
-
-
-def as_float(value) -> float:
-    """``value`` as a float; only finite real numbers are accepted, not bools or strings."""
-    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
-    if real and math.isfinite(value):
-        return float(value)
-    raise ValueError(f"expected a finite number, got {value!r}")
 
 
 def parse_value(key: str, value, cast):

@@ -28,7 +28,7 @@ estimate with those columns zero-filled and flagged.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -89,16 +89,11 @@ class ReconstructionReport:
         ]
 
     def to_json_dict(self) -> dict:
-        """JSON-ready diagnostics."""
-        out = {
-            "residuals": self.residuals,
-            "kappa": self.kappa,
-            "K": self.K,
-            "ranks": self.ranks,
-            "failed_columns": self.failed_columns,
-        }
-        if self.rel_error is not None:
-            out["rel_error"] = self.rel_error
+        """JSON-ready diagnostics: every field but the estimate, and
+        ``rel_error`` only when it was measured."""
+        out = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "estimate"}
+        if self.rel_error is None:
+            del out["rel_error"]
         return out
 
 
@@ -123,6 +118,23 @@ def _check_problem(a: Tensor3, mask: SampleMask, samples: SampleData | None) -> 
         raise ValueError("mask does not match the mask the samples were taken on")
 
 
+def _columns(x: np.ndarray) -> np.ndarray:
+    """(..., p, m*n) columns of an (..., m, p, n) array: row r = i + m*k holds entry (i, k)."""
+    *lead, m, p, n = x.shape
+    return np.moveaxis(x, -3, -1).reshape(*lead, p, m * n)
+
+
+def _from_columns(c: np.ndarray, m: int) -> np.ndarray:
+    """The (..., m, p, n) array whose ``_columns`` are ``c``."""
+    *lead, p, mn = c.shape
+    return np.moveaxis(c.reshape(*lead, p, mn // m, m), -1, -3)
+
+
+def _rows(steps: np.ndarray, T: int, sel) -> np.ndarray:
+    """Rows ``sel`` of each step of ``steps`` up to horizon T, latest step first."""
+    return steps[T - 1::-1, sel]
+
+
 def _power_stack(a: Tensor3, T: int) -> np.ndarray:
     """The (T, m*n, m*n) stack of bcirc(A)^0, ..., bcirc(A)^(T-1).
 
@@ -133,33 +145,22 @@ def _power_stack(a: Tensor3, T: int) -> np.ndarray:
     such step.
     """
     m, _, n = a.dims
-    mn = m * n
     # Lateral slice q of the basis slab is the unit (m, n) slab with a one at
     # vec index q = i + m*k, so evolving it yields the columns of bcirc(A)^t.
-    basis = Tensor3(np.eye(mn).reshape(n, m, mn).transpose(1, 2, 0))
+    basis = Tensor3(_from_columns(np.eye(m * n), m))
     try:
         powers = evolve(a, basis, T)
     except SampleOverflowError:
         raise SampleOverflowError(
             f"the powers of the operator overflow float64 by T={T}"
         ) from None
-    return np.stack([s.data.transpose(2, 0, 1).reshape(mn, mn) for s in powers])
-
-
-def _selectors(mask: SampleMask) -> np.ndarray:
-    """(p, m*n) row selectors: row r = i + m*k of column j is entry (i, k)."""
-    m, p, n = mask.dims
-    return mask.indicator.transpose(1, 2, 0).reshape(p, m * n)
+    return np.stack([_columns(s.data).T for s in powers])
 
 
 def _column_rhs(samples: SampleData, selectors) -> list[np.ndarray]:
-    """Each column's observed values at the rows its selector picks, in system
-    row order: latest step first."""
-    m, p, n = samples.mask.dims
-    T = samples.horizon
-    obs = np.stack([o.data for o in samples.observations])
-    obs = obs.transpose(2, 0, 3, 1).reshape(p, T, m * n)
-    return [o[T - 1::-1, sel].ravel() for o, sel in zip(obs, selectors)]
+    """Each column's observed values at the rows its selector picks, in system row order."""
+    obs = _columns(np.stack([o.data for o in samples.observations]))
+    return [_rows(obs[:, j], samples.horizon, sel).ravel() for j, sel in enumerate(selectors)]
 
 
 def assemble_column_system(
@@ -170,8 +171,8 @@ def assemble_column_system(
     m, p, n = mask.dims
     if not 0 <= j < p:
         raise IndexError(f"column {j} out of range for {p} columns")
-    T, sels = samples.horizon, _selectors(mask)
-    matrix = _power_stack(a, T)[T - 1::-1, sels[j], :].reshape(-1, m * n)
+    T, sels = samples.horizon, _columns(mask.indicator)
+    matrix = _rows(_power_stack(a, T), T, sels[j]).reshape(-1, m * n)
     return ColumnSystem(j=j, matrix=matrix, rhs=_column_rhs(samples, sels)[j])
 
 
@@ -265,17 +266,14 @@ def _solve_stack(A: np.ndarray, mn: int, tol=None, kappa: bool = True):
         return list(zip(x, ranks.tolist(), kappas, residual)), [True] * g
     full = ranks == mn
     with np.errstate(over="ignore", invalid="ignore"):
-        if full.all():
+        x = np.empty((g, mn, k))
+        if full.any():
             # LU of an upper-triangular matrix does not pivot: back-substitution.
-            x = np.linalg.solve(Rm, C)
-        else:
-            x = np.empty((g, mn, k))
-            if full.any():
-                x[full] = np.linalg.solve(Rm[full], C[full])
-            for i in np.flatnonzero(~full):
-                r = ranks[i]
-                u, sv, vh = np.linalg.svd(Rm[i], full_matrices=False)
-                x[i] = vh[:r].T @ ((u[:, :r].T @ C[i]) / sv[:r, None])
+            x[full] = np.linalg.solve(Rm[full], C[full])
+        for i in np.flatnonzero(~full):
+            r = ranks[i]
+            u, sv, vh = np.linalg.svd(Rm[i], full_matrices=False)
+            x[i] = vh[:r].T @ ((u[:, :r].T @ C[i]) / sv[:r, None])
         x, residual = np.ldexp(x, exp), np.ldexp(np.linalg.norm(M @ x - B, axis=1), exp[:, 0])
     fits = np.isfinite(x).all(axis=(1, 2)) & np.isfinite(residual).all(axis=1)
     return list(zip(x, ranks.tolist(), kappas, residual)), fits
@@ -358,7 +356,7 @@ def _solve_groups(a: Tensor3, columns: list, tol, threads: int, kappa: bool = Tr
         T, s, k, gs = item
         A = np.empty((len(gs), T, s, mn + k))
         for i, g in enumerate(gs):
-            A[i, :, :, :mn] = stack[T - 1::-1, columns[members[g][0]][1]]
+            A[i, :, :, :mn] = _rows(stack, T, columns[members[g][0]][1])
             if k:
                 rhs = [columns[c][2] for c in members[g]]
                 A[i, :, :, mn:] = np.reshape(rhs, (k, T, s)).transpose(1, 2, 0)
@@ -405,7 +403,7 @@ def reconstruct_batch(
     columns, widths = [], []
     for samples in problems:
         _check_problem(a, samples.mask, None)
-        sels = _selectors(samples.mask)
+        sels = _columns(samples.mask.indicator)
         rhs = _column_rhs(samples, sels)
         columns += [(samples.horizon, sel, b, j) for j, (sel, b) in enumerate(zip(sels, rhs))]
         widths.append(len(sels))
@@ -418,7 +416,7 @@ def reconstruct_batch(
         failed = [j for j, r in enumerate(ranks) if r == 0]
         if failed and not allow_partial:
             raise UnrecoverableColumnError(failed)
-        estimate = Tensor3(np.stack(xs).reshape(len(xs), n, m).transpose(2, 0, 1))
+        estimate = Tensor3(_from_columns(np.stack(xs), m))
         solved = [k for k in kappas if k is not None]
         err = None if ground_truth is None else tensor_rel_error(estimate, ground_truth)
         if err is not None and not np.isfinite(err):
@@ -458,7 +456,7 @@ def _condition_sweep(a: Tensor3, mask: SampleMask, Ts, tol=None, threads: int = 
     built to the longest; returns one ``(kappas, K)`` per horizon."""
     _check_tol(tol)
     _check_problem(a, mask, None)
-    columns = [(T, sel, None, j) for j, sel in enumerate(_selectors(mask)) for T in Ts]
+    columns = [(T, sel, None, j) for j, sel in enumerate(_columns(mask.indicator)) for T in Ts]
     results = _solve_groups(a, columns, tol, threads)
     kappas = [[None if r is None else r[2] for r in results[t::len(Ts)]] for t in range(len(Ts))]
     empty = [j for j, k in enumerate(kappas[0]) if k is None]

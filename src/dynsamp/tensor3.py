@@ -96,17 +96,16 @@ def _exponents(x: np.ndarray, axis=None) -> np.ndarray:
     return np.frexp(np.abs(x).max(axis=axis, keepdims=True))[1]
 
 
-def _norm2(x: np.ndarray, axis=None):
-    """2-norm of a float64 array: of all entries, or of each slice along ``axis``.
+def _norm2(x: np.ndarray) -> float:
+    """2-norm of all entries of a float64 array.
 
-    The entries of each norm are scaled by 2**-e (``_exponents``) before
-    squaring, so tiny or huge entries neither underflow nor overflow.  The
-    scaling is exact: where the plain norm is finite and nonzero it agrees.
+    The entries are scaled by 2**-e (``_exponents``) before squaring, so tiny
+    or huge entries neither underflow nor overflow.  The scaling is exact:
+    where the plain norm is finite and nonzero it agrees.
     """
-    exp = _exponents(x, axis)
+    exp = _exponents(x)
     with np.errstate(over="ignore"):  # a norm beyond float64 is inf
-        norm = np.ldexp(np.linalg.norm(np.ldexp(x, -exp), axis=axis, keepdims=True), exp)
-    return norm.item() if axis is None else norm.squeeze(axis)
+        return np.ldexp(np.linalg.norm(np.ldexp(x, -exp), keepdims=True), exp).item()
 
 
 def rel_error(x: Tensor3, f: Tensor3) -> float:

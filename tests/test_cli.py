@@ -220,6 +220,12 @@ def test_reconstruct_meta_missing_key_is_data_error(tmp_path, capsys):
     _edit_meta(ds, sigma="0.1")
     assert main(["reconstruct", str(ds)]) == 4
     assert "'sigma' must be a number" in capsys.readouterr().err
+    # an integer past float64 is not a number either, not an OverflowError
+    (ds / "meta.json").write_text('{"T": 2, "sigma": 1%s, "seed": 1, "dims": [6, 4, 2]}' % ("0" * 400))
+    assert main(["reconstruct", str(ds)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {ds / 'meta.json'}: 'sigma' must be a number, got 1000")
+    assert len(err.splitlines()) == 1
     assert not (ds / "report.json").exists()
 
 
@@ -469,6 +475,16 @@ def test_non_finite_float_config_values_are_config_errors(
     assert main([command, "--config", str(cfg), "--out", str(out)]) == 3
     err = capsys.readouterr().err
     assert err == f"error: bad config value for {key!r}: expected a finite number, got {value!r}\n"
+    assert not out.exists()
+
+
+def test_config_number_past_float64_is_config_error(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"m": 6, "p": 4, "n": 2, "T": 2, "sigma": 10**400}))
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err == f"error: bad config value for 'sigma': expected a finite number, got {10**400!r}\n"
     assert not out.exists()
 
 

@@ -90,6 +90,10 @@ def test_evolve_validates_shapes_and_horizon():
         evolve(a, random_tensor(5, 3, 2, 1), 2)
     with pytest.raises(ValueError):
         evolve(a, f, 0)
+    # a fractional or boolean horizon is not truncated to a step count
+    for bad in (2.5, True, "3"):
+        with pytest.raises(ValueError, match=rf"^T: expected an integer, got {bad!r}$"):
+            evolve(a, f, bad)
 
 
 def test_evolve_raises_at_the_first_step_that_overflows():
@@ -166,6 +170,22 @@ def test_observe_rejects_negative_sigma():
     mask = bernoulli_mask(4, 3, 2, 0.5, 2)
     with pytest.raises(ValueError):
         observe(evolve(a, f, 2), mask, -1.0, 1)
+
+
+@pytest.mark.parametrize(
+    "sigma", [float("nan"), float("inf"), 10**400], ids=["nan", "inf", "int-past-float64"]
+)
+def test_non_finite_sigma_is_rejected_at_the_call(tmp_path, sigma):
+    # nothing overflows: the noise level itself is not a float64 number, and
+    # a dataset holding it would write a meta.json that cannot be read back
+    a, f = small_instance()
+    mask = bernoulli_mask(4, 3, 2, 0.5, 2)
+    traj = evolve(a, f, 2)
+    with pytest.raises(ValueError, match=rf"^sigma: expected a finite number, got {sigma!r}$"):
+        observe(traj, mask, sigma, 1)
+    obs = observe(traj, mask, 0.0, 1).observations
+    with pytest.raises(ValueError, match=rf"^noise_sigma: expected a finite number, got {sigma!r}$"):
+        SampleData(mask, obs, sigma, 1)
 
 
 def test_sample_data_rejects_off_mask_support():

@@ -652,6 +652,14 @@ def test_condition_grows_with_horizon():
     assert k15 / k5 > 1e3
 
 
+def test_condition_rejects_fractional_horizon():
+    m, p, n = 4, 3, 2
+    a = random_tensor(m, m, n, 630)
+    mask = bernoulli_mask(m, p, n, 1.0, 1)
+    with pytest.raises(ValueError, match=r"^T: expected an integer, got 2.5$"):
+        system_condition(a, mask, 2.5)
+
+
 def test_condition_rejects_empty_column():
     m, p, n = 4, 3, 2
     a = random_tensor(m, m, n, 630)
