@@ -7,13 +7,11 @@ additive real Gaussian noise, drawn independently per time step.
 
 from __future__ import annotations
 
-import numbers
-import sys
 from pathlib import Path
 
 import numpy as np
 
-from .tensor3 import ShapeMismatchError, Tensor3, _tproducts
+from .tensor3 import ShapeMismatchError, Tensor3, _tproducts, as_float, as_int
 from .sampling import SampleMask, load_mask, project, save_mask
 from .t3io import read_json_object, read_t3, write_json, write_t3
 
@@ -21,26 +19,6 @@ from .t3io import read_json_object, read_t3, write_json, write_t3
 class SampleOverflowError(ValueError):
     """The evolved signal, its noisy observation or a solve on it overflows
     float64: the operator, horizon, sigma or an observed value is too large."""
-
-
-def _rejected(noun: str, value, name) -> ValueError:
-    return ValueError(f"{name + ': ' if name else ''}expected {noun}, got {value!r}")
-
-
-def as_int(value, name: str | None = None) -> int:
-    """``value`` as an int: an integral number, not a bool; errors name ``name``."""
-    integral = isinstance(value, numbers.Integral) and not isinstance(value, bool)
-    if integral or (isinstance(value, float) and value.is_integer()):
-        return int(value)
-    raise _rejected("an integer", value, name)
-
-
-def as_float(value, name: str | None = None) -> float:
-    """``value`` as a float: a real number finite in float64, not a bool; errors name ``name``."""
-    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
-    if real and abs(value) <= sys.float_info.max:  # not nan, inf or an int past float64
-        return float(value)
-    raise _rejected("a finite number", value, name)
 
 
 class SampleData:
@@ -65,7 +43,7 @@ class SampleData:
         object.__setattr__(self, "horizon", len(observations))
         object.__setattr__(self, "observations", observations)
         object.__setattr__(self, "noise_sigma", noise_sigma)
-        object.__setattr__(self, "seed", int(seed))
+        object.__setattr__(self, "seed", as_int(seed, "seed"))
 
     def __setattr__(self, name, value):
         raise AttributeError("SampleData is immutable")
@@ -125,11 +103,12 @@ def observe(trajectory, mask: SampleMask, sigma: float, seed: int) -> SampleData
     sigma = as_float(sigma, "sigma")
     if sigma < 0:
         raise ValueError(f"sigma must be nonnegative, got {sigma}")
+    seed = as_int(seed, "seed")
     observations = []
     for t, ft in enumerate(trajectory):
         data = ft.data
         if sigma != 0.0:
-            rng = np.random.Generator(np.random.Philox(key=int(seed)).jumped(t))
+            rng = np.random.Generator(np.random.Philox(key=seed).jumped(t))
             with np.errstate(over="ignore"):
                 data = data + sigma * rng.standard_normal(ft.dims)
         if not np.isfinite(data).all():

@@ -5,9 +5,11 @@ normalized), writes it to ``manifest.json`` next to the CSV, and derives all
 randomness from the base seed with a documented rule.  A row regenerates
 bit for bit from ``SEED_RULE`` with its batch (every sigma and trial of one
 ``optimal-T`` horizon, every trial of one ``recovery-vs-alpha`` alpha, all
-units of a slab kind), and to within roundoff with a lone ``reconstruct``
-(at most 4.2e-7 relative at sigma=1e-3, where K nears 1e10, on the
-default grids).
+units of a slab kind, the whole T grid of ``condition-vs-T``), and to
+within roundoff with a lone ``reconstruct`` (at most 4.2e-7 relative at
+sigma=1e-3, where K nears 1e10, on the default grids) or, for a
+``condition-vs-T`` row, a lone ``system_condition`` (at most 1.0e-6
+relative, where K nears 6e12 at T=15).
 Identical configurations produce byte-identical outputs for any thread
 count.
 """
@@ -22,9 +24,9 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .tensor3 import random_tensor
+from .tensor3 import as_float, as_int, random_tensor
 from .sampling import bernoulli_mask, exclude_slab
-from .dynsys import as_float, as_int, evolve, observe
+from .dynsys import evolve, observe
 from .reconstruct import _condition_sweep, reconstruct_batch
 from .svgplot import render_plot
 from .t3io import atomic_write_text, write_json

@@ -14,12 +14,13 @@ m*n unit-basis slab to the longest horizon; column j's matrix is the subset
 of its rows that the mask selects, latest step first, and its right-hand
 side is the observed values at the same entries, in the same order.
 Columns with the same horizon and sample pattern share their matrix, so
-``reconstruct_batch`` and ``system_condition`` solve each distinct matrix
-of a call once: with the right-hand sides of all its columns, across the
-problems of the call, or with none for the condition number alone.
+``reconstruct_batch`` solves each distinct matrix of a call once, with the
+right-hand sides of all its columns across the problems of the call.
 Distinct matrices of one shape are solved as one stack, each LAPACK routine
 called once per stack, with the bits that ``solve_column`` gives each
-matrix alone.
+matrix alone.  ``system_condition`` and its sweep over horizons factor
+each distinct sample pattern once per call, appending the rows of each
+longer horizon to the triangular factor of the shorter one.
 
 Columns with no samples yield an empty system and cannot be recovered; they
 raise ``UnrecoverableColumnError`` unless the caller asks for a partial
@@ -32,7 +33,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .tensor3 import ShapeMismatchError, Tensor3, _exponents
+from .tensor3 import ShapeMismatchError, Tensor3, _exponents, as_int
 from .tensor3 import rel_error as tensor_rel_error
 from .sampling import SampleMask
 from .dynsys import SampleData, SampleOverflowError, evolve
@@ -230,30 +231,21 @@ def _certified(Rm: np.ndarray, rel: float) -> np.ndarray:
     return certified
 
 
-def _solve_stack(A: np.ndarray, mn: int, tol=None, kappa: bool = True):
-    """``solve_column`` on each system ``A[i] = [M_i | B_i]`` of a (g, rows,
-    m*n + k) stack; ``B`` is scaled in place.
+def _finish(Rm: np.ndarray, C: np.ndarray, rows: int, tol=None, kappa: bool = True):
+    """The post-QR half of ``_solve_stack``: ``(x, ranks, kappas)`` for each
+    member of a (g, min(rows, m*n), m*n) stack of triangular factors ``Rm``
+    with projected right-hand sides ``C`` (g, ., k), ``x`` (g, m*n, k) at the
+    scale of ``C``.
 
-    Returns one ``(x, rank, kappa, residual)`` per member, ``x`` (m*n, k) and
-    ``residual`` of length k, and a mask of the members whose solution and
-    residuals fit in float64.  numpy's linalg functions run LAPACK once per
-    matrix of a stack, so each member gets a lone system's bits.  With
-    ``kappa`` False, a member whose factor ``_certified`` shows full rank
-    skips its SVD and reports kappa None; it takes the LU solve that its SVD's
-    rank would have chosen.
+    ``rows`` is the row count of the systems the factors come from, which
+    sets the default cutoff.  With ``kappa`` False, a member whose factor
+    ``_certified`` shows full rank skips its SVD and reports kappa None; it
+    takes the back-substitution that its SVD's rank would have chosen.
     """
-    g, rows, _ = A.shape
-    M, B = A[:, :, :mn], A[:, :, mn:]
-    k = B.shape[2]
+    g, _, mn = Rm.shape
     rel = _default_tol((rows, mn)) if tol is None else float(tol)
-    Rm = M
-    if k:
-        exp = _exponents(B, axis=1)
-        np.ldexp(B, -exp, out=B)
-        R = np.linalg.qr(A, mode="r")
-        Rm, C = R[:, :mn, :mn], R[:, :mn, mn:]
     todo = np.arange(g)  # the members that take the values-only SVD
-    if not kappa and k and Rm.shape[1] == mn:
+    if not kappa and Rm.shape[1] == mn:
         todo = np.flatnonzero(~_certified(Rm, rel))
     ranks, kappas = np.full(g, mn), [None] * g
     if len(todo):
@@ -261,19 +253,37 @@ def _solve_stack(A: np.ndarray, mn: int, tol=None, kappa: bool = True):
         ranks[todo] = np.count_nonzero(s > rel * s[:, :1], axis=1)
         for i, kap in zip(todo, (s[:, 0] / s[np.arange(len(todo)), ranks[todo] - 1]).tolist()):
             kappas[i] = kap
-    if not k:  # condition numbers only
-        x, residual = np.empty((g, mn, 0)), np.empty((g, 0))
-        return list(zip(x, ranks.tolist(), kappas, residual)), [True] * g
     full = ranks == mn
+    x = np.empty((g, mn, C.shape[2]))
+    if C.shape[2]:
+        with np.errstate(over="ignore", invalid="ignore"):
+            if full.any():
+                # LU of an upper-triangular matrix does not pivot: back-substitution.
+                x[full] = np.linalg.solve(Rm[full], C[full])
+            for i in np.flatnonzero(~full):
+                r = ranks[i]
+                u, sv, vh = np.linalg.svd(Rm[i], full_matrices=False)
+                x[i] = vh[:r].T @ ((u[:, :r].T @ C[i]) / sv[:r, None])
+    return x, ranks, kappas
+
+
+def _solve_stack(A: np.ndarray, mn: int, tol=None, kappa: bool = True):
+    """``solve_column`` on each system ``A[i] = [M_i | B_i]`` of a (g, rows,
+    m*n + k) stack; ``B`` is scaled in place.
+
+    Returns one ``(x, rank, kappa, residual)`` per member, ``x`` (m*n, k) and
+    ``residual`` of length k, and a mask of the members whose solution and
+    residuals fit in float64.  numpy's linalg functions run LAPACK once per
+    matrix of a stack, so each member gets a lone system's bits.  The QR of
+    the stack is this half; ``_finish`` takes the rest from its factors.
+    """
+    rows = A.shape[1]
+    M, B = A[:, :, :mn], A[:, :, mn:]
+    exp = _exponents(B, axis=1)
+    np.ldexp(B, -exp, out=B)
+    R = np.linalg.qr(A, mode="r")
+    x, ranks, kappas = _finish(R[:, :mn, :mn], R[:, :mn, mn:], rows, tol, kappa)
     with np.errstate(over="ignore", invalid="ignore"):
-        x = np.empty((g, mn, k))
-        if full.any():
-            # LU of an upper-triangular matrix does not pivot: back-substitution.
-            x[full] = np.linalg.solve(Rm[full], C[full])
-        for i in np.flatnonzero(~full):
-            r = ranks[i]
-            u, sv, vh = np.linalg.svd(Rm[i], full_matrices=False)
-            x[i] = vh[:r].T @ ((u[:, :r].T @ C[i]) / sv[:r, None])
         x, residual = np.ldexp(x, exp), np.ldexp(np.linalg.norm(M @ x - B, axis=1), exp[:, 0])
     fits = np.isfinite(x).all(axis=(1, 2)) & np.isfinite(residual).all(axis=1)
     return list(zip(x, ranks.tolist(), kappas, residual)), fits
@@ -291,11 +301,11 @@ def solve_column(system: ColumnSystem, tol: float | None = None):
     kappa is the ratio of the largest kept singular value to the smallest,
     and residual is ``||M x - b||_2``.  A (rows, k) ``rhs`` holds k
     right-hand sides that share the matrix: ``x`` is then (m*n, k) and
-    ``residual`` has length k; with k = 0 only the values-only SVD of ``M``
-    is taken, for rank and kappa.  Otherwise one Householder QR of ``[M | B]``
-    gives the square (or trapezoidal) factor ``Rm`` of ``M``, which has its
-    singular values, and the projected right-hand sides ``C`` (Lawson &
-    Hanson, Solving Least Squares Problems, SIAM 1995); ``x`` comes from
+    ``residual`` has length k (k = 0 asks for rank and kappa alone).  One
+    Householder QR of ``[M | B]`` gives the square (or trapezoidal) factor
+    ``Rm`` of ``M``, which has its singular values, and the projected
+    right-hand sides ``C`` (Lawson & Hanson, Solving Least Squares Problems,
+    SIAM 1995); rank and kappa come from the values-only SVD of ``Rm``, and ``x`` from
     back-substitution on ``Rm`` at full rank, else from its truncated SVD,
     as from LAPACK's ``gelsd``.  Each right-hand side is solved scaled by the
     power of two that brings its largest entry into [0.5, 1), so ``x`` and
@@ -306,8 +316,7 @@ def solve_column(system: ColumnSystem, tol: float | None = None):
     build put the latest step's rows first, so where the powers of the
     operator grow, the QR meets the largest rows first (Cox & Higham, BIT 38
     (1998)).  This is the one-system case of ``_solve_stack``, which solves
-    the column systems of ``reconstruct_batch`` and ``system_condition`` in
-    stacks.
+    the column systems of ``reconstruct_batch`` in stacks.
     """
     _check_tol(tol)
     M, b = system.matrix, system.rhs
@@ -325,8 +334,7 @@ def solve_column(system: ColumnSystem, tol: float | None = None):
 def _solve_groups(a: Tensor3, columns: list, tol, threads: int, kappa: bool = True) -> list:
     """``solve_column`` on each ``(T, selector, rhs, j)`` column, from one
     power stack built to the longest T: one ``(x, rank, kappa, residual)``
-    per column, or None where the selector picks no row.  ``rhs`` None asks
-    for rank and kappa only (``x`` and ``residual`` None); ``j`` names the
+    per column, or None where the selector picks no row.  ``j`` names the
     column in the overflow error, raised for the first system that overflows.
 
     Columns with equal ``(T, selector)`` share one system, in order of first
@@ -343,10 +351,10 @@ def _solve_groups(a: Tensor3, columns: list, tol, threads: int, kappa: bool = Tr
     mn = stack.shape[1]
     shapes: dict[tuple, list[int]] = {}
     for g, cs in enumerate(members):
-        T, sel, rhs, _ = columns[cs[0]]
+        T, sel, _, _ = columns[cs[0]]
         s = int(np.count_nonzero(sel))
         if s:
-            shapes.setdefault((T, s, 0 if rhs is None else len(cs)), []).append(g)
+            shapes.setdefault((T, s, len(cs)), []).append(g)
     stacks = []
     for (T, s, k), gs in shapes.items():
         size = max(1, _STACK_BYTES // (T * s * (mn + k) * 8))
@@ -357,20 +365,18 @@ def _solve_groups(a: Tensor3, columns: list, tol, threads: int, kappa: bool = Tr
         A = np.empty((len(gs), T, s, mn + k))
         for i, g in enumerate(gs):
             A[i, :, :, :mn] = _rows(stack, T, columns[members[g][0]][1])
-            if k:
-                rhs = [columns[c][2] for c in members[g]]
-                A[i, :, :, mn:] = np.reshape(rhs, (k, T, s)).transpose(1, 2, 0)
+            rhs = [columns[c][2] for c in members[g]]
+            A[i, :, :, mn:] = np.reshape(rhs, (k, T, s)).transpose(1, 2, 0)
         return _solve_stack(A.reshape(len(gs), T * s, mn + k), mn, tol, kappa)
 
     results: list = [None] * len(columns)
     bad = []
-    for (*_, k, gs), (res, fits) in zip(stacks, pmap(run, stacks, threads)):
+    for (*_, gs), (res, fits) in zip(stacks, pmap(run, stacks, threads)):
         for g, (x, rank, kap, residual), ok in zip(gs, res, fits):
             if not ok:
                 bad.append(g)
             for i, c in enumerate(members[g]):
-                xc, r = (x[:, i], float(residual[i])) if k else (None, None)
-                results[c] = (xc, rank, kap, r)
+                results[c] = (x[:, i], rank, kap, float(residual[i]))
     if bad:
         raise _overflow(columns[members[min(bad)][0]][3])
     return results
@@ -452,17 +458,45 @@ def reconstruct(
 
 
 def _condition_sweep(a: Tensor3, mask: SampleMask, Ts, tol=None, threads: int = 1):
-    """``system_condition`` at each horizon of ``Ts``, from one power stack
-    built to the longest; returns one ``(kappas, K)`` per horizon."""
+    """``system_condition`` at each horizon of ``Ts``: one ``(kappas, K)``
+    per horizon, in the order of ``Ts``.
+
+    Rows run latest step first, so a column's horizon-T system is the bottom
+    row block of every longer one.  Each distinct selector, one ``pmap``
+    item, walks the sorted distinct horizons once and holds one factor R:
+    at each horizon T, R becomes the R of a QR of [the rows of steps T-1
+    down to the previous horizon ; R] (Golub & Van Loan, Matrix
+    Computations, section 6.5, on appending rows), which has the singular
+    values of the horizon-T system.  ``_finish`` takes rank and kappa from
+    it under the cutoff of that (T*s, m*n) system.  A single horizon is one
+    QR of the whole system, as ``solve_column`` takes it.
+    """
     _check_tol(tol)
     _check_problem(a, mask, None)
-    columns = [(T, sel, None, j) for j, sel in enumerate(_columns(mask.indicator)) for T in Ts]
-    results = _solve_groups(a, columns, tol, threads)
-    kappas = [[None if r is None else r[2] for r in results[t::len(Ts)]] for t in range(len(Ts))]
-    empty = [j for j, k in enumerate(kappas[0]) if k is None]
-    if empty:
+    Ts = [as_int(T, "T") for T in Ts]
+    horizons = sorted(set(Ts))
+    if horizons[0] < 1:
+        raise ValueError(f"T must be >= 1, got {horizons[0]}")
+    sels = _columns(mask.indicator)
+    empty = np.flatnonzero(~sels.any(axis=1))
+    if len(empty):
         raise UnrecoverableColumnError(empty)
-    return [(ks, max(ks)) for ks in kappas]
+    stack = _power_stack(a, horizons[-1])
+    mn = stack.shape[1]
+
+    def run(sel):
+        s, R, done, kappas = int(np.count_nonzero(sel)), np.empty((0, mn)), 0, []
+        for T in horizons:
+            new = _rows(stack[done:], T - done, sel).reshape(-1, mn)
+            R = np.linalg.qr(np.concatenate([new, R]), mode="r")
+            kappas.append(_finish(R[None], np.empty((1, len(R), 0)), T * s, tol)[2][0])
+            done = T
+        return kappas
+
+    patterns, which = np.unique(sels, axis=0, return_inverse=True)
+    kappas = pmap(run, patterns, threads)  # one per horizon of each pattern
+    at = {T: h for h, T in enumerate(horizons)}
+    return [(ks, max(ks)) for ks in ([kappas[w][at[T]] for w in which] for T in Ts)]
 
 
 def system_condition(
@@ -471,6 +505,9 @@ def system_condition(
     """Condition numbers of every column system and their maximum.
 
     The right-hand side is irrelevant: kappa(j) depends only on the operator,
-    the mask, and the horizon.  Returns ``(kappas, K)``.
+    the mask, and the horizon.  It is the rank and kappa that ``solve_column``
+    takes, from the values-only SVD of the R factor of column j's system;
+    this is the one-horizon case of the sweep that ``condition-vs-T`` runs.
+    Returns ``(kappas, K)``.
     """
     return _condition_sweep(a, mask, [T], tol, threads)[0]

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .tensor3 import ShapeMismatchError, Tensor3
+from .tensor3 import ShapeMismatchError, Tensor3, as_int
 from .t3io import T3FormatError, read_json_object, read_t3, write_json, write_t3
 
 
@@ -73,9 +73,10 @@ def bernoulli_mask(m: int, p: int, n: int, alpha: float, seed: int) -> SampleMas
     alpha = float(alpha)
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
-    rng = np.random.Generator(np.random.Philox(key=int(seed)))
+    seed = as_int(seed, "seed")
+    rng = np.random.Generator(np.random.Philox(key=seed))
     indicator = rng.random((m, p, n)) < alpha
-    prov = {"type": "bernoulli", "alpha": alpha, "seed": int(seed), "exclusions": []}
+    prov = {"type": "bernoulli", "alpha": alpha, "seed": seed, "exclusions": []}
     return SampleMask(indicator, prov)
 
 

@@ -11,9 +11,15 @@ Data is real, as in the paper, and stored as float64; complex input is
 rejected.  The t-product of two real tensors is taken through the
 half-spectrum ``rfft``/``irfft`` pair and is real by construction (Kilmer &
 Martin, "Factorization strategies for third-order tensors", LAA 435 (2011)).
+
+The number rule every module checks its arguments with lives here too:
+``as_int`` and ``as_float``.
 """
 
 from __future__ import annotations
+
+import numbers
+import sys
 
 import numpy as np
 
@@ -54,6 +60,29 @@ class Tensor3:
 
     def __repr__(self) -> str:
         return f"Tensor3(dims={self.dims})"
+
+
+# -- the number rule ---------------------------------------------------------
+
+
+def _rejected(noun: str, value, name) -> ValueError:
+    return ValueError(f"{name + ': ' if name else ''}expected {noun}, got {value!r}")
+
+
+def as_int(value, name: str | None = None) -> int:
+    """``value`` as an int: an integral number, not a bool; errors name ``name``."""
+    integral = isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    if integral or (isinstance(value, float) and value.is_integer()):
+        return int(value)
+    raise _rejected("an integer", value, name)
+
+
+def as_float(value, name: str | None = None) -> float:
+    """``value`` as a float: a real number finite in float64, not a bool; errors name ``name``."""
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    if real and abs(value) <= sys.float_info.max:  # not nan, inf or an int past float64
+        return float(value)
+    raise _rejected("a finite number", value, name)
 
 
 # -- the t-product -----------------------------------------------------------
@@ -138,5 +167,5 @@ def random_tensor(m: int, p: int, n: int, seed: int) -> Tensor3:
     Driven by a counter-based generator keyed on the 64-bit seed, so the
     draw is reproducible across platforms and independent per seed.
     """
-    rng = np.random.Generator(np.random.Philox(key=int(seed)))
+    rng = np.random.Generator(np.random.Philox(key=as_int(seed, "seed")))
     return Tensor3(rng.standard_normal((m, p, n)), copy=False)

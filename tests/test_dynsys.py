@@ -165,6 +165,35 @@ def test_observe_deterministic_per_seed():
         assert np.array_equal(o1.data, o2.data)
 
 
+@pytest.mark.parametrize("seed", [2.5, True])
+def test_observe_and_sample_data_reject_a_seed_that_is_not_an_integer(seed):
+    a, f = small_instance()
+    mask = bernoulli_mask(4, 3, 2, 0.7, 2)
+    traj = evolve(a, f, 2)
+    match = rf"^seed: expected an integer, got {seed!r}$"
+    with pytest.raises(ValueError, match=match):
+        observe(traj, mask, 1e-2, seed)
+    obs = observe(traj, mask, 0.0, 2).observations
+    with pytest.raises(ValueError, match=match):
+        SampleData(mask, obs, 0.0, seed)
+
+
+def test_observe_draws_the_same_bits_for_any_integral_seed():
+    a, f = small_instance()
+    mask = bernoulli_mask(4, 3, 2, 0.7, 2)
+    traj = evolve(a, f, 3)
+    want = [
+        (ft.data + 1e-2 * np.random.Generator(np.random.Philox(key=2).jumped(t))
+         .standard_normal(ft.dims)) * mask.indicator
+        for t, ft in enumerate(traj)
+    ]
+    for seed in (2, 2.0, np.int64(2), np.uint64(2)):
+        samples = observe(traj, mask, 1e-2, seed)
+        assert type(samples.seed) is int and samples.seed == 2
+        assert [o.data.tobytes() for o in samples.observations] == [w.tobytes() for w in want]
+        assert SampleData(mask, samples.observations, 1e-2, seed).seed == 2
+
+
 def test_observe_rejects_negative_sigma():
     a, f = small_instance()
     mask = bernoulli_mask(4, 3, 2, 0.5, 2)

@@ -27,7 +27,7 @@ from dynsamp.experiments import (
     run_experiment,
     write_experiment,
 )
-from dynsamp.reconstruct import reconstruct_batch
+from dynsamp.reconstruct import _condition_sweep, reconstruct_batch
 
 SMALL = {"m": 6, "p": 4, "n": 2, "seed": 9, "trials": 2}
 
@@ -304,14 +304,27 @@ def test_seed_rule_regenerates_an_optimal_T_row():
 
 
 def test_seed_rule_regenerates_a_condition_vs_T_row():
-    # the run's sweep over T must give what a lone system_condition gives
+    # a row regenerates bit for bit through the sweep over the run's T grid,
+    # and to roundoff (c*m*n*eps*K relative, c = 10) from a lone system_condition
     cfg = config_from_dict({"kind": "condition-vs-T", "T": [1, 2, 4, 6], "alpha": 0.7, **SMALL})
     a = random_tensor(cfg.m, cfg.m, cfg.n, derive_seed(cfg.seed, STREAM_OPERATOR))
     mask = _hand_mask(cfg, 0.7)
     rows = run_experiment(cfg)
     assert [row["T"] for row in rows] == cfg.Ts
-    for row in rows:
-        assert system_condition(a, mask, row["T"])[1] == row["K"]
+    eps = np.finfo(np.float64).eps
+    for row, (_, K) in zip(rows, _condition_sweep(a, mask, cfg.Ts)):
+        assert K == row["K"]
+        lone = system_condition(a, mask, row["T"])[1]
+        assert abs(lone - K) <= 10 * cfg.m * cfg.n * eps * K * K
+
+
+def test_condition_vs_T_csv_is_identical_at_one_and_three_threads(tmp_path):
+    raw = {"kind": "condition-vs-T", "T": [6, 1, 3, 6], "alpha": 0.7, **SMALL}
+    texts = []
+    for threads in (1, 3):
+        cfg = config_from_dict({**raw, "out": str(tmp_path / str(threads))})
+        texts.append(write_experiment(cfg, threads)["csv"].read_bytes())
+    assert texts[0] == texts[1]
 
 
 def test_seed_rule_regenerates_a_conjecture_dim2_row():

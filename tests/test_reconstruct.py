@@ -24,7 +24,8 @@ from dynsamp import (
     system_condition,
 )
 from dynsamp.reconstruct import (
-    ColumnSystem, _default_tol, _solve_stack, assemble_column_system, reconstruct_batch,
+    ColumnSystem, _condition_sweep, _default_tol, _solve_stack, assemble_column_system,
+    reconstruct_batch,
 )
 from oracles import (
     brute_force_estimate,
@@ -669,6 +670,33 @@ def test_condition_rejects_empty_column():
     assert err.value.columns == (1,)
 
 
+# c of the roundoff bound c*m*n*eps*kappa, relative, within which a kappa
+# lies of one from another factorization of the same column system
+ROUNDOFF_C = 10
+EPS = np.finfo(np.float64).eps
+
+
+def _kappa(s, shape) -> float:
+    """kappa from singular values ``s`` under the default cutoff of a ``shape`` system."""
+    rank = np.count_nonzero(s > _default_tol(shape) * s[0])
+    return s[0] / s[rank - 1]
+
+
+def _one_shot_kappas(a, mask, T) -> list[float]:
+    """Each column's kappa from one QR and a values-only SVD of its horizon-T system."""
+    samples = observe(evolve(a, Tensor3(np.zeros(mask.dims)), T), mask, 0.0, 0)
+    kappas = []
+    for j in range(mask.dims[1]):
+        M = assemble_column_system(a, mask, samples, j).matrix
+        kappas.append(_kappa(np.linalg.svd(np.linalg.qr(M, mode="r"), compute_uv=False), M.shape))
+    return kappas
+
+
+def _assert_within_roundoff(got, want, mn):
+    for g, w in zip(got, want):
+        assert abs(g - w) <= ROUNDOFF_C * mn * EPS * w * w
+
+
 @settings(max_examples=25, deadline=None)
 @given(
     m=st.integers(1, 4),
@@ -679,6 +707,9 @@ def test_condition_rejects_empty_column():
     seed=st.integers(0, 2**32),
 )
 def test_condition_matches_values_only_svd_of_each_column_system(m, p, n, T, alpha, seed):
+    """One horizon is one QR of each column system: kappa is that of the
+    values-only SVD of its R factor bit for bit, and that of the SVD of the
+    system itself to roundoff."""
     a, _, mask, samples = make_instance(m, p, n, T, alpha, seed)
     empty = tuple(j for j in range(p) if not mask.indicator[:, j, :].any())
     if empty:
@@ -689,10 +720,65 @@ def test_condition_matches_values_only_svd_of_each_column_system(m, p, n, T, alp
     kappas, K = system_condition(a, mask, T)
     for j, kappa in enumerate(kappas):
         M = assemble_column_system(a, mask, samples, j).matrix
-        s = np.linalg.svd(M, compute_uv=False)
-        rank = np.count_nonzero(s > _default_tol(M.shape) * s[0])
-        assert kappa == s[0] / s[rank - 1]
+        assert kappa == _kappa(np.linalg.svd(np.linalg.qr(M, mode="r"), compute_uv=False), M.shape)
+        _assert_within_roundoff([kappa], [_kappa(np.linalg.svd(M, compute_uv=False), M.shape)], m * n)
     assert K == max(kappas)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    m=st.integers(1, 4),
+    p=st.integers(1, 4),
+    n=st.integers(1, 4),
+    Ts=st.lists(st.integers(1, 6), min_size=1, max_size=6),
+    alpha=st.sampled_from([0.3, 0.6, 1.0]),
+    seed=st.integers(0, 2**32),
+)
+def test_condition_sweep_lies_within_roundoff_of_a_one_shot_factor_at_every_horizon(
+    m, p, n, Ts, alpha, seed
+):
+    """The factor updated along the horizons gives, at every T, the kappas of
+    one QR of the horizon-T system to within c*m*n*eps*kappa relative."""
+    a = random_tensor(m, m, n, seed)
+    indicator = bernoulli_mask(m, p, n, alpha, seed + 1).indicator.copy()
+    indicator[0, :, 0] = True  # no empty column
+    mask = SampleMask(indicator)
+    for T, (kappas, K) in zip(Ts, _condition_sweep(a, mask, Ts)):
+        _assert_within_roundoff(kappas, _one_shot_kappas(a, mask, T), m * n)
+        assert K == max(kappas)
+
+
+def test_condition_sweep_at_paper_dims_lies_within_roundoff_of_a_one_shot_factor():
+    # up to T = 15, where K nears 1e12 and the default cutoff drops one direction
+    a = random_tensor(20, 20, 5, 620)
+    mask = bernoulli_mask(20, 15, 5, 0.4, 621)
+    Ts = [9, 15, 4]
+    sweep = _condition_sweep(a, mask, Ts)
+    for T, (kappas, _) in zip(Ts, sweep):
+        _assert_within_roundoff(kappas, _one_shot_kappas(a, mask, T), 100)
+    assert sweep[1][1] > 1e11
+
+
+def test_condition_sweep_answers_unsorted_and_repeated_horizons_in_request_order():
+    a = random_tensor(5, 5, 3, 650)
+    mask = bernoulli_mask(5, 4, 3, 0.6, 651)
+    Ts = [4, 1, 4, 3, 1]
+    got = _condition_sweep(a, mask, Ts)
+    by_T = dict(zip([1, 3, 4], _condition_sweep(a, mask, [1, 3, 4])))
+    assert got == [by_T[T] for T in Ts]
+    assert got[1] == system_condition(a, mask, 1)  # the first horizon is one QR
+
+
+def test_condition_sweep_rejects_an_empty_column_and_a_bad_horizon():
+    a = random_tensor(4, 4, 2, 630)
+    with pytest.raises(UnrecoverableColumnError) as err:
+        _condition_sweep(a, lattice_mask(4, 3, 2, range(4), [0, 2]), [3, 1, 2])
+    assert err.value.columns == (1,)
+    mask = bernoulli_mask(4, 3, 2, 1.0, 1)
+    with pytest.raises(ValueError, match=r"^T: expected an integer, got 2.5$"):
+        _condition_sweep(a, mask, [3, 2.5])
+    with pytest.raises(ValueError, match=r"^T must be >= 1, got 0$"):
+        _condition_sweep(a, mask, [3, 0])
 
 
 def test_condition_threads_deterministic():

@@ -41,6 +41,20 @@ def test_bernoulli_reproducible_per_seed():
     assert not np.array_equal(a.indicator, c.indicator)
 
 
+@pytest.mark.parametrize("seed", [2.5, True])
+def test_bernoulli_rejects_a_seed_that_is_not_an_integer(seed):
+    with pytest.raises(ValueError, match=rf"^seed: expected an integer, got {seed!r}$"):
+        bernoulli_mask(2, 3, 2, 0.5, seed)
+
+
+def test_bernoulli_draws_the_same_bits_and_records_the_seed_for_any_integral_seed():
+    want = np.random.Generator(np.random.Philox(key=1)).random((2, 3, 2)) < 0.5
+    for seed in (1, 1.0, np.int64(1), np.uint64(1)):
+        mask = bernoulli_mask(2, 3, 2, 0.5, seed)
+        assert np.array_equal(mask.indicator, want)
+        assert type(mask.provenance["seed"]) is int and mask.provenance["seed"] == 1
+
+
 def test_bernoulli_rejects_bad_alpha():
     with pytest.raises(ValueError):
         bernoulli_mask(2, 2, 2, 1.5, 1)

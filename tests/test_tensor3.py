@@ -70,6 +70,18 @@ def test_immutability():
         t.data[0, 0, 0] = 1.0
 
 
+@pytest.mark.parametrize("seed", [2.5, True])
+def test_random_tensor_rejects_a_seed_that_is_not_an_integer(seed):
+    with pytest.raises(ValueError, match=rf"^seed: expected an integer, got {seed!r}$"):
+        random_tensor(2, 3, 2, seed)
+
+
+def test_random_tensor_draws_the_same_bits_for_any_integral_seed():
+    want = np.random.Generator(np.random.Philox(key=2)).standard_normal((2, 3, 2))
+    for seed in (2, 2.0, np.int64(2), np.uint64(2)):
+        assert random_tensor(2, 3, 2, seed).data.tobytes() == want.tobytes()
+
+
 def test_non_3way_rejected():
     with pytest.raises(ShapeMismatchError):
         Tensor3(np.zeros((2, 2)))
