@@ -277,12 +277,11 @@ def _solve_stack(A: np.ndarray, mn: int, tol=None, kappa: bool = True):
     matrix of a stack, so each member gets a lone system's bits.  The QR of
     the stack is this half; ``_finish`` takes the rest from its factors.
     """
-    rows = A.shape[1]
     M, B = A[:, :, :mn], A[:, :, mn:]
     exp = _exponents(B, axis=1)
     np.ldexp(B, -exp, out=B)
     R = np.linalg.qr(A, mode="r")
-    x, ranks, kappas = _finish(R[:, :mn, :mn], R[:, :mn, mn:], rows, tol, kappa)
+    x, ranks, kappas = _finish(R[:, :mn, :mn], R[:, :mn, mn:], A.shape[1], tol, kappa)
     with np.errstate(over="ignore", invalid="ignore"):
         x, residual = np.ldexp(x, exp), np.ldexp(np.linalg.norm(M @ x - B, axis=1), exp[:, 0])
     fits = np.isfinite(x).all(axis=(1, 2)) & np.isfinite(residual).all(axis=1)
