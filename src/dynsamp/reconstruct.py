@@ -13,14 +13,14 @@ bcirc(A)^0, ..., bcirc(A)^(T-1) is computed once per call by evolving the
 m*n unit-basis slab to the longest horizon; column j's matrix is the subset
 of its rows that the mask selects, latest step first, and its right-hand
 side is the observed values at the same entries, in the same order.
-Columns with the same horizon and sample pattern share their matrix, so
-``reconstruct_batch`` solves each distinct matrix of a call once, with the
-right-hand sides of all its columns across the problems of the call.
-Distinct matrices of one shape are solved as one stack, each LAPACK routine
-called once per stack, with the bits that ``solve_column`` gives each
-matrix alone.  ``system_condition`` and its sweep over horizons factor
-each distinct sample pattern once per call, appending the rows of each
-longer horizon to the triangular factor of the shorter one.
+``reconstruct_batch`` and ``system_condition`` go through one grouped
+walker: columns with the same horizons and sample pattern share their
+matrix, so each distinct matrix of a call is solved once, with the
+right-hand sides of all its columns across the problems of the call (a
+batch, at its one horizon) or with none (the condition sweep, at every
+horizon asked for).  Distinct matrices of one shape are walked as one
+stack, each LAPACK routine called once per stack, with the bits each matrix
+gets alone.
 
 Columns with no samples yield an empty system and cannot be recovered; they
 raise ``UnrecoverableColumnError`` unless the caller asks for a partial
@@ -132,7 +132,8 @@ def _from_columns(c: np.ndarray, m: int) -> np.ndarray:
 
 
 def _rows(steps: np.ndarray, T: int, sel) -> np.ndarray:
-    """Rows ``sel`` of each step of ``steps`` up to horizon T, latest step first."""
+    """Rows ``sel`` of each step of ``steps`` up to horizon T, latest step
+    first; a (g, s) index array ``sel`` picks s rows for each of g systems."""
     return steps[T - 1::-1, sel]
 
 
@@ -232,15 +233,15 @@ def _certified(Rm: np.ndarray, rel: float) -> np.ndarray:
 
 
 def _finish(Rm: np.ndarray, C: np.ndarray, rows: int, tol=None, kappa: bool = True):
-    """The post-QR half of ``_solve_stack``: ``(x, ranks, kappas)`` for each
-    member of a (g, min(rows, m*n), m*n) stack of triangular factors ``Rm``
-    with projected right-hand sides ``C`` (g, ., k), ``x`` (g, m*n, k) at the
-    scale of ``C``.
+    """The post-QR half of each horizon of ``_solve_stack``: ``(x, ranks,
+    kappas)`` for each member of a (g, min(rows, m*n), m*n) stack of
+    triangular factors ``Rm`` with projected right-hand sides ``C`` (g, ., k),
+    ``x`` (g, m*n, k) at the scale of ``C``.
 
-    ``rows`` is the row count of the systems the factors come from, which
-    sets the default cutoff.  With ``kappa`` False, a member whose factor
-    ``_certified`` shows full rank skips its SVD and reports kappa None; it
-    takes the back-substitution that its SVD's rank would have chosen.
+    ``rows`` is the row count at that horizon of the systems the factors come
+    from, which sets the default cutoff.  With ``kappa`` False, a member whose
+    factor ``_certified`` shows full rank skips its SVD and reports kappa
+    None; it takes the back-substitution that its SVD's rank would have chosen.
     """
     g, _, mn = Rm.shape
     rel = _default_tol((rows, mn)) if tol is None else float(tol)
@@ -267,25 +268,38 @@ def _finish(Rm: np.ndarray, C: np.ndarray, rows: int, tol=None, kappa: bool = Tr
     return x, ranks, kappas
 
 
-def _solve_stack(A: np.ndarray, mn: int, tol=None, kappa: bool = True):
+def _solve_stack(A: np.ndarray, mn: int, tol=None, kappa: bool = True, later=()):
     """``solve_column`` on each system ``A[i] = [M_i | B_i]`` of a (g, rows,
-    m*n + k) stack; ``B`` is scaled in place.
+    m*n + k) stack, and then at each longer horizon, whose new rows a (g,
+    rows', m*n) block of ``later`` holds; ``B`` is scaled in place.
 
-    Returns one ``(x, rank, kappa, residual)`` per member, ``x`` (m*n, k) and
-    ``residual`` of length k, and a mask of the members whose solution and
-    residuals fit in float64.  numpy's linalg functions run LAPACK once per
-    matrix of a stack, so each member gets a lone system's bits.  The QR of
-    the stack is this half; ``_finish`` takes the rest from its factors.
+    Returns, per horizon, one ``(x, rank, kappa, residual)`` per member, ``x``
+    (m*n, k) and ``residual`` of length k, and a mask of the members whose
+    solutions and residuals fit in float64.  The walk: one Householder QR of
+    ``A`` gives its factor R; each later block, the rows of the steps it adds
+    latest step first, is stacked on R, and R becomes the R of one QR of
+    [block ; R] (Golub & Van Loan, Matrix Computations, section 6.5, on
+    appending rows), which has the singular values of the longer system.
+    Since rows run latest step first, a column's system at one horizon is the
+    bottom row block of its system at every longer one.  ``_finish`` takes
+    each horizon's answer from R under the cutoff of that horizon's whole
+    system.  Later blocks carry no right-hand side, so k = 0 wherever there
+    are any.  numpy's linalg functions run LAPACK once per matrix of a stack,
+    so each member gets the bits of its walk alone.
     """
     M, B = A[:, :, :mn], A[:, :, mn:]
     exp = _exponents(B, axis=1)
     np.ldexp(B, -exp, out=B)
-    R = np.linalg.qr(A, mode="r")
-    x, ranks, kappas = _finish(R[:, :mn, :mn], R[:, :mn, mn:], A.shape[1], tol, kappa)
+    R, rows, walk = None, 0, []
+    for block in (A, *later):
+        rows += block.shape[1]
+        R = np.linalg.qr(block if R is None else np.concatenate([block, R], axis=1), mode="r")
+        walk.append(_finish(R[:, :mn, :mn], R[:, :mn, mn:], rows, tol, kappa))
+    x = walk[0][0]  # later blocks carry no right-hand side (k = 0)
     with np.errstate(over="ignore", invalid="ignore"):
         x, residual = np.ldexp(x, exp), np.ldexp(np.linalg.norm(M @ x - B, axis=1), exp[:, 0])
     fits = np.isfinite(x).all(axis=(1, 2)) & np.isfinite(residual).all(axis=1)
-    return list(zip(x, ranks.tolist(), kappas, residual)), fits
+    return [list(zip(x, ranks.tolist(), kappas, residual)) for _, ranks, kappas in walk], fits
 
 
 def _overflow(j: int) -> SampleOverflowError:
@@ -314,15 +328,15 @@ def solve_column(system: ColumnSystem, tol: float | None = None):
     The column systems that ``assemble_column_system`` and ``reconstruct``
     build put the latest step's rows first, so where the powers of the
     operator grow, the QR meets the largest rows first (Cox & Higham, BIT 38
-    (1998)).  This is the one-system case of ``_solve_stack``, which solves
-    the column systems of ``reconstruct_batch`` in stacks.
+    (1998)).  This is the one-block, one-member case of ``_solve_stack``,
+    which walks the column systems of every call in stacks.
     """
     _check_tol(tol)
     M, b = system.matrix, system.rhs
     if not M.any():
         raise UnrecoverableColumnError((system.j,))
     A = np.concatenate([M, b.reshape(len(b), -1)], axis=1, dtype=np.float64)
-    ((x, rank, kappa, residual),), fits = _solve_stack(A[None], M.shape[1], tol)
+    ([(x, rank, kappa, residual)],), fits = _solve_stack(A[None], M.shape[1], tol)
     if not fits[0]:
         raise _overflow(system.j)
     if b.ndim == 1:
@@ -331,51 +345,57 @@ def solve_column(system: ColumnSystem, tol: float | None = None):
 
 
 def _solve_groups(a: Tensor3, columns: list, tol, threads: int, kappa: bool = True) -> list:
-    """``solve_column`` on each ``(T, selector, rhs, j)`` column, from one
-    power stack built to the longest T: one ``(x, rank, kappa, residual)``
-    per column, or None where the selector picks no row.  ``j`` names the
-    column in the overflow error, raised for the first system that overflows.
+    """``_solve_stack`` on each ``(horizons, selector, rhs, j)`` column, from
+    one power stack built to the longest horizon: per column, None where the
+    selector picks no row, else one ``(x, rank, kappa, residual)`` at each
+    horizon of the sorted tuple ``horizons``.  An ``rhs`` of None adds no
+    right-hand side, and its x and residual are None.  ``j`` names the column
+    in the overflow error, raised for the first system that overflows.
 
-    Columns with equal ``(T, selector)`` share one system, in order of first
-    appearance.  Systems of one shape (T, samples per step, right-hand sides)
-    go in stacks of at most ``_STACK_BYTES``, one ``_solve_stack`` call and
-    ``pmap`` item each; ``kappa`` False lets it skip the SVD of members
-    certified full rank.
+    Columns with equal ``(horizons, selector)`` share one system, in order of
+    first appearance.  Systems of one shape (horizons, samples per step,
+    right-hand sides) go in stacks of at most ``_STACK_BYTES`` at the longest
+    horizon, one ``_solve_stack`` call and ``pmap`` item each; ``kappa``
+    False lets it skip the SVD of members certified full rank.
     """
     groups: dict[tuple, list[int]] = {}
-    for c, (T, sel, _, _) in enumerate(columns):
-        groups.setdefault((T, sel.tobytes()), []).append(c)
+    for c, (Ts, sel, _, _) in enumerate(columns):
+        groups.setdefault((Ts, sel.tobytes()), []).append(c)
     members = list(groups.values())
-    stack = _power_stack(a, max((T for T, *_ in columns), default=1))
+    stack = _power_stack(a, max((Ts[-1] for Ts, *_ in columns), default=1))
     mn = stack.shape[1]
     shapes: dict[tuple, list[int]] = {}
     for g, cs in enumerate(members):
-        T, sel, _, _ = columns[cs[0]]
+        Ts, sel, rhs, _ = columns[cs[0]]
         s = int(np.count_nonzero(sel))
         if s:
-            shapes.setdefault((T, s, len(cs)), []).append(g)
+            shapes.setdefault((Ts, s, 0 if rhs is None else len(cs)), []).append(g)
     stacks = []
-    for (T, s, k), gs in shapes.items():
-        size = max(1, _STACK_BYTES // (T * s * (mn + k) * 8))
-        stacks += [(T, s, k, gs[c:c + size]) for c in range(0, len(gs), size)]
+    for (Ts, s, k), gs in shapes.items():
+        size = max(1, _STACK_BYTES // (Ts[-1] * s * (mn + k) * 8))
+        stacks += [(Ts, s, k, gs[c:c + size]) for c in range(0, len(gs), size)]
 
     def run(item):
-        T, s, k, gs = item
-        A = np.empty((len(gs), T, s, mn + k))
-        for i, g in enumerate(gs):
-            A[i, :, :, :mn] = _rows(stack, T, columns[members[g][0]][1])
+        Ts, s, k, gs = item
+        picks = np.array([np.flatnonzero(columns[members[g][0]][1]) for g in gs])
+        A = np.empty((len(gs), Ts[0], s, mn + k))
+        A[..., :mn] = _rows(stack, Ts[0], picks).swapaxes(0, 1)
+        for i, g in enumerate(gs if k else ()):
             rhs = [columns[c][2] for c in members[g]]
-            A[i, :, :, mn:] = np.reshape(rhs, (k, T, s)).transpose(1, 2, 0)
-        return _solve_stack(A.reshape(len(gs), T * s, mn + k), mn, tol, kappa)
+            A[i, :, :, mn:] = np.reshape(rhs, (k, Ts[0], s)).transpose(1, 2, 0)
+        later = [_rows(stack[t:], T - t, picks).swapaxes(0, 1).reshape(len(gs), -1, mn)
+                 for t, T in zip(Ts, Ts[1:])]
+        return _solve_stack(A.reshape(len(gs), Ts[0] * s, mn + k), mn, tol, kappa, later)
 
     results: list = [None] * len(columns)
     bad = []
-    for (*_, gs), (res, fits) in zip(stacks, pmap(run, stacks, threads)):
-        for g, (x, rank, kap, residual), ok in zip(gs, res, fits):
-            if not ok:
+    for (*_, k, gs), (walk, fits) in zip(stacks, pmap(run, stacks, threads)):
+        for i, g in enumerate(gs):
+            if not fits[i]:
                 bad.append(g)
-            for i, c in enumerate(members[g]):
-                results[c] = (x[:, i], rank, kap, float(residual[i]))
+            for n, c in enumerate(members[g]):
+                results[c] = [(x[:, n], rank, kap, float(res[n])) if k else (None, rank, kap, None)
+                              for x, rank, kap, res in (at[i] for at in walk)]
     if bad:
         raise _overflow(columns[members[min(bad)][0]][3])
     return results
@@ -410,13 +430,13 @@ def reconstruct_batch(
         _check_problem(a, samples.mask, None)
         sels = _columns(samples.mask.indicator)
         rhs = _column_rhs(samples, sels)
-        columns += [(samples.horizon, sel, b, j) for j, (sel, b) in enumerate(zip(sels, rhs))]
+        columns += [((samples.horizon,), sel, b, j) for j, (sel, b) in enumerate(zip(sels, rhs))]
         widths.append(len(sels))
     results = iter(_solve_groups(a, columns, tol, threads, kappa))
     reports = []
     for p in widths:
         # failed columns have no samples, so rank 0 and no misfit either: residual 0.0
-        cols = [next(results) or (np.zeros(m * n), 0, None, 0.0) for _ in range(p)]
+        cols = [(next(results) or [(np.zeros(m * n), 0, None, 0.0)])[0] for _ in range(p)]
         xs, ranks, kappas, residuals = (list(v) for v in zip(*cols))
         failed = [j for j, r in enumerate(ranks) if r == 0]
         if failed and not allow_partial:
@@ -458,44 +478,21 @@ def reconstruct(
 
 def _condition_sweep(a: Tensor3, mask: SampleMask, Ts, tol=None, threads: int = 1):
     """``system_condition`` at each horizon of ``Ts``: one ``(kappas, K)``
-    per horizon, in the order of ``Ts``.
-
-    Rows run latest step first, so a column's horizon-T system is the bottom
-    row block of every longer one.  Each distinct selector, one ``pmap``
-    item, walks the sorted distinct horizons once and holds one factor R:
-    at each horizon T, R becomes the R of a QR of [the rows of steps T-1
-    down to the previous horizon ; R] (Golub & Van Loan, Matrix
-    Computations, section 6.5, on appending rows), which has the singular
-    values of the horizon-T system.  ``_finish`` takes rank and kappa from
-    it under the cutoff of that (T*s, m*n) system.  A single horizon is one
-    QR of the whole system, as ``solve_column`` takes it.
-    """
+    per horizon, in the order of ``Ts``, from one ``_solve_groups`` walk of
+    the sorted distinct horizons with no right-hand side."""
     _check_tol(tol)
     _check_problem(a, mask, None)
     Ts = [as_int(T, "T") for T in Ts]
-    horizons = sorted(set(Ts))
+    horizons = tuple(sorted(set(Ts)))
     if horizons[0] < 1:
         raise ValueError(f"T must be >= 1, got {horizons[0]}")
     sels = _columns(mask.indicator)
     empty = np.flatnonzero(~sels.any(axis=1))
     if len(empty):
         raise UnrecoverableColumnError(empty)
-    stack = _power_stack(a, horizons[-1])
-    mn = stack.shape[1]
-
-    def run(sel):
-        s, R, done, kappas = int(np.count_nonzero(sel)), np.empty((0, mn)), 0, []
-        for T in horizons:
-            new = _rows(stack[done:], T - done, sel).reshape(-1, mn)
-            R = np.linalg.qr(np.concatenate([new, R]), mode="r")
-            kappas.append(_finish(R[None], np.empty((1, len(R), 0)), T * s, tol)[2][0])
-            done = T
-        return kappas
-
-    patterns, which = np.unique(sels, axis=0, return_inverse=True)
-    kappas = pmap(run, patterns, threads)  # one per horizon of each pattern
+    walks = _solve_groups(a, [(horizons, sel, None, j) for j, sel in enumerate(sels)], tol, threads)
     at = {T: h for h, T in enumerate(horizons)}
-    return [(ks, max(ks)) for ks in ([kappas[w][at[T]] for w in which] for T in Ts)]
+    return [(ks, max(ks)) for ks in ([w[at[T]][2] for w in walks] for T in Ts)]
 
 
 def system_condition(

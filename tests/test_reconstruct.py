@@ -268,22 +268,32 @@ def _assert_same_solution(got, want):
     k=st.sampled_from([0, 1, 3]),
     spread=st.sampled_from([0.0, 8.0, 20.0]),
     duplicate=st.booleans(),
+    blocks=st.lists(st.integers(1, 6), max_size=2),
     seed=st.integers(0, 2**32 - 1),
 )
-@example(g=3, rows=4, mn=8, k=1, spread=0.0, duplicate=False, seed=0)  # rows < m*n
-@example(g=3, rows=12, mn=6, k=3, spread=0.0, duplicate=True, seed=1)  # rank-deficient
+@example(g=3, rows=4, mn=8, k=1, spread=0.0, duplicate=False, blocks=[], seed=0)  # rows < m*n
+@example(g=3, rows=12, mn=6, k=3, spread=0.0, duplicate=True, blocks=[], seed=1)  # rank-deficient
+@example(g=3, rows=2, mn=6, k=0, spread=8.0, duplicate=True, blocks=[3, 5], seed=2)  # walks to full rank
 def test_each_stack_member_matches_a_lone_solve_bit_for_bit(
-    g, rows, mn, k, spread, duplicate, seed
+    g, rows, mn, k, spread, duplicate, blocks, seed
 ):
     """A member of a stack gets the bits of ``solve_column`` on its system
-    alone: x, rank, kappa and residual, for any stack size."""
-    A = _stack(np.random.default_rng(seed), g, rows, mn, k, spread)
+    alone: x, rank, kappa and residual, for any stack size; and, where later
+    row blocks walk it to longer horizons (k = 0), the bits of its own walk
+    alone at every horizon."""
+    rng = np.random.default_rng(seed)
+    A = _stack(rng, g, rows, mn, k, spread)
     if duplicate and mn > 1:
         A[-1, :, 1] = A[-1, :, 0]  # a rank-deficient member
-    members, fits = _solve_stack(A.copy(), mn)
-    assert len(members) == g and all(fits)
-    for i, got in enumerate(members):
+    later = [_stack(rng, g, r, mn, 0, spread) for r in blocks] if k == 0 else []
+    walk, fits = _solve_stack(A.copy(), mn, later=later)
+    assert len(walk) == 1 + len(later) and all(len(at) == g for at in walk) and all(fits)
+    for i, got in enumerate(walk[0]):
         _assert_same_solution(got, solve_column(ColumnSystem(i, A[i, :, :mn], A[i, :, mn:])))
+    for i in range(g):
+        alone, _ = _solve_stack(A[i:i + 1].copy(), mn, later=[b[i:i + 1] for b in later])
+        for at, want in zip(walk, alone, strict=True):
+            _assert_same_solution(at[i], want[0])
 
 
 @settings(max_examples=40, deadline=None)
@@ -332,8 +342,8 @@ def test_certified_members_have_full_svd_rank_and_the_same_solution(g, extra, mn
     SVD gives rank m*n, and x and the residual keep their bits; every other
     member is solved as with kappa on."""
     A = _stack(np.random.default_rng(seed), g, mn + extra, mn, k, spread)
-    cheap, fits = _solve_stack(A.copy(), mn, kappa=False)
-    full, fits_full = _solve_stack(A.copy(), mn)
+    (cheap,), fits = _solve_stack(A.copy(), mn, kappa=False)
+    (full,), fits_full = _solve_stack(A.copy(), mn)
     assert list(fits) == list(fits_full)
     for got, want in zip(cheap, full):
         if got[2] is None:
@@ -357,25 +367,31 @@ def test_certificate_declines_singular_and_ill_conditioned_members():
     A = _stack(rng, 3, 10, mn, 1, 0.0)
     A[1, :, :mn] = _stack(rng, 1, 10, mn, 0, 15.0)[0]  # full rank, kappa beyond the certificate
     A[2, :, 3] = 0.0  # an exactly singular R factor: no inverse is taken
-    cheap, _ = _solve_stack(A.copy(), mn, kappa=False)
-    full, _ = _solve_stack(A.copy(), mn)
+    (cheap,), _ = _solve_stack(A.copy(), mn, kappa=False)
+    (full,), _ = _solve_stack(A.copy(), mn)
     assert [r[2] is None for r in cheap] == [True, False, False]
     assert full[2][1] < mn
     for got, want in zip(cheap[1:], full[1:]):
         _assert_same_solution(got, want)
 
 
+def _spy_stacks(monkeypatch) -> list:
+    """Record (members, rows at the longest horizon, width) of each ``_solve_stack`` call."""
+    solve, shapes = reconstruct_module._solve_stack, []
+
+    def spy(A, mn, tol=None, kappa=True, later=()):
+        shapes.append((A.shape[0], A.shape[1] + sum(b.shape[1] for b in later), A.shape[2]))
+        return solve(A, mn, tol, kappa, later)
+
+    monkeypatch.setattr(reconstruct_module, "_solve_stack", spy)
+    return shapes
+
+
 def test_stacks_respect_the_byte_cap_and_do_not_change_results(monkeypatch):
     a, f, _, _ = make_instance(4, 12, 3, 3, 0.5, 770)
     masks = [bernoulli_mask(4, 12, 3, 0.5, 771 + i) for i in range(3)]
     problems = [observe(evolve(a, f, 3), m, 1e-2, 775 + i) for i, m in enumerate(masks)]
-    solve, shapes = reconstruct_module._solve_stack, []
-
-    def spy(A, *args):
-        shapes.append(A.shape)
-        return solve(A, *args)
-
-    monkeypatch.setattr(reconstruct_module, "_solve_stack", spy)
+    shapes = _spy_stacks(monkeypatch)
     want = reconstruct_batch(a, problems, allow_partial=True)
     uncapped, shapes[:] = list(shapes), []
     cap = 2 * 24 * 13 * 8  # room for two systems of 24 rows and 13 columns
@@ -392,8 +408,8 @@ def test_unsampled_group_yields_none_without_a_solve(monkeypatch):
     a = random_tensor(3, 3, 2, 780)
     sel = np.zeros(6, dtype=bool)
     monkeypatch.setattr(reconstruct_module, "_solve_stack", None)  # never called
-    columns = [(2, sel, np.empty(0), 0)]
-    assert reconstruct_module._solve_groups(a, columns, None, 1) == [None]
+    columns = [((2,), sel, np.empty(0), 0), ((1, 4), sel, None, 1)]
+    assert reconstruct_module._solve_groups(a, columns, None, 1) == [None, None]
 
 
 def _report_json(report) -> str:
@@ -767,6 +783,34 @@ def test_condition_sweep_answers_unsorted_and_repeated_horizons_in_request_order
     by_T = dict(zip([1, 3, 4], _condition_sweep(a, mask, [1, 3, 4])))
     assert got == [by_T[T] for T in Ts]
     assert got[1] == system_condition(a, mask, 1)  # the first horizon is one QR
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_condition_sweep_columns_sharing_a_stack_match_their_lone_sweeps(monkeypatch, threads):
+    """Columns with distinct sample patterns of one size walk the horizons in
+    one stack, and each gets, at every horizon, the bits of the same sweep on
+    a mask holding its pattern alone; a capped stack holds at most
+    ``_STACK_BYTES`` at its longest horizon."""
+    m, p, n, s = 3, 6, 2, 4
+    rng = np.random.default_rng(655)
+    combos = list(itertools.combinations(range(m * n), s))
+    indicator = np.zeros((m, p, n), dtype=bool)
+    for j, c in enumerate(rng.choice(len(combos), p, replace=False)):
+        col = np.zeros(m * n, dtype=bool)
+        col[list(combos[c])] = True
+        indicator[:, j, :] = col.reshape(n, m).T  # vec index i + m*k
+    a, Ts = random_tensor(m, m, n, 656), [5, 1, 3, 5, 2]
+    alone = [_condition_sweep(a, SampleMask(indicator[:, j:j + 1, :]), Ts) for j in range(p)]
+    shapes = _spy_stacks(monkeypatch)
+    # uncapped, one stack of all six; capped, room for two systems at T = 5
+    for cap, sizes in ((reconstruct_module._STACK_BYTES, [p]), (2 * 5 * s * m * n * 8, [2, 2, 2])):
+        monkeypatch.setattr(reconstruct_module, "_STACK_BYTES", cap)
+        shapes[:] = []
+        sweep = _condition_sweep(a, SampleMask(indicator), Ts, threads=threads)
+        for h, (kappas, K) in enumerate(sweep):
+            assert kappas == [alone[j][h][0][0] for j in range(p)] and K == max(kappas)
+        assert [g for g, _, _ in shapes] == sizes
+        assert all(g * rows * width * 8 <= cap for g, rows, width in shapes)
 
 
 def test_condition_sweep_rejects_an_empty_column_and_a_bad_horizon():
