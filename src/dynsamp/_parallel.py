@@ -1,11 +1,9 @@
-"""Deterministic parallel map over independent work items.
+"""Deterministic parallel map, and the one-thread OpenBLAS pin.
 
-The pool is the only parallel layer: while any ``pmap`` runs, OpenBLAS is
-pinned to one thread, and the caller's thread count comes back when the
-outermost ``pmap`` returns or raises.  The per-item problems are far too
-small for threaded BLAS, and with one BLAS thread the results no longer
-depend on the BLAS thread count.  On a numpy not built on scipy-openblas
-the pinning is a no-op.
+``pmap`` is a plain ordered map, inline or on a thread pool.  The two kernels
+whose bits depend on the OpenBLAS thread count, ``reconstruct._solve_stack``
+and ``tensor3._norm2``, each run under ``_single_threaded_blas``, so their
+results do not; on a numpy not built on scipy-openblas the pin is a no-op.
 """
 
 from __future__ import annotations
@@ -42,7 +40,8 @@ _saved_threads = 0
 
 @contextmanager
 def _single_threaded_blas():
-    """Pin OpenBLAS to one thread; nested and concurrent uses share one pin."""
+    """Pin OpenBLAS to one thread; nested and concurrent (pool thread) uses
+    share one pin, undone when the last exits.  Also a decorator."""
     global _pin_depth, _saved_threads
     if _OPENBLAS is None:
         yield
@@ -75,15 +74,9 @@ def resolve_threads() -> int:
 
 
 def pmap(fn, items, threads: int = 1) -> list:
-    """Map ``fn`` over ``items``, results in input order regardless of scheduling.
-
-    Each item is computed independently with OpenBLAS on one thread, so the
-    results are bit-identical to the sequential map for any pool size and
-    any BLAS thread count.
-    """
+    """Map ``fn`` over ``items``, results in input order regardless of scheduling."""
     items = list(items)
-    with _single_threaded_blas():
-        if threads <= 1 or len(items) <= 1:
-            return [fn(item) for item in items]
-        with ThreadPoolExecutor(max_workers=min(threads, len(items))) as pool:
-            return list(pool.map(fn, items))
+    if threads <= 1 or len(items) <= 1:
+        return [fn(item) for item in items]
+    with ThreadPoolExecutor(max_workers=min(threads, len(items))) as pool:
+        return list(pool.map(fn, items))

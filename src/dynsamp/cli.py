@@ -7,9 +7,9 @@
 Exit codes: 0 success, 2 unrecoverable columns, 3 configuration error,
 4 I/O or data-file error.  Running out of memory exits 3, or 4 from
 reconstruct, whose dataset sets its size.  DYNSAMP_THREADS caps worker
-parallelism, the only parallel layer: OpenBLAS runs on one thread inside
-it.  Results are byte-identical for any DYNSAMP_THREADS and any OpenBLAS
-thread count.
+parallelism; OpenBLAS runs on one thread in each least-squares solve and
+each norm.  Results are byte-identical for any DYNSAMP_THREADS and any
+OpenBLAS thread count.
 """
 
 from __future__ import annotations

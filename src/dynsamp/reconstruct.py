@@ -37,7 +37,7 @@ from .tensor3 import ShapeMismatchError, Tensor3, _exponents, as_int
 from .tensor3 import rel_error as tensor_rel_error
 from .sampling import SampleMask
 from .dynsys import SampleData, SampleOverflowError, evolve
-from ._parallel import pmap
+from ._parallel import _single_threaded_blas, pmap
 
 _EPS = float(np.finfo(np.float64).eps)
 
@@ -268,6 +268,7 @@ def _finish(Rm: np.ndarray, C: np.ndarray, rows: int, tol=None, kappa: bool = Tr
     return x, ranks, kappas
 
 
+@_single_threaded_blas()
 def _solve_stack(A: np.ndarray, mn: int, tol=None, kappa: bool = True, later=()):
     """``solve_column`` on each system ``A[i] = [M_i | B_i]`` of a (g, rows,
     m*n + k) stack, and then at each longer horizon, whose new rows a (g,
@@ -285,7 +286,8 @@ def _solve_stack(A: np.ndarray, mn: int, tol=None, kappa: bool = True, later=())
     each horizon's answer from R under the cutoff of that horizon's whole
     system.  Later blocks carry no right-hand side, so k = 0 wherever there
     are any.  numpy's linalg functions run LAPACK once per matrix of a stack,
-    so each member gets the bits of its walk alone.
+    here on one OpenBLAS thread, so each member gets the bits of its walk
+    alone at any thread count.
     """
     M, B = A[:, :, :mn], A[:, :, mn:]
     exp = _exponents(B, axis=1)
@@ -328,8 +330,9 @@ def solve_column(system: ColumnSystem, tol: float | None = None):
     The column systems that ``assemble_column_system`` and ``reconstruct``
     build put the latest step's rows first, so where the powers of the
     operator grow, the QR meets the largest rows first (Cox & Higham, BIT 38
-    (1998)).  This is the one-block, one-member case of ``_solve_stack``,
-    which walks the column systems of every call in stacks.
+    (1998)).  It is the one-block, one-member case of ``_solve_stack``, so a
+    column whose sample pattern no other shares gets the bits of its column
+    of ``reconstruct``, at any OpenBLAS thread count.
     """
     _check_tol(tol)
     M, b = system.matrix, system.rhs

@@ -23,6 +23,8 @@ import sys
 
 import numpy as np
 
+from ._parallel import _single_threaded_blas
+
 
 class ShapeMismatchError(ValueError):
     """Operands have incompatible shapes; the message names both."""
@@ -125,12 +127,14 @@ def _exponents(x: np.ndarray, axis=None) -> np.ndarray:
     return np.frexp(np.abs(x).max(axis=axis, keepdims=True))[1]
 
 
+@_single_threaded_blas()
 def _norm2(x: np.ndarray) -> float:
     """2-norm of all entries of a float64 array.
 
     The entries are scaled by 2**-e (``_exponents``) before squaring, so tiny
     or huge entries neither underflow nor overflow.  The scaling is exact:
-    where the plain norm is finite and nonzero it agrees.
+    where the plain norm is finite and nonzero it agrees.  Its BLAS dot runs
+    on one OpenBLAS thread: its bits do not depend on the thread count.
     """
     exp = _exponents(x)
     with np.errstate(over="ignore"):  # a norm beyond float64 is inf

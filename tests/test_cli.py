@@ -1,4 +1,3 @@
-import contextlib
 import functools
 import hashlib
 import json
@@ -30,7 +29,6 @@ from dynsamp import (
     save_sample_data,
     write_t3,
 )
-from dynsamp import _parallel
 from dynsamp.cli import main
 
 
@@ -94,6 +92,10 @@ def test_simulate_rejects_bad_json(tmp_path, capsys):
     assert code == 3
     err = capsys.readouterr().err
     assert "line 1" in err
+    cfg.write_text("[1, 2]")
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 3
+    assert capsys.readouterr().err == f"error: {cfg}: config must be a JSON object\n"
+    assert not (tmp_path / "x").exists()
 
 
 def test_simulate_rejects_a_config_that_is_not_utf8(tmp_path, capsys):
@@ -144,10 +146,13 @@ def test_reconstruct_missing_dataset(tmp_path, capsys):
 
 
 def test_reconstruct_partial_dataset(tmp_path, capsys):
-    out = tmp_path / "ds"
-    main(["simulate", "--out", str(out), "--T", "2"] + SMALL)
-    (out / "obs_1.t3").unlink()
-    assert main(["reconstruct", str(out)]) == 4
+    for name, missing in (("obs_1.t3", "obs_1.t3 (T=2)"), ("A.t3", "A.t3")):
+        out = tmp_path / name
+        main(["simulate", "--out", str(out), "--T", "2"] + SMALL)
+        (out / name).unlink()
+        assert main(["reconstruct", str(out)]) == 4
+        assert capsys.readouterr().err == f"error: {out}: missing {missing}\n"
+        assert not (out / "report.json").exists()
 
 
 def test_reconstruct_non_finite_observation_is_data_error(tmp_path, capsys):
@@ -336,23 +341,7 @@ def test_unknown_flag_is_config_error(capsys):
     assert main(["experiment", "--bogus", "1"]) == 3
 
 
-@contextlib.contextmanager
-def _openblas_threads(count: int):
-    """Run the body with numpy's OpenBLAS on ``count`` threads (a no-op on
-    another BLAS)."""
-    if _parallel._OPENBLAS is None:
-        yield
-        return
-    get, put = _parallel._OPENBLAS
-    saved = get()
-    put(count)
-    try:
-        yield
-    finally:
-        put(saved)
-
-
-def test_outputs_identical_across_openblas_thread_counts(tmp_path, monkeypatch):
+def test_outputs_identical_across_openblas_thread_counts(tmp_path, monkeypatch, openblas_threads):
     monkeypatch.delenv("DYNSAMP_THREADS", raising=False)
     cfg = tmp_path / "cfg.json"
     cfg.write_text(
@@ -362,11 +351,11 @@ def test_outputs_identical_across_openblas_thread_counts(tmp_path, monkeypatch):
     outputs = []
     for blas in (1, 2):
         ds, exp = tmp_path / f"ds{blas}", tmp_path / f"exp{blas}"
-        with _openblas_threads(blas):
-            assert main(["simulate", "--out", str(ds), "--m", "32", "--n", "6", "--p", "16",
-                         "--sigma", "1e-3", "--seed", "3"]) == 0
-            assert main(["reconstruct", str(ds)]) == 0
-            assert main(["experiment", "--config", str(cfg), "--out", str(exp)]) == 0
+        openblas_threads(blas)
+        assert main(["simulate", "--out", str(ds), "--m", "32", "--n", "6", "--p", "16",
+                     "--sigma", "1e-3", "--seed", "3"]) == 0
+        assert main(["reconstruct", str(ds)]) == 0
+        assert main(["experiment", "--config", str(cfg), "--out", str(exp)]) == 0
         outputs.append((dir_bytes(ds), dir_bytes(exp)))
     assert "estimate.t3" in outputs[0][0] and "optimal-T.csv" in outputs[0][1]
     assert outputs[0] == outputs[1]

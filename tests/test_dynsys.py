@@ -251,6 +251,25 @@ def test_load_sample_data_missing_files(tmp_path):
         load_sample_data(tmp_path / "ds")
 
 
+@pytest.mark.parametrize(
+    "change,message",
+    [
+        ({"T": 0}, "'T' must be at least 1, got 0"),
+        ({"dims": "4x3x2"}, "'dims' must be a list of integers, got '4x3x2'"),
+        ({"dims": [4, 3, 2.0]}, "'dims' must be a list of integers, got [4, 3, 2.0]"),
+    ],
+    ids=["T-zero", "dims-string", "dims-float"],
+)
+def test_load_sample_data_rejects_a_bad_meta_value(tmp_path, change, message):
+    a, f = small_instance()
+    save_sample_data(tmp_path, observe(evolve(a, f, 2), bernoulli_mask(4, 3, 2, 0.6, 1), 0.0, 1))
+    meta_path = tmp_path / "meta.json"
+    meta_path.write_text(json.dumps({**json.loads(meta_path.read_text()), **change}))
+    with pytest.raises(ValueError) as err:
+        load_sample_data(tmp_path)
+    assert str(err.value) == f"{meta_path}: {message}"
+
+
 @settings(max_examples=15, deadline=None)
 @given(
     m=st.integers(1, 4),

@@ -63,6 +63,12 @@ def test_config_rejects_bad_values():
         config_from_dict({"kind": "recovery-vs-alpha", "T": [1, 2]})
     with pytest.raises(ConfigError):
         config_from_dict({})
+    with pytest.raises(ConfigError, match=r"^dims must be positive, got 6 0 2$"):
+        config_from_dict({"kind": "optimal-T", "m": 6, "p": 0, "n": 2})
+    with pytest.raises(ConfigError, match=r"^T values must be >= 1, got \[2, 0\]$"):
+        config_from_dict({"kind": "optimal-T", "T": [2, 0]})
+    with pytest.raises(ConfigError, match=r"^sigma values must be nonnegative, got \[0.0, -0.001\]$"):
+        config_from_dict({"kind": "optimal-T", "sigma": [0.0, -1e-3]})
 
 
 # The (kind, grid) pairs that may hold several values; every other pair needs one.

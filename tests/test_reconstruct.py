@@ -23,10 +23,12 @@ from dynsamp import (
     solve_column,
     system_condition,
 )
+from dynsamp.dynsys import SampleOverflowError
 from dynsamp.reconstruct import (
     ColumnSystem, _condition_sweep, _default_tol, _solve_stack, assemble_column_system,
     reconstruct_batch,
 )
+from dynsamp.tensor3 import ShapeMismatchError
 from oracles import (
     brute_force_estimate,
     frequency_column_matrix,
@@ -86,6 +88,12 @@ def test_assemble_validates_inputs():
     other_mask = bernoulli_mask(4, 3, 2, 0.7, 999)
     with pytest.raises(ValueError):
         assemble_column_system(a, other_mask, samples, 0)
+    wrong = random_tensor(4, 4, 3, 511)
+    message = r"^operator dims \(4, 4, 3\) incompatible with mask dims \(4, 3, 2\)$"
+    with pytest.raises(ShapeMismatchError, match=message):
+        assemble_column_system(wrong, mask, samples, 0)
+    with pytest.raises(ShapeMismatchError, match=message):
+        reconstruct(wrong, mask, samples)
 
 
 def test_empty_column_has_zero_conv_matrix():
@@ -152,6 +160,13 @@ def test_solve_zero_matrix_raises():
     with pytest.raises(UnrecoverableColumnError) as err:
         solve_column(system)
     assert err.value.columns == (1,)
+
+
+def test_solve_overflow_names_the_column():
+    # x = 1e300 / 1e-300 does not fit in float64
+    system = ColumnSystem(4, np.array([[1e-300]]), np.array([1e300]))
+    with pytest.raises(SampleOverflowError, match=r"^column 4: the least-squares solve overflows float64$"):
+        solve_column(system)
 
 
 def test_solve_matches_materialized_map_pseudoinverse():
@@ -318,6 +333,13 @@ def test_assembled_column_solve_matches_reconstruct_bit_for_bit(m, p, n, T, shar
         col = np.zeros(mn, dtype=bool)
         col[list(combos[c])] = True
         indicator[:, j, :] = col.reshape(n, m).T  # vec index i + m*k
+    _assert_column_solves_match_reconstruct(indicator, T, seed)
+
+
+def _assert_column_solves_match_reconstruct(indicator, T, seed):
+    """``solve_column`` on each column's ``assemble_column_system`` gives the
+    bits of that column of ``reconstruct``; returns the report."""
+    m, p, n = indicator.shape
     mask = SampleMask(indicator)
     a, f = random_tensor(m, m, n, seed), random_tensor(m, p, n, seed + 1)
     samples = observe(evolve(a, f, T), mask, 1e-3, seed + 2)
@@ -326,6 +348,30 @@ def test_assembled_column_solve_matches_reconstruct_bit_for_bit(m, p, n, T, shar
         x, rank, kappa, residual = solve_column(assemble_column_system(a, mask, samples, j))
         assert x.tobytes() == report.estimate.data[:, j, :].ravel(order="F").tobytes()
         assert (rank, kappa, residual) == (report.ranks[j], report.kappa[j], report.residuals[j])
+    return report
+
+
+def test_assembled_column_solve_matches_reconstruct_bit_for_bit_at_one_and_two_blas_threads(
+    openblas_threads,
+):
+    """``_assert_column_solves_match_reconstruct`` at 32x2x8, T=4: two
+    504 x 256 systems, large enough that OpenBLAS threads its kernels, each
+    with 126 of its 256 entries sampled; and the bits are the same at one
+    and at two OpenBLAS threads."""
+    m, p, n, T, s = 32, 2, 8, 4, 126
+    rng = np.random.default_rng(730)
+    indicator = np.zeros((m, p, n), dtype=bool)
+    for j in range(p):
+        col = np.zeros(m * n, dtype=bool)
+        col[rng.choice(m * n, s, replace=False)] = True
+        indicator[:, j, :] = col.reshape(n, m).T  # vec index i + m*k
+    reports = []
+    for threads in (1, 2):
+        openblas_threads(threads)
+        reports.append(_assert_column_solves_match_reconstruct(indicator, T, 731))
+    one, two = reports
+    assert one.estimate.data.tobytes() == two.estimate.data.tobytes()
+    assert (one.residuals, one.kappa) == (two.residuals, two.kappa)
 
 
 @settings(max_examples=60, deadline=None)
@@ -581,6 +627,16 @@ def test_allow_partial_zero_fills_failed_columns():
     assert np.linalg.norm(gap) <= 1e-9 * np.linalg.norm(f.data)
 
 
+def test_relative_error_beyond_float64_raises():
+    # an estimate near 1e10 against a ground truth of 1e-300: a ratio near 1e310
+    a, f, mask, samples = make_instance(4, 3, 2, 3, 1.0, 585)
+    big = observe(evolve(a, Tensor3(1e10 * f.data), 3), mask, 0.0, 586)
+    tiny = Tensor3(np.full((4, 3, 2), 1e-300))
+    assert np.isfinite(reconstruct(a, mask, big).estimate.data).all()
+    with pytest.raises(SampleOverflowError, match=r"^the relative error overflows float64$"):
+        reconstruct(a, mask, big, ground_truth=tiny)
+
+
 def test_reconstruct_agrees_with_brute_force():
     a, f, mask, samples = make_instance(4, 3, 2, 4, 0.6, 570)
     S = materialized_sampling_map(a, mask, samples.horizon)
@@ -624,6 +680,18 @@ def test_parallel_solves_are_deterministic():
     assert seq.kappa == par.kappa
     assert seq.ranks == par.ranks
     assert seq.rel_error == par.rel_error
+
+
+def test_reconstruct_rel_error_bits_do_not_depend_on_the_blas_thread_count(openblas_threads):
+    # 4 x 1260 x 2 = 10,080 entries: OpenBLAS splits the dot product of the
+    # error's norm across its threads.
+    for seed in range(0, 24, 4):
+        a, f, mask, samples = make_instance(4, 1260, 2, 3, 0.9, seed, sigma=1e-3)
+        errors = []
+        for threads in (1, 2):
+            openblas_threads(threads)
+            errors.append(reconstruct(a, mask, samples, ground_truth=f).rel_error)
+        assert errors[0] == errors[1]
 
 
 def test_report_json_dict_schema():

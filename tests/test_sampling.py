@@ -174,6 +174,10 @@ def test_mask_serialization_round_trip(tmp_path):
     back = load_mask(path)
     assert np.array_equal(back.indicator, mask.indicator)
     assert back.provenance == mask.provenance
+    (tmp_path / "mask.t3.json").unlink()
+    bare = load_mask(path)
+    assert np.array_equal(bare.indicator, mask.indicator)
+    assert bare.provenance == {"type": "custom", "exclusions": []}
 
 
 def test_load_mask_rejects_non_binary(tmp_path):

@@ -283,6 +283,18 @@ def test_rel_error_rejects_zero_reference():
         rel_error(zero, zero)
 
 
+def test_rel_error_bits_do_not_depend_on_the_blas_thread_count(openblas_threads):
+    # 12 x 834 x 1 = 10,008 entries: OpenBLAS splits a dot product this long
+    # across its threads, which regroups the sum of squares.
+    for seed in range(6):
+        x, f = rand(12, 834, 1, seed), rand(12, 834, 1, seed + 100)
+        errors = []
+        for threads in (1, 2):
+            openblas_threads(threads)
+            errors.append(rel_error(x, f))
+        assert errors[0] == errors[1]
+
+
 def test_fro_norm():
     t = Tensor3(np.full((2, 2, 2), 3.0))
     assert _norm2(t.data) == pytest.approx(np.sqrt(8 * 9))

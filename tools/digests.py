@@ -8,8 +8,10 @@ to this script:
 - ``dynsamp experiment`` on the default grid of each of the six kinds;
 - ``dynsamp simulate`` and then ``dynsamp reconstruct`` at the benchmark's
   dataset shapes (20x15x5 at alpha 0.5 and 0.3, 32x16x6 at alpha 0.3 with
-  sigma 1e-3) and at 8x3x5 (T=5, and T=20, whose observations grow to about
-  1e16 and so are written by the T3 writer's ``%`` path), with seeds 1 and 2.
+  sigma 1e-3), at 8x3x5 (T=5, and T=20, whose observations grow to about
+  1e16 and so are written by the T3 writer's ``%`` path) and at 40x30x10
+  (T=3: 12,000 entries, enough that OpenBLAS threads the dot product of the
+  relative error's norm), with seeds 1 and 2.
 
 OUT_DIR must not exist.  Each output file gives one ``sha256  path`` line,
 path relative to OUT_DIR, in sorted order, so two commits or two values of
@@ -37,6 +39,7 @@ DATASETS = (
     (32, 16, 6, 5, 0.3, 1e-3),
     (8, 3, 5, 5, 0.5, 1e-3),
     (8, 3, 5, 20, 0.5, 1e-3),
+    (40, 30, 10, 3, 0.6, 1e-3),
 )
 SEEDS = (1, 2)
 
