@@ -18,7 +18,6 @@ from .sampling import (
     SampleMask,
     bernoulli_mask,
     exclude_slab,
-    lattice_mask,
     load_mask,
     project,
     save_mask,
@@ -48,7 +47,6 @@ __all__ = [
     "SampleMask",
     "bernoulli_mask",
     "exclude_slab",
-    "lattice_mask",
     "load_mask",
     "project",
     "save_mask",

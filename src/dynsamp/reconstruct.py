@@ -33,7 +33,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .tensor3 import ShapeMismatchError, Tensor3, _exponents, as_int
+from .tensor3 import ShapeMismatchError, Tensor3, _exponents, as_float, as_int
 from .tensor3 import rel_error as tensor_rel_error
 from .sampling import SampleMask
 from .dynsys import SampleData, SampleOverflowError, evolve
@@ -104,7 +104,7 @@ def _default_tol(shape) -> float:
 
 
 def _check_tol(tol) -> None:
-    if tol is not None and not 0.0 < float(tol) < 1.0:
+    if tol is not None and not 0.0 < as_float(tol, "tol") < 1.0:
         raise ValueError(f"tol must lie in (0, 1), got {tol}")
 
 
@@ -171,6 +171,7 @@ def assemble_column_system(
     """Build the stacked system for column ``j`` from operator, mask, samples."""
     _check_problem(a, mask, samples)
     m, p, n = mask.dims
+    j = as_int(j, "j")
     if not 0 <= j < p:
         raise IndexError(f"column {j} out of range for {p} columns")
     T, sels = samples.horizon, _columns(mask.indicator)
@@ -361,6 +362,7 @@ def _solve_groups(a: Tensor3, columns: list, tol, threads: int, kappa: bool = Tr
     horizon, one ``_solve_stack`` call and ``pmap`` item each; ``kappa``
     False lets it skip the SVD of members certified full rank.
     """
+    threads = as_int(threads, "threads")
     groups: dict[tuple, list[int]] = {}
     for c, (Ts, sel, _, _) in enumerate(columns):
         groups.setdefault((Ts, sel.tobytes()), []).append(c)

@@ -2,9 +2,9 @@
 
 A sampling set is a boolean mask over the (m, p, n) index grid.  The mask is
 fixed across all observation times; the projection zeroes every entry outside
-it.  Masks remember how they were built (Bernoulli draw, lattice, or slab
-exclusions applied to a parent) so datasets can be regenerated from their
-sidecar metadata alone.
+it.  Masks remember how they were built (a Bernoulli draw or a given
+indicator, and the slab exclusions applied since) so datasets can be
+regenerated from their sidecar metadata alone.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .tensor3 import ShapeMismatchError, Tensor3, as_int
+from .tensor3 import ShapeMismatchError, Tensor3, as_float, as_int
 from .t3io import T3FormatError, read_json_object, read_t3, write_json, write_t3
 
 
@@ -21,8 +21,7 @@ class SampleMask:
     """Immutable boolean mask over an (m, p, n) grid.
 
     ``provenance`` is a JSON-serializable dict: {"type": "bernoulli",
-    "alpha": a, "seed": s, "exclusions": [...]}, {"type": "lattice",
-    "I": [...], "J": [...], "exclusions": [...]}, or {"type": "custom",
+    "alpha": a, "seed": s, "exclusions": [...]} or {"type": "custom",
     "exclusions": [...]}; slab exclusions append {"mode": 1|2|3,
     "index": idx} entries.
     """
@@ -70,32 +69,14 @@ def bernoulli_mask(m: int, p: int, n: int, alpha: float, seed: int) -> SampleMas
     generator keyed on the seed, so the mask is identical across platforms
     and run-to-run.
     """
-    alpha = float(alpha)
+    dims = tuple(as_int(v, name) for v, name in zip((m, p, n), "mpn"))
+    alpha = as_float(alpha, "alpha")
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
     seed = as_int(seed, "seed")
     rng = np.random.Generator(np.random.Philox(key=seed))
-    indicator = rng.random((m, p, n)) < alpha
+    indicator = rng.random(dims) < alpha
     prov = {"type": "bernoulli", "alpha": alpha, "seed": seed, "exclusions": []}
-    return SampleMask(indicator, prov)
-
-
-def lattice_mask(m: int, p: int, n: int, I, J) -> SampleMask:
-    """Product-form mask: entry (i, j, k) sampled iff i in I and j in J.
-
-    All depths k are included.  I and J are 0-based index collections.
-    """
-    I = sorted(int(i) for i in I)
-    J = sorted(int(j) for j in J)
-    if not I or not J:
-        raise ValueError("lattice_mask needs nonempty I and J")
-    if I[0] < 0 or I[-1] >= m:
-        raise IndexError(f"I contains indices outside [0, {m}): {I}")
-    if J[0] < 0 or J[-1] >= p:
-        raise IndexError(f"J contains indices outside [0, {p}): {J}")
-    indicator = np.zeros((m, p, n), dtype=bool)
-    indicator[np.ix_(I, J, range(n))] = True
-    prov = {"type": "lattice", "I": I, "J": J, "exclusions": []}
     return SampleMask(indicator, prov)
 
 
@@ -105,10 +86,10 @@ def exclude_slab(mask: SampleMask, mode: int, index: int) -> SampleMask:
     ``mode`` is 1, 2, or 3 for the first, second, or third index; the
     returned mask records the exclusion in its provenance.
     """
+    mode, index = as_int(mode, "mode"), as_int(index, "index")
     if mode not in (1, 2, 3):
         raise ValueError(f"mode must be 1, 2, or 3, got {mode}")
     axis = mode - 1
-    index = int(index)
     if not 0 <= index < mask.dims[axis]:
         raise IndexError(
             f"index {index} out of range for mode {mode} of dims {mask.dims}"

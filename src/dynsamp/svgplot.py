@@ -19,8 +19,6 @@ def _fmt(v: float) -> str:
 
 
 def _nice_ticks(lo: float, hi: float) -> list[float]:
-    if hi <= lo:
-        hi = lo + 1.0
     raw = (hi - lo) / 5  # about five intervals
     mag = 10.0 ** math.floor(math.log10(raw))
     for mult in (1.0, 2.0, 5.0, 10.0):

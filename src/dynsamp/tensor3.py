@@ -171,5 +171,6 @@ def random_tensor(m: int, p: int, n: int, seed: int) -> Tensor3:
     Driven by a counter-based generator keyed on the 64-bit seed, so the
     draw is reproducible across platforms and independent per seed.
     """
+    dims = tuple(as_int(v, name) for v, name in zip((m, p, n), "mpn"))
     rng = np.random.Generator(np.random.Philox(key=as_int(seed, "seed")))
-    return Tensor3(rng.standard_normal((m, p, n)), copy=False)
+    return Tensor3(rng.standard_normal(dims), copy=False)

@@ -10,15 +10,24 @@ are direct, FFT-free forms of the t-product algebra, and ``identity_tensor``
 is the t-product identity; the tensors they return are float64, as
 ``Tensor3`` requires.  ``dumps_t3_oracle`` and ``loads_t3_oracle`` are the T3 codec
 written one Python statement per entry, the reference for the library's
-vectorized one.
+vectorized one.  ``product_mask`` builds the product-form (lattice) sampling
+sets of the structural tests from an indicator.
 """
 
 import math
 
 import numpy as np
 
+from dynsamp.sampling import SampleMask
 from dynsamp.t3io import T3FormatError
 from dynsamp.tensor3 import ShapeMismatchError, Tensor3
+
+
+def product_mask(m: int, p: int, n: int, I, J) -> SampleMask:
+    """Mask that samples entry (i, j, k) iff i is in I and j in J, at every depth k."""
+    indicator = np.zeros((m, p, n), dtype=bool)
+    indicator[np.ix_(list(I), list(J), range(n))] = True
+    return SampleMask(indicator)
 
 
 def block_circulant(a) -> np.ndarray:

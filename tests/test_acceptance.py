@@ -13,7 +13,6 @@ from dynsamp import (
     UnrecoverableColumnError,
     bernoulli_mask,
     evolve,
-    lattice_mask,
     observe,
     random_tensor,
     reconstruct,
@@ -35,6 +34,7 @@ from oracles import (
     brute_force_estimate,
     frequency_column_matrix,
     materialized_sampling_map,
+    product_mask,
 )
 
 M, P, N = 20, 15, 5
@@ -118,7 +118,7 @@ def test_criterion_4_lattice_missing_column_is_structural():
     ok = True
     detail = ""
     for j0 in range(P):
-        mask = lattice_mask(M, P, N, range(M), [j for j in range(P) if j != j0])
+        mask = product_mask(M, P, N, range(M), [j for j in range(P) if j != j0])
         if frequency_column_matrix(a, mask, 5, j0).any():
             ok, detail = False, f"frequency-domain system for column {j0} is not zero"
             break

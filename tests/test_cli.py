@@ -20,7 +20,6 @@ from dynsamp import (
     bernoulli_mask,
     dumps_t3,
     evolve,
-    lattice_mask,
     load_sample_data,
     observe,
     random_tensor,
@@ -30,6 +29,7 @@ from dynsamp import (
     write_t3,
 )
 from dynsamp.cli import main
+from oracles import product_mask
 
 
 def dir_bytes(path: Path) -> dict:
@@ -258,7 +258,7 @@ def test_reconstruct_unrecoverable_exit_code(tmp_path, capsys):
     m, p, n, T = 5, 4, 2, 3
     a = random_tensor(m, m, n, 31)
     f = random_tensor(m, p, n, 32)
-    mask = lattice_mask(m, p, n, range(m), [0, 2])  # columns 1, 3 unsampled
+    mask = product_mask(m, p, n, range(m), [0, 2])  # columns 1, 3 unsampled
     samples = observe(evolve(a, f, T), mask, 0.0, 33)
     ds = tmp_path / "ds"
     save_sample_data(ds, samples)

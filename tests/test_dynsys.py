@@ -199,6 +199,9 @@ def test_observe_rejects_negative_sigma():
     mask = bernoulli_mask(4, 3, 2, 0.5, 2)
     with pytest.raises(ValueError):
         observe(evolve(a, f, 2), mask, -1.0, 1)
+    obs = observe(evolve(a, f, 2), mask, 0.0, 1).observations
+    with pytest.raises(ValueError, match=r"^noise_sigma must be nonnegative, got -1.0$"):
+        SampleData(mask, obs, -1.0, 1)
 
 
 @pytest.mark.parametrize(
@@ -222,12 +225,17 @@ def test_sample_data_rejects_off_mask_support():
     stray = Tensor3(np.ones((2, 2, 2)))
     with pytest.raises(ValueError):
         SampleData(mask, [stray], 0.0, 1)
+    with pytest.raises(ValueError, match=r"^SampleData needs at least one observation$"):
+        SampleData(mask, [], 0.0, 1)
 
 
 def test_sample_data_round_trip(tmp_path):
     a, f = small_instance()
     mask = bernoulli_mask(4, 3, 2, 0.6, 301)
     data = observe(evolve(a, f, 3), mask, 1e-3, 302)
+    assert repr(data) == "SampleData(dims=(4, 3, 2), T=3, sigma=0.001, seed=302)"
+    with pytest.raises(AttributeError, match="immutable"):
+        data.seed = 1
     save_sample_data(tmp_path / "ds", data)
     meta = json.loads((tmp_path / "ds" / "meta.json").read_text())
     assert meta == {"T": 3, "sigma": 1e-3, "seed": 302, "dims": [4, 3, 2]}

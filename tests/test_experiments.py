@@ -260,6 +260,14 @@ def test_plot_rejects_unknown_kind(tmp_path):
         plot_from_csv("no-such-kind", csv_path, tmp_path / "out.svg")
 
 
+def test_plot_of_a_csv_with_no_rows_is_an_error(tmp_path):
+    csv_path = tmp_path / "in.csv"
+    csv_path.write_text(PLOT_CSVS["condition-vs-T"].splitlines()[0] + "\n")
+    with pytest.raises(ValueError, match="^nothing to plot$"):
+        plot_from_csv("condition-vs-T", csv_path, tmp_path / "out.svg")
+    assert not (tmp_path / "out.svg").exists()
+
+
 def _hand_error(cfg, mask, T, sigma, noise_key):
     """One reconstruction error rebuilt from SEED_RULE alone."""
     m, p, n = cfg.m, cfg.p, cfg.n

@@ -97,3 +97,16 @@ def test_reconstruct_leaves_blas_threads_unchanged(blas_threads):
     solve_column(assemble_column_system(a, mask, samples, 0))
     rel_error(report.estimate, f)
     assert blas_threads() == 2
+
+
+def test_solve_and_norm_run_with_the_same_bits_where_no_openblas_pin_exists(monkeypatch):
+    """Where numpy is not built on scipy-openblas the pin is a no-op: small
+    solves, which OpenBLAS does not thread, give the pinned bits."""
+    a, f = random_tensor(5, 5, 2, 1), random_tensor(5, 3, 2, 2)
+    mask = bernoulli_mask(5, 3, 2, 0.6, 3)
+    samples = observe(evolve(a, f, 3), mask, 0.0, 4)
+    reports = [reconstruct(a, mask, samples, ground_truth=f)]
+    monkeypatch.setattr(_parallel, "_OPENBLAS", None)
+    reports.append(reconstruct(a, mask, samples, ground_truth=f))
+    pinned, unpinned = (r.to_json_dict() | {"estimate": r.estimate.data.tobytes()} for r in reports)
+    assert pinned == unpinned

@@ -1,6 +1,7 @@
 import importlib
 import itertools
 import json
+import re
 
 import numpy as np
 import pytest
@@ -15,7 +16,6 @@ from dynsamp import (
     bernoulli_mask,
     evolve,
     exclude_slab,
-    lattice_mask,
     observe,
     random_tensor,
     reconstruct,
@@ -35,6 +35,7 @@ from oracles import (
     identity_tensor,
     mask_conv_matrix,
     materialized_sampling_map,
+    product_mask,
 )
 
 reconstruct_module = importlib.import_module("dynsamp.reconstruct")
@@ -46,6 +47,77 @@ def make_instance(m, p, n, T, alpha, seed, sigma=0.0):
     mask = bernoulli_mask(m, p, n, alpha, seed + 2)
     samples = observe(evolve(a, f, T), mask, sigma, seed + 3)
     return a, f, mask, samples
+
+
+# -- the number rule ------------------------------------------------------------
+
+
+def _problem():
+    """(a, mask, samples) of a small, fully sampled problem."""
+    a, _, mask, samples = make_instance(3, 4, 2, 2, 1.0, 700)
+    return a, mask, samples
+
+
+def _batch(**kw):
+    a, _, samples = _problem()
+    return reconstruct_batch(a, [samples], **kw)
+
+
+def _condition(**kw):
+    a, mask, _ = _problem()
+    return system_condition(a, mask, 2, **kw)
+
+
+# Each public numeric argument, as a call that takes its value: (entry point,
+# argument) -> call.
+_INTEGER_ARGS = {
+    ("random_tensor", "m"): lambda v: random_tensor(v, 3, 2, 1),
+    ("random_tensor", "p"): lambda v: random_tensor(2, v, 2, 1),
+    ("random_tensor", "n"): lambda v: random_tensor(2, 3, v, 1),
+    ("bernoulli_mask", "m"): lambda v: bernoulli_mask(v, 3, 2, 0.5, 1),
+    ("bernoulli_mask", "p"): lambda v: bernoulli_mask(2, v, 2, 0.5, 1),
+    ("bernoulli_mask", "n"): lambda v: bernoulli_mask(2, 3, v, 0.5, 1),
+    ("exclude_slab", "mode"): lambda v: exclude_slab(_problem()[1], v, 1),
+    ("exclude_slab", "index"): lambda v: exclude_slab(_problem()[1], 2, v),
+    ("assemble_column_system", "j"): lambda v: assemble_column_system(*_problem(), v),
+    ("reconstruct", "threads"): lambda v: reconstruct(*_problem(), threads=v),
+    ("reconstruct_batch", "threads"): lambda v: _batch(threads=v),
+    ("system_condition", "threads"): lambda v: _condition(threads=v),
+}
+_REAL_ARGS = {
+    ("bernoulli_mask", "alpha"): lambda v: bernoulli_mask(2, 3, 2, v, 1),
+    ("reconstruct", "tol"): lambda v: reconstruct(*_problem(), tol=v),
+    ("reconstruct_batch", "tol"): lambda v: _batch(tol=v),
+    ("system_condition", "tol"): lambda v: _condition(tol=v),
+    ("solve_column", "tol"): lambda v: solve_column(assemble_column_system(*_problem(), 0), v),
+}
+
+
+@pytest.mark.parametrize("call, name, noun, value", [
+    pytest.param(call, name, noun, v, id=f"{fn}-{name}-{v!r}")
+    for args, noun, bad in [(_INTEGER_ARGS, "an integer", (True, 2.5, "2")),
+                            (_REAL_ARGS, "a finite number", (True, "0.5"))]
+    for (fn, name), call in args.items() for v in bad
+])
+def test_every_public_number_argument_follows_the_number_rule(call, name, noun, value):
+    with pytest.raises(ValueError, match=rf"^{name}: expected {noun}, got {re.escape(repr(value))}$"):
+        call(value)
+
+
+def test_integral_floats_give_what_the_integers_give():
+    a, mask, samples = _problem()
+    for got, want in [
+        (exclude_slab(mask, 2.0, 1.0), exclude_slab(mask, 2, 1)),
+        (bernoulli_mask(2.0, 3.0, 2.0, 1, 1), bernoulli_mask(2, 3, 2, 1.0, 1)),
+    ]:
+        assert np.array_equal(got.indicator, want.indicator)
+        assert json.dumps(got.provenance) == json.dumps(want.provenance)
+    assert random_tensor(2.0, 3.0, 2.0, 1).data.tobytes() == random_tensor(2, 3, 2, 1).data.tobytes()
+    got, want = assemble_column_system(a, mask, samples, 1.0), assemble_column_system(a, mask, samples, 1)
+    assert type(got.j) is int and got.j == 1
+    assert got.matrix.tobytes() == want.matrix.tobytes() and got.rhs.tobytes() == want.rhs.tobytes()
+    got, want = reconstruct(a, mask, samples, threads=2.0), reconstruct(a, mask, samples, threads=2)
+    assert got.estimate.data.tobytes() == want.estimate.data.tobytes()
 
 
 # -- assembly -------------------------------------------------------------------
@@ -66,7 +138,7 @@ def test_unsampled_column_gives_zero_matrix():
     m, p, n = 4, 3, 2
     a = random_tensor(m, m, n, 8)
     f = random_tensor(m, p, n, 9)
-    mask = lattice_mask(m, p, n, range(m), [0, 2])  # column 1 never sampled
+    mask = product_mask(m, p, n, range(m), [0, 2])  # column 1 never sampled
     samples = observe(evolve(a, f, 2), mask, 0.0, 1)
     system = assemble_column_system(a, mask, samples, 1)
     assert not system.matrix.any()
@@ -97,7 +169,7 @@ def test_assemble_validates_inputs():
 
 
 def test_empty_column_has_zero_conv_matrix():
-    mask = lattice_mask(3, 4, 5, range(3), [0, 1, 3])
+    mask = product_mask(3, 4, 5, range(3), [0, 1, 3])
     assert not mask_conv_matrix(mask, 2).any()
     assert mask_conv_matrix(mask, 0).any()
 
@@ -154,7 +226,7 @@ def test_solve_zero_matrix_raises():
     m, p, n = 4, 3, 2
     a = random_tensor(m, m, n, 12)
     f = random_tensor(m, p, n, 13)
-    mask = lattice_mask(m, p, n, range(m), [0, 2])
+    mask = product_mask(m, p, n, range(m), [0, 2])
     samples = observe(evolve(a, f, 2), mask, 0.0, 1)
     system = assemble_column_system(a, mask, samples, 1)
     with pytest.raises(UnrecoverableColumnError) as err:
@@ -466,8 +538,8 @@ def _report_json(report) -> str:
     "mask_of",
     [
         lambda m, p, n: bernoulli_mask(m, p, n, 1.0, 1),
-        lambda m, p, n: lattice_mask(m, p, n, [0, 2, 3], range(p)),
-        lambda m, p, n: lattice_mask(m, p, n, [0, 2, 3], [0, 1, 3, 4]),
+        lambda m, p, n: product_mask(m, p, n, [0, 2, 3], range(p)),
+        lambda m, p, n: product_mask(m, p, n, [0, 2, 3], [0, 1, 3, 4]),
     ],
     ids=["alpha-1", "lattice", "lattice-missing-column"],
 )
@@ -600,7 +672,7 @@ def test_lattice_missing_columns_fail_exactly():
     a = random_tensor(m, m, n, 550)
     f = random_tensor(m, p, n, 551)
     kept = [0, 2]
-    mask = lattice_mask(m, p, n, range(m), kept)
+    mask = product_mask(m, p, n, range(m), kept)
     samples = observe(evolve(a, f, 4), mask, 0.0, 1)
     with pytest.raises(UnrecoverableColumnError) as err:
         reconstruct(a, mask, samples)
@@ -748,7 +820,7 @@ def test_condition_rejects_fractional_horizon():
 def test_condition_rejects_empty_column():
     m, p, n = 4, 3, 2
     a = random_tensor(m, m, n, 630)
-    mask = lattice_mask(m, p, n, range(m), [0, 2])
+    mask = product_mask(m, p, n, range(m), [0, 2])
     with pytest.raises(UnrecoverableColumnError) as err:
         system_condition(a, mask, 2)
     assert err.value.columns == (1,)
@@ -884,7 +956,7 @@ def test_condition_sweep_columns_sharing_a_stack_match_their_lone_sweeps(monkeyp
 def test_condition_sweep_rejects_an_empty_column_and_a_bad_horizon():
     a = random_tensor(4, 4, 2, 630)
     with pytest.raises(UnrecoverableColumnError) as err:
-        _condition_sweep(a, lattice_mask(4, 3, 2, range(4), [0, 2]), [3, 1, 2])
+        _condition_sweep(a, product_mask(4, 3, 2, range(4), [0, 2]), [3, 1, 2])
     assert err.value.columns == (1,)
     mask = bernoulli_mask(4, 3, 2, 1.0, 1)
     with pytest.raises(ValueError, match=r"^T: expected an integer, got 2.5$"):

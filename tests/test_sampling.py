@@ -4,16 +4,17 @@ import numpy as np
 import pytest
 
 from dynsamp import (
+    SampleMask,
     Tensor3,
     bernoulli_mask,
     exclude_slab,
-    lattice_mask,
     load_mask,
     project,
     random_tensor,
     save_mask,
 )
 from dynsamp.tensor3 import ShapeMismatchError
+from oracles import product_mask
 
 
 def test_bernoulli_alpha_one_is_full():
@@ -62,24 +63,15 @@ def test_bernoulli_rejects_bad_alpha():
         bernoulli_mask(2, 2, 2, -0.1, 1)
 
 
-def test_lattice_full():
-    mask = lattice_mask(3, 4, 2, range(3), range(4))
-    assert mask.sample_count == 24
-
-
-def test_lattice_coverage_and_count():
-    mask = lattice_mask(5, 6, 3, [0, 2], [1, 4, 5])
+def test_indicator_mask_coverage_count_and_repr():
+    full = SampleMask(np.ones((3, 4, 2), dtype=bool))
+    assert full.sample_count == 24 and full.column_coverage == frozenset(range(4))
+    assert repr(full) == "SampleMask(dims=(3, 4, 2), samples=24, type='custom')"
+    mask = product_mask(5, 6, 3, [0, 2], [1, 4, 5])
     assert mask.column_coverage == frozenset({1, 4, 5})
     assert mask.sample_count == 2 * 3 * 3
-
-
-def test_lattice_rejects_empty_or_out_of_range():
-    with pytest.raises(ValueError):
-        lattice_mask(3, 3, 3, [], [0])
-    with pytest.raises(IndexError):
-        lattice_mask(3, 3, 3, [3], [0])
-    with pytest.raises(IndexError):
-        lattice_mask(3, 3, 3, [0], [-1])
+    with pytest.raises(ShapeMismatchError, match=r"^mask needs a 3-way grid, got shape \(3, 4\)$"):
+        SampleMask(np.ones((3, 4), dtype=bool))
 
 
 def test_exclude_slab_rate_on_full_mask():
@@ -91,7 +83,7 @@ def test_exclude_slab_rate_on_full_mask():
 
 
 def test_exclude_empty_slab_is_noop():
-    mask = lattice_mask(4, 4, 2, [0, 1], [0, 1])
+    mask = product_mask(4, 4, 2, [0, 1], [0, 1])
     cut = exclude_slab(mask, 1, 3)  # row 3 carries no samples
     assert cut.sample_count == mask.sample_count
 
@@ -137,7 +129,7 @@ def test_project_shape_mismatch():
 
 def test_mask_tube_dft_structure():
     # fully sampled tube -> (n, 0, ..., 0); unsampled tube -> zero tube
-    mask = lattice_mask(3, 4, 5, [0], [1])
+    mask = product_mask(3, 4, 5, [0], [1])
     phat = np.fft.fft(mask.as_tensor().data, axis=2)
     full_tube = phat[0, 1, :]
     expected = np.zeros(5, dtype=complex)

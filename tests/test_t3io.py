@@ -1,4 +1,5 @@
 import math
+import os
 from decimal import Decimal
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dynsamp import T3FormatError, Tensor3, dumps_t3, loads_t3, random_tensor, read_t3, write_t3
+from dynsamp.t3io import atomic_write_text
 from oracles import dumps_t3_oracle, loads_t3_oracle
 
 
@@ -54,6 +56,7 @@ def test_rewrite_is_byte_identical(tmp_path):
         ("T3 1 2 1 1 real\n0.0\nnot_a_number\n", 3),
         ("T3 1 2 1 1 real\n0.0\n", 3),           # too few entries
         ("T3 1 1 1 1 real\n0.0\n1.0\n", 3),      # too many entries
+        ("T3 1 1 1 1 real\n0.0\n\n1.0\n", 4),    # too many, after a blank line
         # data is real only: a complex header is the error, whatever follows
         ("T3 1 1 1 1 complex\n0.0\n", 1),
         ("T3 1 1 1 1 complex\n1.0 2.0 3.0 4.0\n", 1),
@@ -72,6 +75,20 @@ def test_malformed_input_reports_line(text, line):
     with pytest.raises(T3FormatError) as want:
         loads_t3_oracle(text, "bad.t3")
     assert str(err.value) == str(want.value)
+
+
+@pytest.mark.parametrize("fails", ["write", "rename"])
+def test_atomic_write_removes_its_temporary_file_when_it_fails(tmp_path, monkeypatch, fails):
+    text = "caf\u00e9\n" if fails == "write" else "ok\n"  # the write takes ASCII only
+
+    def refuse(src, dst):
+        raise OSError("rename refused")
+
+    if fails == "rename":
+        monkeypatch.setattr(os, "replace", refuse)
+    with pytest.raises(UnicodeEncodeError if fails == "write" else OSError):
+        atomic_write_text(tmp_path / "out.txt", text)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_trailing_newline_tolerated():

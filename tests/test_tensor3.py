@@ -85,6 +85,8 @@ def test_random_tensor_draws_the_same_bits_for_any_integral_seed():
 def test_non_3way_rejected():
     with pytest.raises(ShapeMismatchError):
         Tensor3(np.zeros((2, 2)))
+    with pytest.raises(ShapeMismatchError, match=r"^Tensor3 dims must be positive, got \(2, 0, 3\)$"):
+        Tensor3(np.zeros((2, 0, 3)))
 
 
 # -- tprod ---------------------------------------------------------------------
@@ -281,6 +283,8 @@ def test_rel_error_rejects_zero_reference():
     zero = Tensor3(np.zeros((2, 2, 2)))
     with pytest.raises(ValueError):
         rel_error(zero, zero)
+    with pytest.raises(ShapeMismatchError, match=r"^cannot compare dims \(2, 2, 2\) and \(2, 2, 3\)$"):
+        rel_error(zero, Tensor3(np.ones((2, 2, 3))))
 
 
 def test_rel_error_bits_do_not_depend_on_the_blas_thread_count(openblas_threads):
