@@ -11,7 +11,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .tensor3 import ShapeMismatchError, Tensor3, _tproducts, as_float, as_int
+from .tensor3 import ShapeMismatchError, Tensor3, _columns, _from_columns, _tproducts
+from .tensor3 import as_float, as_int
 from .sampling import SampleMask, load_mask, project, save_mask
 from .t3io import read_json_object, read_t3, write_json, write_t3
 
@@ -25,10 +26,12 @@ class SampleData:
     """Masked observations of an evolving signal over T time steps.
 
     Every observation is supported on the mask exactly: off-mask entries are
-    identically zero, enforced at construction.
+    identically zero, enforced at construction.  Only the samples are kept:
+    ``values`` (T, s), read-only, in the column layout of ``tensor3._columns``
+    (column j, then r = i + m*k); ``observations`` rebuilds the dense tensors.
     """
 
-    __slots__ = ("mask", "horizon", "observations", "noise_sigma", "seed")
+    __slots__ = ("mask", "horizon", "values", "noise_sigma", "seed")
 
     def __init__(self, mask: SampleMask, observations, noise_sigma: float, seed: int):
         observations = tuple(observations)
@@ -39,11 +42,21 @@ class SampleData:
         noise_sigma = as_float(noise_sigma, "noise_sigma")
         if noise_sigma < 0:
             raise ValueError(f"noise_sigma must be nonnegative, got {noise_sigma}")
+        values = _columns(np.stack([o.data for o in observations]))[:, _columns(mask.indicator)]
+        values.setflags(write=False)
         object.__setattr__(self, "mask", mask)
-        object.__setattr__(self, "horizon", len(observations))
-        object.__setattr__(self, "observations", observations)
+        object.__setattr__(self, "horizon", len(values))
+        object.__setattr__(self, "values", values)
         object.__setattr__(self, "noise_sigma", noise_sigma)
         object.__setattr__(self, "seed", as_int(seed, "seed"))
+
+    @property
+    def observations(self) -> tuple:
+        """The T dense observations, zero off the mask."""
+        m, p, n = self.mask.dims
+        cols = np.zeros((self.horizon, p, m * n))
+        cols[:, _columns(self.mask.indicator)] = self.values
+        return tuple(Tensor3(x) for x in _from_columns(cols, m))
 
     def __setattr__(self, name, value):
         raise AttributeError("SampleData is immutable")

@@ -33,10 +33,10 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .tensor3 import ShapeMismatchError, Tensor3, _exponents, as_float, as_int
-from .tensor3 import rel_error as tensor_rel_error
+from .tensor3 import ShapeMismatchError, Tensor3, _columns, _exponents, _from_columns
+from .tensor3 import _tproducts, as_float, as_int, rel_error as tensor_rel_error
 from .sampling import SampleMask
-from .dynsys import SampleData, SampleOverflowError, evolve
+from .dynsys import SampleData, SampleOverflowError
 from ._parallel import _single_threaded_blas, pmap
 
 _EPS = float(np.finfo(np.float64).eps)
@@ -119,18 +119,6 @@ def _check_problem(a: Tensor3, mask: SampleMask, samples: SampleData | None) -> 
         raise ValueError("mask does not match the mask the samples were taken on")
 
 
-def _columns(x: np.ndarray) -> np.ndarray:
-    """(..., p, m*n) columns of an (..., m, p, n) array: row r = i + m*k holds entry (i, k)."""
-    *lead, m, p, n = x.shape
-    return np.moveaxis(x, -3, -1).reshape(*lead, p, m * n)
-
-
-def _from_columns(c: np.ndarray, m: int) -> np.ndarray:
-    """The (..., m, p, n) array whose ``_columns`` are ``c``."""
-    *lead, p, mn = c.shape
-    return np.moveaxis(c.reshape(*lead, p, mn // m, m), -1, -3)
-
-
 def _rows(steps: np.ndarray, T: int, sel) -> np.ndarray:
     """Rows ``sel`` of each step of ``steps`` up to horizon T, latest step
     first; a (g, s) index array ``sel`` picks s rows for each of g systems."""
@@ -140,29 +128,36 @@ def _rows(steps: np.ndarray, T: int, sel) -> np.ndarray:
 def _power_stack(a: Tensor3, T: int) -> np.ndarray:
     """The (T, m*n, m*n) stack of bcirc(A)^0, ..., bcirc(A)^(T-1).
 
-    Row r = i + m*k of each power produces entry (i, k) of a column.  The
-    stack at horizon T is a prefix of the stack at any longer horizon, bit
-    for bit, because ``evolve`` computes each step from the one before.
-    Powers that overflow float64 raise ``SampleOverflowError`` at the first
-    such step.
+    Row r = i + m*k of each power produces entry (i, k) of a column.  Each
+    step's inverse FFT writes into the stack, allocated once; it is a prefix
+    of the stack at any longer horizon, bit for bit.  ||bcirc(A)^t||_2 <=
+    rho^t, rho the largest Frobenius norm of the DFT frontal slices of A
+    (Kilmer & Martin, LAA 435 (2011)); where that, with m*n to spare for the
+    FFT's sums, leaves room for an overflow, the powers are first walked
+    unkept, so a huge T raises ``SampleOverflowError`` at the overflowing step.
     """
     m, _, n = a.dims
-    # Lateral slice q of the basis slab is the unit (m, n) slab with a one at
-    # vec index q = i + m*k, so evolving it yields the columns of bcirc(A)^t.
-    basis = Tensor3(_from_columns(np.eye(m * n), m))
-    try:
-        powers = evolve(a, basis, T)
-    except SampleOverflowError:
-        raise SampleOverflowError(
-            f"the powers of the operator overflow float64 by T={T}"
-        ) from None
-    return np.stack([_columns(s.data).T for s in powers])
+    mn = m * n
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        ahat = np.fft.rfft(a.data, axis=2).transpose(2, 0, 1)
+        rho = np.linalg.norm(ahat, axis=(1, 2)).max()
+        bounded = (T - 1) * np.log2(rho) < 1020 - np.log2(mn)
+        walk = () if bounded else _tproducts(a.data, _from_columns(np.eye(mn), m), T - 1)
+        if not all(np.isfinite(x).all() for x in walk):
+            raise SampleOverflowError(f"the powers of the operator overflow float64 by T={T}")
+    stack = np.zeros((T, mn, mn))
+    np.fill_diagonal(stack[0], 1.0)
+    # basis slab: lateral slice q = i + m*k is the unit (m, n) slab at (i, k)
+    for _ in _tproducts(a.data, _from_columns(stack[0], m), T - 1,
+                        out=stack[1:].reshape(T - 1, n, m, mn)):
+        pass
+    return stack
 
 
-def _column_rhs(samples: SampleData, selectors) -> list[np.ndarray]:
-    """Each column's observed values at the rows its selector picks, in system row order."""
-    obs = _columns(np.stack([o.data for o in samples.observations]))
-    return [_rows(obs[:, j], samples.horizon, sel).ravel() for j, sel in enumerate(selectors)]
+def _column_rhs(samples: SampleData) -> list[np.ndarray]:
+    """Each column's sampled values, in system row order (latest step first)."""
+    ends = np.cumsum(np.count_nonzero(samples.mask.indicator, axis=(0, 2)))[:-1]
+    return [v.ravel() for v in np.split(samples.values[::-1], ends, axis=1)]
 
 
 def assemble_column_system(
@@ -176,7 +171,7 @@ def assemble_column_system(
         raise IndexError(f"column {j} out of range for {p} columns")
     T, sels = samples.horizon, _columns(mask.indicator)
     matrix = _rows(_power_stack(a, T), T, sels[j]).reshape(-1, m * n)
-    return ColumnSystem(j=j, matrix=matrix, rhs=_column_rhs(samples, sels)[j])
+    return ColumnSystem(j=j, matrix=matrix, rhs=_column_rhs(samples)[j])
 
 
 # -- solving -------------------------------------------------------------------
@@ -434,7 +429,7 @@ def reconstruct_batch(
     for samples in problems:
         _check_problem(a, samples.mask, None)
         sels = _columns(samples.mask.indicator)
-        rhs = _column_rhs(samples, sels)
+        rhs = _column_rhs(samples)
         columns += [((samples.horizon,), sel, b, j) for j, (sel, b) in enumerate(zip(sels, rhs))]
         widths.append(len(sels))
     results = iter(_solve_groups(a, columns, tol, threads, kappa))

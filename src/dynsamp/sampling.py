@@ -106,12 +106,12 @@ def exclude_slab(mask: SampleMask, mode: int, index: int) -> SampleMask:
 
 
 def project(mask: SampleMask, t: Tensor3) -> Tensor3:
-    """Keep entries on the mask, zero everything else."""
+    """Keep entries on the mask; every other entry is +0.0, whatever its sign."""
     if mask.dims != t.dims:
         raise ShapeMismatchError(
             f"cannot project tensor of dims {t.dims} with mask of dims {mask.dims}"
         )
-    return Tensor3(t.data * mask.indicator, copy=False)
+    return Tensor3(np.where(mask.indicator, t.data, 0.0), copy=False)
 
 
 # -- serialization -----------------------------------------------------------

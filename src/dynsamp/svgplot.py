@@ -18,17 +18,16 @@ def _fmt(v: float) -> str:
     return f"{v:.2f}"
 
 
-def _nice_ticks(lo: float, hi: float) -> list[float]:
+def _nice_ticks(lo: float, hi: float, axis: str) -> list[float]:
     raw = (hi - lo) / 5  # about five intervals
+    if not 0 < raw < math.inf:
+        raise ValueError(f"{axis} axis: the range {lo:g} to {hi:g} is too narrow for its magnitude")
     mag = 10.0 ** math.floor(math.log10(raw))
-    for mult in (1.0, 2.0, 5.0, 10.0):
-        if raw <= mult * mag:
-            step = mult * mag
-            break
+    step = next(mult * mag for mult in (1.0, 2.0, 5.0, 10.0) if raw <= mult * mag)
     first = math.ceil(lo / step) * step
-    ticks = []
-    v = first
-    while v <= hi + 1e-12 * step:
+    # where v + step rounds to v, the count of steps in the range ends the loop
+    ticks, v, count = [], first, int((hi - lo) / step) + 2
+    while v <= hi + 1e-12 * step and len(ticks) < count:
         ticks.append(0.0 if abs(v) < 1e-12 * step else v)
         v += step
     return ticks
@@ -98,8 +97,8 @@ def render_plot(
         f'font-family="sans-serif" font-size="16">{title}</text>',
     ]
 
-    x_ticks = _nice_ticks(x_lo, x_hi)
-    y_ticks = _log_ticks(y_lo, y_hi) if logy else _nice_ticks(y_lo, y_hi)
+    x_ticks = _nice_ticks(x_lo, x_hi, "x")
+    y_ticks = _log_ticks(y_lo, y_hi) if logy else _nice_ticks(y_lo, y_hi, "y")
     for tx in x_ticks:
         px = sx(tx)
         out.append(

@@ -12,8 +12,8 @@ rejected.  The t-product of two real tensors is taken through the
 half-spectrum ``rfft``/``irfft`` pair and is real by construction (Kilmer &
 Martin, "Factorization strategies for third-order tensors", LAA 435 (2011)).
 
-The number rule every module checks its arguments with lives here too:
-``as_int`` and ``as_float``.
+The number rule every module checks its arguments with (``as_int``,
+``as_float``) and the column layout (``_columns``, ``_from_columns``) live here too.
 """
 
 from __future__ import annotations
@@ -90,20 +90,26 @@ def as_float(value, name: str | None = None) -> float:
 # -- the t-product -----------------------------------------------------------
 
 
-def _tproducts(a: np.ndarray, b: np.ndarray, steps: int):
+def _tproducts(a: np.ndarray, b: np.ndarray, steps: int, out=None):
     """Yield the ``steps`` arrays a*b, a*(a*b), ... of repeated t-products,
     one at a time.
 
     ``a`` is (m, p, n) and ``b`` is (p, q, n), both float64; for ``steps`` > 1,
     ``a`` is square.  Each product is one matrix product per slice of the
-    half spectrum, kept in the frequency domain between steps.
+    half spectrum, kept in the frequency domain between steps.  A (steps, n,
+    m, q) ``out`` takes product t in ``out[t]``, in (k, i, j) order, and then
+    the spectrum is updated in place, a slice at a time (``a`` is square).
     """
     n = a.shape[2]
     ahat = np.fft.rfft(a, axis=2).transpose(2, 0, 1)
     cur = np.fft.rfft(b, axis=2).transpose(2, 0, 1)
-    for _ in range(steps):
-        cur = ahat @ cur
-        yield np.fft.irfft(cur, n=n, axis=0).transpose(1, 2, 0)
+    for t in range(steps):
+        if out is None:
+            cur = ahat @ cur
+        else:
+            for f in range(len(cur)):
+                cur[f] = ahat[f] @ cur[f]
+        yield np.fft.irfft(cur, n=n, axis=0, out=None if out is None else out[t]).transpose(1, 2, 0)
 
 
 def tprod(a: Tensor3, b: Tensor3) -> Tensor3:
@@ -115,6 +121,18 @@ def tprod(a: Tensor3, b: Tensor3) -> Tensor3:
             f"tprod needs (m,p,n)x(p,q,n), got {a.dims} and {b.dims}"
         )
     return Tensor3(next(_tproducts(a.data, b.data, 1)), copy=False)
+
+
+def _columns(x: np.ndarray) -> np.ndarray:
+    """(..., p, m*n) columns of an (..., m, p, n) array: row r = i + m*k holds entry (i, k)."""
+    *lead, m, p, n = x.shape
+    return x.swapaxes(-3, -1).swapaxes(-3, -2).reshape(*lead, p, m * n)
+
+
+def _from_columns(c: np.ndarray, m: int) -> np.ndarray:
+    """The (..., m, p, n) array whose ``_columns`` are ``c``."""
+    *lead, p, mn = c.shape
+    return c.reshape(*lead, p, mn // m, m).swapaxes(-3, -1).swapaxes(-2, -1)
 
 
 # -- norms and errors --------------------------------------------------------

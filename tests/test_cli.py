@@ -4,6 +4,7 @@ import json
 import os
 import re
 import resource
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -37,6 +38,48 @@ def dir_bytes(path: Path) -> dict:
 
 
 SMALL = ["--m", "6", "--p", "4", "--n", "2", "--seed", "3"]
+
+
+ZERO_LINE, NEGATIVE_ZERO_LINE = "0.00000000000000000e+00", "-0.00000000000000000e+00"
+
+
+def _parent_observations(ds: Path) -> list:
+    """The observations of dataset ``ds`` as the projection ``data * mask``
+    wrote them: -0.0 at every unsampled entry whose noisy signal is negative."""
+    meta = json.loads((ds / "meta.json").read_text())
+    mask = load_sample_data(ds).mask.indicator
+    traj = evolve(read_t3(ds / "A.t3"), read_t3(ds / "F.t3"), meta["T"])
+    return [
+        (ft.data + meta["sigma"] * np.random.Generator(np.random.Philox(key=meta["seed"])
+                                                       .jumped(t)).standard_normal(ft.dims)) * mask
+        for t, ft in enumerate(traj)
+    ]
+
+
+@pytest.mark.parametrize("flags", [[], ["--sigma", "1e-3"]])
+def test_unsampled_observation_entries_are_written_as_zero(tmp_path, flags):
+    ds = tmp_path / "ds"
+    assert main(["simulate", "--out", str(ds), "--seed", "1"] + flags) == 0
+    unsampled = [line == ZERO_LINE for line in (ds / "mask.t3").read_text().splitlines()[1:]]
+    leaked = 0
+    for t, parent in enumerate(_parent_observations(ds)):
+        lines = (ds / f"obs_{t}.t3").read_text().splitlines()[1:]
+        assert {line for line, off in zip(lines, unsampled) if off} == {ZERO_LINE}
+        leaked += int(np.signbit(parent.ravel(order="F")[unsampled]).sum())
+    assert leaked  # the projection by multiplication gave these signs away
+
+
+def test_a_dataset_with_negative_zeros_off_the_mask_reconstructs_to_the_same_estimate(tmp_path):
+    new, old = tmp_path / "new", tmp_path / "old"
+    assert main(["simulate", "--out", str(new), "--seed", "1", "--sigma", "1e-3"]) == 0
+    shutil.copytree(new, old)
+    for t, obs in enumerate(_parent_observations(new)):
+        write_t3(old / f"obs_{t}.t3", Tensor3(obs))
+    assert NEGATIVE_ZERO_LINE in (old / "obs_0.t3").read_text().splitlines()
+    for ds in (new, old):
+        assert main(["reconstruct", str(ds)]) == 0
+    assert (old / "estimate.t3").read_bytes() == (new / "estimate.t3").read_bytes()
+    assert (old / "report.json").read_bytes() == (new / "report.json").read_bytes()
 
 
 def test_simulate_writes_expected_files(tmp_path):
@@ -574,7 +617,8 @@ def test_a_signal_too_large_for_memory_is_a_config_error(tmp_path, argv):
 
 
 def test_a_dataset_too_large_for_memory_is_a_data_error(tmp_path):
-    # Its one column system is 20000 x 20000 float64 values, 3 GB.
+    # Its one power of the operator, and its one column system, are each
+    # 20000 x 20000 float64 values, 3 GB; the power stack is allocated first.
     ds = tmp_path / "ds"
     assert main(["simulate", "--out", str(ds), "--m", "1", "--p", "1", "--n", "20000",
                  "--T", "1"]) == 0
@@ -582,7 +626,7 @@ def test_a_dataset_too_large_for_memory_is_a_data_error(tmp_path):
     proc = run_capped(["reconstruct", str(ds)], tmp_path)
     assert proc.returncode == 4, proc.stderr
     assert re.fullmatch(
-        r"error: Unable to allocate [^\n]* shape \(20000, 20000\)[^\n]*\n", proc.stderr
+        r"error: Unable to allocate [^\n]* shape \(1, 20000, 20000\)[^\n]*\n", proc.stderr
     )
     assert dir_bytes(ds) == before
 

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -183,8 +184,8 @@ def test_observe_draws_the_same_bits_for_any_integral_seed():
     mask = bernoulli_mask(4, 3, 2, 0.7, 2)
     traj = evolve(a, f, 3)
     want = [
-        (ft.data + 1e-2 * np.random.Generator(np.random.Philox(key=2).jumped(t))
-         .standard_normal(ft.dims)) * mask.indicator
+        np.where(mask.indicator, ft.data + 1e-2 * np.random.Generator(
+            np.random.Philox(key=2).jumped(t)).standard_normal(ft.dims), 0.0)
         for t, ft in enumerate(traj)
     ]
     for seed in (2, 2.0, np.int64(2), np.uint64(2)):
@@ -227,6 +228,41 @@ def test_sample_data_rejects_off_mask_support():
         SampleData(mask, [stray], 0.0, 1)
     with pytest.raises(ValueError, match=r"^SampleData needs at least one observation$"):
         SampleData(mask, [], 0.0, 1)
+
+
+def test_sample_data_keeps_the_sampled_values_in_column_order():
+    a, f = small_instance()
+    traj = evolve(a, f, 3)
+    mask = bernoulli_mask(4, 3, 2, 0.5, 3)
+    data = observe(traj, mask, 1e-2, 4)
+    m, p, n = mask.dims
+    order = [(i, j, k) for j in range(p) for k in range(n) for i in range(m)
+             if mask.indicator[i, j, k]]
+    assert data.values.shape == (3, len(order)) and data.values.dtype == np.float64
+    for t, obs in enumerate(data.observations):
+        assert data.values[t].tolist() == [obs.data[idx] for idx in order]
+    with pytest.raises(ValueError):
+        data.values[0, 0] = 1.0
+    # the rebuilt observations are the masked steps, +0.0 off the mask
+    clean = observe(traj, mask, 0.0, 4)
+    for obs, ft in zip(clean.observations, traj):
+        assert obs.data.tobytes() == np.where(mask.indicator, ft.data, 0.0).tobytes()
+        assert not np.signbit(obs.data[~mask.indicator]).any()
+
+
+def test_sample_data_retains_less_than_half_the_bytes_of_its_dense_observations():
+    a, f = random_tensor(20, 20, 5, 1), random_tensor(20, 15, 5, 2)
+    traj = evolve(a, f, 5)
+    mask = bernoulli_mask(20, 15, 5, 0.3, 3)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        data = observe(traj, mask, 1e-3, 4)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    dense = sum(obs.data.nbytes for obs in data.observations)
+    assert retained < dense / 2
 
 
 def test_sample_data_round_trip(tmp_path):

@@ -28,6 +28,7 @@ from dynsamp.experiments import (
     write_experiment,
 )
 from dynsamp.reconstruct import _condition_sweep, reconstruct_batch
+from dynsamp.svgplot import render_plot
 
 SMALL = {"m": 6, "p": 4, "n": 2, "seed": 9, "trials": 2}
 
@@ -266,6 +267,22 @@ def test_plot_of_a_csv_with_no_rows_is_an_error(tmp_path):
     with pytest.raises(ValueError, match="^nothing to plot$"):
         plot_from_csv("condition-vs-T", csv_path, tmp_path / "out.svg")
     assert not (tmp_path / "out.svg").exists()
+
+
+def test_plot_of_a_flat_axis_too_narrow_for_its_magnitude_ends():
+    # At 3e15 a float64 step is 0.5, so the 0.2 tick step rounds away: the
+    # tick count of the range ends the loop.
+    svg = render_plot([("", [3e15, 3e15], [1.0, 2.0])], title="t", xlabel="x", ylabel="y")
+    assert svg.endswith("</svg>\n") and ">3e+15</text>" in svg
+
+
+@pytest.mark.parametrize("xs, ys, axis", [([1e16, 1e16], [1.0, 2.0], "x"),
+                                          ([1.0, 2.0], [1e16, 1e16], "y")])
+def test_plot_of_a_flat_axis_with_no_room_between_floats_is_an_error(xs, ys, axis):
+    # At 1e16 the axis padding rounds away: the range has no width.
+    with pytest.raises(ValueError, match=rf"^{axis} axis: the range 1e\+16 to 1e\+16 is too narrow "
+                                         r"for its magnitude$"):
+        render_plot([("", xs, ys)], title="t", xlabel="x", ylabel="y")
 
 
 def _hand_error(cfg, mask, T, sigma, noise_key):
