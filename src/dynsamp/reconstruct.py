@@ -34,9 +34,9 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .tensor3 import ShapeMismatchError, Tensor3, _columns, _exponents, _from_columns
-from .tensor3 import _tproducts, as_float, as_int, rel_error as tensor_rel_error
+from .tensor3 import as_float, as_int, rel_error as tensor_rel_error
 from .sampling import SampleMask
-from .dynsys import SampleData, SampleOverflowError
+from .dynsys import SampleData, SampleOverflowError, evolve
 from ._parallel import _single_threaded_blas, pmap
 
 _EPS = float(np.finfo(np.float64).eps)
@@ -128,30 +128,23 @@ def _rows(steps: np.ndarray, T: int, sel) -> np.ndarray:
 def _power_stack(a: Tensor3, T: int) -> np.ndarray:
     """The (T, m*n, m*n) stack of bcirc(A)^0, ..., bcirc(A)^(T-1).
 
-    Row r = i + m*k of each power produces entry (i, k) of a column.  Each
-    step's inverse FFT writes into the stack, allocated once; it is a prefix
-    of the stack at any longer horizon, bit for bit.  ||bcirc(A)^t||_2 <=
-    rho^t, rho the largest Frobenius norm of the DFT frontal slices of A
-    (Kilmer & Martin, LAA 435 (2011)); where that, with m*n to spare for the
-    FFT's sums, leaves room for an overflow, the powers are first walked
-    unkept, so a huge T raises ``SampleOverflowError`` at the overflowing step.
+    Row r = i + m*k of each power produces entry (i, k) of a column.  The
+    stack at horizon T is a prefix of the stack at any longer horizon, bit
+    for bit, because ``evolve`` computes each step from the one before.
+    Powers that overflow float64 raise ``SampleOverflowError`` at the first
+    such step.
     """
     m, _, n = a.dims
-    mn = m * n
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        ahat = np.fft.rfft(a.data, axis=2).transpose(2, 0, 1)
-        rho = np.linalg.norm(ahat, axis=(1, 2)).max()
-        bounded = (T - 1) * np.log2(rho) < 1020 - np.log2(mn)
-        walk = () if bounded else _tproducts(a.data, _from_columns(np.eye(mn), m), T - 1)
-        if not all(np.isfinite(x).all() for x in walk):
-            raise SampleOverflowError(f"the powers of the operator overflow float64 by T={T}")
-    stack = np.zeros((T, mn, mn))
-    np.fill_diagonal(stack[0], 1.0)
-    # basis slab: lateral slice q = i + m*k is the unit (m, n) slab at (i, k)
-    for _ in _tproducts(a.data, _from_columns(stack[0], m), T - 1,
-                        out=stack[1:].reshape(T - 1, n, m, mn)):
-        pass
-    return stack
+    # Lateral slice q of the basis slab is the unit (m, n) slab with a one at
+    # vec index q = i + m*k, so evolving it yields the columns of bcirc(A)^t.
+    basis = Tensor3(_from_columns(np.eye(m * n), m))
+    try:
+        powers = evolve(a, basis, T)
+    except SampleOverflowError:
+        raise SampleOverflowError(
+            f"the powers of the operator overflow float64 by T={T}"
+        ) from None
+    return np.stack([_columns(s.data).T for s in powers])
 
 
 def _column_rhs(samples: SampleData) -> list[np.ndarray]:

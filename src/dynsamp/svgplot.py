@@ -23,7 +23,10 @@ def _nice_ticks(lo: float, hi: float, axis: str) -> list[float]:
     if not 0 < raw < math.inf:
         raise ValueError(f"{axis} axis: the range {lo:g} to {hi:g} is too narrow for its magnitude")
     mag = 10.0 ** math.floor(math.log10(raw))
-    step = next(mult * mag for mult in (1.0, 2.0, 5.0, 10.0) if raw <= mult * mag)
+    for mult in (1.0, 2.0, 5.0, 10.0):
+        if raw <= mult * mag:
+            step = mult * mag
+            break
     first = math.ceil(lo / step) * step
     # where v + step rounds to v, the count of steps in the range ends the loop
     ticks, v, count = [], first, int((hi - lo) / step) + 2

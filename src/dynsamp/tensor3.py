@@ -90,26 +90,20 @@ def as_float(value, name: str | None = None) -> float:
 # -- the t-product -----------------------------------------------------------
 
 
-def _tproducts(a: np.ndarray, b: np.ndarray, steps: int, out=None):
+def _tproducts(a: np.ndarray, b: np.ndarray, steps: int):
     """Yield the ``steps`` arrays a*b, a*(a*b), ... of repeated t-products,
     one at a time.
 
     ``a`` is (m, p, n) and ``b`` is (p, q, n), both float64; for ``steps`` > 1,
     ``a`` is square.  Each product is one matrix product per slice of the
-    half spectrum, kept in the frequency domain between steps.  A (steps, n,
-    m, q) ``out`` takes product t in ``out[t]``, in (k, i, j) order, and then
-    the spectrum is updated in place, a slice at a time (``a`` is square).
+    half spectrum, kept in the frequency domain between steps.
     """
     n = a.shape[2]
     ahat = np.fft.rfft(a, axis=2).transpose(2, 0, 1)
     cur = np.fft.rfft(b, axis=2).transpose(2, 0, 1)
-    for t in range(steps):
-        if out is None:
-            cur = ahat @ cur
-        else:
-            for f in range(len(cur)):
-                cur[f] = ahat[f] @ cur[f]
-        yield np.fft.irfft(cur, n=n, axis=0, out=None if out is None else out[t]).transpose(1, 2, 0)
+    for _ in range(steps):
+        cur = ahat @ cur
+        yield np.fft.irfft(cur, n=n, axis=0).transpose(1, 2, 0)
 
 
 def tprod(a: Tensor3, b: Tensor3) -> Tensor3:

@@ -11,10 +11,7 @@ is the t-product identity; the tensors they return are float64, as
 ``Tensor3`` requires.  ``dumps_t3_oracle`` and ``loads_t3_oracle`` are the T3 codec
 written one Python statement per entry, the reference for the library's
 vectorized one.  ``product_mask`` builds the product-form (lattice) sampling
-sets of the structural tests from an indicator.  ``tproducts_oracle`` and
-``power_stack_oracle`` are the trajectory and the stack of operator powers
-as they were built before the stack was filled in place: one batched matrix
-product of the half spectra per step, each step kept, then ``np.stack``.
+sets of the structural tests from an indicator.
 """
 
 import math
@@ -240,27 +237,3 @@ def loads_t3_oracle(text: str, path="<string>") -> Tensor3:
     if len(values) != want:
         raise T3FormatError(path, len(lines) + 1, f"expected {want} entries, got {len(values)}")
     return Tensor3(np.array(values).reshape((m, p, n), order="F"), copy=False)
-
-
-def tproducts_oracle(a: np.ndarray, b: np.ndarray, steps: int) -> list:
-    """The ``steps`` (m, q, n) arrays a*b, a*(a*b), ...: each step one
-    batched product of the half spectra, kept as a new array."""
-    n = a.shape[2]
-    ahat = np.fft.rfft(a, axis=2).transpose(2, 0, 1)
-    cur = np.fft.rfft(b, axis=2).transpose(2, 0, 1)
-    out = []
-    for _ in range(steps):
-        cur = ahat @ cur
-        out.append(np.ascontiguousarray(np.fft.irfft(cur, n=n, axis=0).transpose(1, 2, 0)))
-    return out
-
-
-def power_stack_oracle(a, T: int) -> np.ndarray:
-    """The (T, m*n, m*n) stack of bcirc(A)^0, ..., bcirc(A)^(T-1), row
-    r = i + m*k: the unit basis slab evolved T-1 steps, every step kept,
-    each turned into its columns and stacked."""
-    m, _, n = a.dims
-    mn = m * n
-    basis = np.eye(mn).reshape(mn, n, m).transpose(2, 0, 1)  # slice q: a one at q = i + m*k
-    steps = [basis] + tproducts_oracle(a.data, basis, T - 1)
-    return np.stack([x.transpose(1, 2, 0).reshape(mn, mn).T for x in steps])

@@ -617,8 +617,7 @@ def test_a_signal_too_large_for_memory_is_a_config_error(tmp_path, argv):
 
 
 def test_a_dataset_too_large_for_memory_is_a_data_error(tmp_path):
-    # Its one power of the operator, and its one column system, are each
-    # 20000 x 20000 float64 values, 3 GB; the power stack is allocated first.
+    # Its one column system is 20000 x 20000 float64 values, 3 GB.
     ds = tmp_path / "ds"
     assert main(["simulate", "--out", str(ds), "--m", "1", "--p", "1", "--n", "20000",
                  "--T", "1"]) == 0
@@ -626,7 +625,7 @@ def test_a_dataset_too_large_for_memory_is_a_data_error(tmp_path):
     proc = run_capped(["reconstruct", str(ds)], tmp_path)
     assert proc.returncode == 4, proc.stderr
     assert re.fullmatch(
-        r"error: Unable to allocate [^\n]* shape \(1, 20000, 20000\)[^\n]*\n", proc.stderr
+        r"error: Unable to allocate [^\n]* shape \(20000, 20000\)[^\n]*\n", proc.stderr
     )
     assert dir_bytes(ds) == before
 

@@ -1,9 +1,7 @@
 import importlib
 import itertools
 import json
-import math
 import re
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,8 +25,8 @@ from dynsamp import (
 )
 from dynsamp.dynsys import SampleOverflowError
 from dynsamp.reconstruct import (
-    ColumnSystem, _condition_sweep, _default_tol, _power_stack, _solve_stack,
-    assemble_column_system, reconstruct_batch,
+    ColumnSystem, _condition_sweep, _default_tol, _solve_stack, assemble_column_system,
+    reconstruct_batch,
 )
 from dynsamp.tensor3 import ShapeMismatchError
 from oracles import (
@@ -37,7 +35,6 @@ from oracles import (
     identity_tensor,
     mask_conv_matrix,
     materialized_sampling_map,
-    power_stack_oracle,
     product_mask,
 )
 
@@ -999,58 +996,3 @@ def test_samples_times_a_power_of_two_scale_the_solution_exactly(seed, sigma, da
     assert got.residuals == [float(np.ldexp(r, k)) for r in base.residuals]
     assert (got.ranks, got.kappa, got.K) == (base.ranks, base.kappa, base.K)
     assert got.failed_columns == base.failed_columns
-
-
-# -- the power stack ----------------------------------------------------------
-
-
-@settings(max_examples=40, deadline=None)
-@given(m=st.integers(1, 6), n=st.integers(1, 7), T=st.integers(1, 9),
-       scale=st.sampled_from([1e-3, 1.0, 1e3]), seed=st.integers(0, 2**32))
-def test_power_stack_filled_in_place_matches_the_stacked_trajectory_bit_for_bit(m, n, T, scale, seed):
-    a = Tensor3(scale * random_tensor(m, m, n, seed).data)
-    assert _power_stack(a, T).tobytes() == power_stack_oracle(a, T).tobytes()
-
-
-def _rho(a) -> float:
-    """The largest Frobenius norm of the DFT frontal slices of ``a``, a bound
-    on their 2-norm."""
-    return float(np.linalg.norm(np.fft.fft(a.data, axis=2).transpose(2, 0, 1), axis=(1, 2)).max())
-
-
-@settings(max_examples=30, deadline=None)
-@given(m=st.integers(1, 5), n=st.integers(1, 6), e=st.integers(0, 250), seed=st.integers(0, 2**32))
-def test_no_power_is_non_finite_where_the_bound_admits_the_horizon(m, n, e, seed):
-    """||bcirc(A)^t||_2 <= rho^t bounds every entry of step t; at the longest
-    horizon the bound admits, the stack is filled without a walk first, and
-    every step is finite and within the bound."""
-    a = Tensor3(np.ldexp(random_tensor(m, m, n, seed).data, e))
-    log_rho = math.log2(_rho(a))
-    if log_rho <= 0:
-        return
-    T = min(400, math.ceil((1020 - math.log2(m * n)) / log_rho))
-    calls = []
-    real = reconstruct_module._tproducts
-
-    def recording(*args, **kw):
-        calls.append(kw.get("out") is not None)
-        return real(*args, **kw)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(reconstruct_module, "_tproducts", recording)
-        stack = _power_stack(a, T)
-    assert calls == [True]
-    assert np.isfinite(stack).all()
-    for t in range(1, T):
-        assert math.log2(np.abs(stack[t]).max()) <= t * log_rho + 1e-6
-
-
-def test_power_stack_peaks_at_less_than_one_and_a_half_times_its_size():
-    a = random_tensor(20, 20, 5, 11)
-    tracemalloc.start()
-    try:
-        stack = _power_stack(a, 5)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 1.5 * stack.nbytes
