@@ -19,7 +19,6 @@ from .sampling import (
     bernoulli_mask,
     exclude_slab,
     load_mask,
-    project,
     save_mask,
 )
 from .dynsys import SampleData, evolve, load_sample_data, observe, save_sample_data
@@ -48,7 +47,6 @@ __all__ = [
     "bernoulli_mask",
     "exclude_slab",
     "load_mask",
-    "project",
     "save_mask",
     "SampleData",
     "evolve",

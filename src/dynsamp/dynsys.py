@@ -11,9 +11,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .tensor3 import ShapeMismatchError, Tensor3, _columns, _from_columns, _tproducts
+from .tensor3 import ShapeMismatchError, Tensor3, _columns, _from_columns, _philox, _tproducts
 from .tensor3 import as_float, as_int
-from .sampling import SampleMask, load_mask, project, save_mask
+from .sampling import SampleMask, load_mask, save_mask
 from .t3io import read_json_object, read_t3, write_json, write_t3
 
 
@@ -25,30 +25,33 @@ class SampleOverflowError(ValueError):
 class SampleData:
     """Masked observations of an evolving signal over T time steps.
 
-    Every observation is supported on the mask exactly: off-mask entries are
-    identically zero, enforced at construction.  Only the samples are kept:
-    ``values`` (T, s), read-only, in the column layout of ``tensor3._columns``
-    (column j, then r = i + m*k); ``observations`` rebuilds the dense tensors.
+    Every observation has the mask's dims, is zero off it and finite on it
+    (``_sampled``, where samples enter).  Only the samples are kept: ``values``
+    (T, s), read-only, in the column layout of ``tensor3._columns`` (column j,
+    then r = i + m*k); ``observations`` rebuilds the dense tensors.
     """
 
     __slots__ = ("mask", "horizon", "values", "noise_sigma", "seed")
 
     def __init__(self, mask: SampleMask, observations, noise_sigma: float, seed: int):
-        observations = tuple(observations)
-        if not observations:
-            raise ValueError("SampleData needs at least one observation")
-        for t, obs in enumerate(observations):
-            _check_observation(mask, obs, f"observation {t}")
+        values = [_sampled(mask, obs, f"observation {t}") for t, obs in enumerate(observations)]
         noise_sigma = as_float(noise_sigma, "noise_sigma")
         if noise_sigma < 0:
             raise ValueError(f"noise_sigma must be nonnegative, got {noise_sigma}")
-        values = _columns(np.stack([o.data for o in observations]))[:, _columns(mask.indicator)]
+        self._set(mask, np.array(values), noise_sigma, as_int(seed, "seed"))
+
+    @classmethod
+    def _of_values(cls, mask, values, noise_sigma, seed) -> SampleData:
+        """The samples ``values`` (T, s) as ``SampleData``; every argument is already checked."""
+        return cls.__new__(cls)._set(mask, values, noise_sigma, seed)
+
+    def _set(self, mask, values, noise_sigma, seed) -> SampleData:
+        if not len(values):
+            raise ValueError("SampleData needs at least one observation")
         values.setflags(write=False)
-        object.__setattr__(self, "mask", mask)
-        object.__setattr__(self, "horizon", len(values))
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "noise_sigma", noise_sigma)
-        object.__setattr__(self, "seed", as_int(seed, "seed"))
+        for name, value in zip(self.__slots__, (mask, len(values), values, noise_sigma, seed)):
+            object.__setattr__(self, name, value)
+        return self
 
     @property
     def observations(self) -> tuple:
@@ -68,12 +71,18 @@ class SampleData:
         )
 
 
-def _check_observation(mask: SampleMask, obs: Tensor3, name: str) -> None:
-    """Observation ``name`` must have the mask's dims and no value off it."""
+def _sampled(mask: SampleMask, obs: Tensor3, name: str) -> np.ndarray:
+    """The on-mask values of observation ``name`` in column layout; it must
+    have the mask's dims, no value off the mask and none non-finite on it."""
     if obs.dims != mask.dims:
         raise ShapeMismatchError(f"{name} has dims {obs.dims}, mask has {mask.dims}")
-    if not np.array_equal(project(mask, obs).data, obs.data):
+    cols, selector = _columns(obs.data), _columns(mask.indicator)
+    if cols[~selector].any():
         raise ValueError(f"{name} carries values off the mask")
+    values = cols[selector]
+    if not np.isfinite(values).all():
+        raise ValueError(f"{name} carries a non-finite value on the mask")
+    return values
 
 
 def evolve(a: Tensor3, f: Tensor3, T: int) -> list[Tensor3]:
@@ -105,30 +114,34 @@ def evolve(a: Tensor3, f: Tensor3, T: int) -> list[Tensor3]:
 
 
 def observe(trajectory, mask: SampleMask, sigma: float, seed: int) -> SampleData:
-    """Project each trajectory element onto the mask, with optional noise.
+    """Sample each trajectory element on the mask, with optional noise.
 
     Noise is real Gaussian with standard deviation ``sigma``, independent per
     entry and per time step; the step-t stream is the seed's generator jumped
     t times, so observation t never depends on how many steps precede it.
-    A step whose signal, or signal plus noise, is not finite in float64
-    raises ``SampleOverflowError`` naming the step.
+    A step whose dims differ from the mask's raises ``ShapeMismatchError``,
+    and one whose signal, or signal plus noise, is not finite in float64
+    raises ``SampleOverflowError``; both name the step.
     """
     sigma = as_float(sigma, "sigma")
     if sigma < 0:
         raise ValueError(f"sigma must be nonnegative, got {sigma}")
-    seed = as_int(seed, "seed")
-    observations = []
+    philox = _philox(seed)
+    selector = _columns(mask.indicator)
+    values = []
     for t, ft in enumerate(trajectory):
+        if ft.dims != mask.dims:
+            raise ShapeMismatchError(f"step {t} has dims {ft.dims}, mask has {mask.dims}")
         data = ft.data
         if sigma != 0.0:
-            rng = np.random.Generator(np.random.Philox(key=seed).jumped(t))
+            rng = np.random.Generator(philox.jumped(t))
             with np.errstate(over="ignore"):
                 data = data + sigma * rng.standard_normal(ft.dims)
         if not np.isfinite(data).all():
             source = "signal" if not np.isfinite(ft.data).all() else f"noise (sigma={sigma:g})"
             raise SampleOverflowError(f"step {t}: the {source} overflows float64")
-        observations.append(project(mask, Tensor3(data, copy=False)))
-    return SampleData(mask, observations, sigma, seed)
+        values.append(_columns(data)[selector])
+    return SampleData._of_values(mask, np.array(values), sigma, as_int(seed, "seed"))
 
 
 # -- dataset directories -------------------------------------------------------
@@ -190,11 +203,10 @@ def load_sample_data(directory) -> SampleData:
         raise ValueError(
             f"{meta_path}: dims {dims} do not match the mask's {list(mask.dims)}"
         )
-    observations = []
+    values = []
     for t in range(T):
         obs_path = directory / f"obs_{t}.t3"
         if not obs_path.exists():
             raise FileNotFoundError(f"{directory}: missing obs_{t}.t3 (T={T})")
-        observations.append(read_t3(obs_path))
-        _check_observation(mask, observations[-1], str(obs_path))
-    return SampleData(mask, observations, sigma, seed)
+        values.append(_sampled(mask, read_t3(obs_path), str(obs_path)))
+    return SampleData._of_values(mask, np.array(values), sigma, seed)

@@ -1,10 +1,9 @@
-"""Sampling sets and the projection onto observed entries.
+"""Sampling sets: the entries that are observed.
 
-A sampling set is a boolean mask over the (m, p, n) index grid.  The mask is
-fixed across all observation times; the projection zeroes every entry outside
-it.  Masks remember how they were built (a Bernoulli draw or a given
-indicator, and the slab exclusions applied since) so datasets can be
-regenerated from their sidecar metadata alone.
+A sampling set is a boolean mask over the (m, p, n) index grid, fixed across
+all observation times.  Masks remember how they were built (a Bernoulli draw
+or a given indicator, and the slab exclusions applied since) so datasets can
+be regenerated from their sidecar metadata alone.
 """
 
 from __future__ import annotations
@@ -13,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .tensor3 import ShapeMismatchError, Tensor3, as_float, as_int
+from .tensor3 import ShapeMismatchError, Tensor3, _philox, as_float, as_int
 from .t3io import T3FormatError, read_json_object, read_t3, write_json, write_t3
 
 
@@ -74,7 +73,7 @@ def bernoulli_mask(m: int, p: int, n: int, alpha: float, seed: int) -> SampleMas
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
     seed = as_int(seed, "seed")
-    rng = np.random.Generator(np.random.Philox(key=seed))
+    rng = np.random.Generator(_philox(seed))
     indicator = rng.random(dims) < alpha
     prov = {"type": "bernoulli", "alpha": alpha, "seed": seed, "exclusions": []}
     return SampleMask(indicator, prov)
@@ -103,15 +102,6 @@ def exclude_slab(mask: SampleMask, mode: int, index: int) -> SampleMask:
         {"mode": mode, "index": index}
     ]
     return SampleMask(indicator, prov)
-
-
-def project(mask: SampleMask, t: Tensor3) -> Tensor3:
-    """Keep entries on the mask; every other entry is +0.0, whatever its sign."""
-    if mask.dims != t.dims:
-        raise ShapeMismatchError(
-            f"cannot project tensor of dims {t.dims} with mask of dims {mask.dims}"
-        )
-    return Tensor3(np.where(mask.indicator, t.data, 0.0), copy=False)
 
 
 # -- serialization -----------------------------------------------------------

@@ -177,12 +177,20 @@ def rel_error(x: Tensor3, f: Tensor3) -> float:
 # -- random instances --------------------------------------------------------
 
 
+def _philox(seed: int) -> np.random.Philox:
+    """The bit generator of every seeded draw: Philox keyed on ``seed`` in [0, 2**128)."""
+    seed = as_int(seed, "seed")
+    if not 0 <= seed < 2**128:
+        raise _rejected("an integer in [0, 2**128)", seed, "seed")
+    return np.random.Philox(key=seed)
+
+
 def random_tensor(m: int, p: int, n: int, seed: int) -> Tensor3:
     """Real tensor with i.i.d. standard normal entries.
 
-    Driven by a counter-based generator keyed on the 64-bit seed, so the
-    draw is reproducible across platforms and independent per seed.
+    Driven by a counter-based generator keyed on the seed, so the draw is
+    reproducible across platforms and independent per seed.
     """
     dims = tuple(as_int(v, name) for v, name in zip((m, p, n), "mpn"))
-    rng = np.random.Generator(np.random.Philox(key=as_int(seed, "seed")))
+    rng = np.random.Generator(_philox(seed))
     return Tensor3(rng.standard_normal(dims), copy=False)

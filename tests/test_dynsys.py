@@ -8,12 +8,12 @@ from hypothesis import strategies as st
 
 from dynsamp import (
     SampleData,
+    SampleMask,
     Tensor3,
     bernoulli_mask,
     evolve,
     load_sample_data,
     observe,
-    project,
     random_tensor,
     save_sample_data,
     tprod,
@@ -131,8 +131,8 @@ def test_noise_variance_on_mask():
     mask = bernoulli_mask(m, p, n, 0.5, 203)
     sigma = 1e-3
     data = observe(evolve(a, f, 2), mask, sigma, 204)
-    clean = project(mask, f)
-    noise = data.observations[0].data - clean.data
+    clean = np.where(mask.indicator, f.data, 0.0)
+    noise = data.observations[0].data - clean
     noise_power = np.linalg.norm(noise) ** 2 / mask.sample_count
     assert 0.5 * sigma**2 <= noise_power <= 2.0 * sigma**2
 
@@ -221,11 +221,39 @@ def test_non_finite_sigma_is_rejected_at_the_call(tmp_path, sigma):
         SampleData(mask, obs, sigma, 1)
 
 
-def test_sample_data_rejects_off_mask_support():
-    mask = bernoulli_mask(2, 2, 2, 0.0, 1)
-    stray = Tensor3(np.ones((2, 2, 2)))
-    with pytest.raises(ValueError):
-        SampleData(mask, [stray], 0.0, 1)
+def _with(dims, entry, value):
+    x = np.zeros(dims)
+    x[entry] = value
+    return Tensor3(x)
+
+
+@pytest.mark.parametrize(
+    "bad, sample_data_error, observe_error",
+    [
+        (_with((2, 2, 2), (1, 1, 1), 1.0), "observation 1 carries values off the mask", None),
+        (_with((2, 2, 2), (0, 0, 0), np.inf),
+         "observation 1 carries a non-finite value on the mask",
+         "step 1: the signal overflows float64"),
+        (_with((2, 2, 2), (0, 0, 0), np.nan),
+         "observation 1 carries a non-finite value on the mask",
+         "step 1: the signal overflows float64"),
+        (_with((2, 2, 3), (0, 0, 0), 1.0),
+         r"observation 1 has dims \(2, 2, 3\), mask has \(2, 2, 2\)",
+         r"step 1 has dims \(2, 2, 3\), mask has \(2, 2, 2\)"),
+    ],
+    ids=["off-mask", "inf-on-mask", "nan-on-mask", "wrong-dims"],
+)
+def test_sample_data_rejects_off_mask_support(bad, sample_data_error, observe_error):
+    # only (0, 0, 0) is sampled; each entry point names the bad observation
+    mask = SampleMask(np.arange(8).reshape(2, 2, 2) == 0)
+    steps = [Tensor3(np.zeros((2, 2, 2))), bad]
+    with pytest.raises(ValueError, match=rf"^{sample_data_error}$"):
+        SampleData(mask, steps, 0.0, 1)
+    if observe_error is None:  # observe keeps the on-mask values only
+        assert not observe(steps, mask, 0.0, 1).values.any()
+    else:
+        with pytest.raises(ValueError, match=rf"^{observe_error}$"):
+            observe(steps, mask, 0.0, 1)
     with pytest.raises(ValueError, match=r"^SampleData needs at least one observation$"):
         SampleData(mask, [], 0.0, 1)
 
@@ -279,6 +307,7 @@ def test_sample_data_round_trip(tmp_path):
     assert back.horizon == 3
     assert back.noise_sigma == 1e-3
     assert np.array_equal(back.mask.indicator, mask.indicator)
+    assert back.values.tobytes() == data.values.tobytes()
     for o1, o2 in zip(back.observations, data.observations):
         assert np.array_equal(o1.data, o2.data)
 

@@ -84,6 +84,12 @@ _INTEGER_ARGS = {
     ("reconstruct_batch", "threads"): lambda v: _batch(threads=v),
     ("system_condition", "threads"): lambda v: _condition(threads=v),
 }
+# Each seed that keys a Philox generator, which takes [0, 2**128) only.
+_SEED_ARGS = {
+    ("random_tensor", "seed"): lambda v: random_tensor(2, 3, 2, v),
+    ("bernoulli_mask", "seed"): lambda v: bernoulli_mask(2, 3, 2, 0.5, v),
+    ("observe", "seed"): lambda v: observe([random_tensor(3, 4, 2, 1)], _problem()[1], 0.0, v),
+}
 _REAL_ARGS = {
     ("bernoulli_mask", "alpha"): lambda v: bernoulli_mask(2, 3, 2, v, 1),
     ("reconstruct", "tol"): lambda v: reconstruct(*_problem(), tol=v),
@@ -95,12 +101,13 @@ _REAL_ARGS = {
 
 @pytest.mark.parametrize("call, name, noun, value", [
     pytest.param(call, name, noun, v, id=f"{fn}-{name}-{v!r}")
-    for args, noun, bad in [(_INTEGER_ARGS, "an integer", (True, 2.5, "2")),
+    for args, noun, bad in [(_INTEGER_ARGS | _SEED_ARGS, "an integer", (True, 2.5, "2")),
+                            (_SEED_ARGS, "an integer in [0, 2**128)", (-1, 2**128)),
                             (_REAL_ARGS, "a finite number", (True, "0.5"))]
     for (fn, name), call in args.items() for v in bad
 ])
 def test_every_public_number_argument_follows_the_number_rule(call, name, noun, value):
-    with pytest.raises(ValueError, match=rf"^{name}: expected {noun}, got {re.escape(repr(value))}$"):
+    with pytest.raises(ValueError, match=rf"^{name}: expected {re.escape(noun)}, got {re.escape(repr(value))}$"):
         call(value)
 
 

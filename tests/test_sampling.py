@@ -9,8 +9,6 @@ from dynsamp import (
     bernoulli_mask,
     exclude_slab,
     load_mask,
-    project,
-    random_tensor,
     save_mask,
 )
 from dynsamp.tensor3 import ShapeMismatchError
@@ -101,30 +99,6 @@ def test_exclude_slab_validates_mode_and_index():
         exclude_slab(mask, 0, 0)
     with pytest.raises(IndexError):
         exclude_slab(mask, 3, 2)
-
-
-def test_project_full_and_empty():
-    t = random_tensor(4, 3, 2, 6)
-    full = bernoulli_mask(4, 3, 2, 1.0, 1)
-    empty = bernoulli_mask(4, 3, 2, 0.0, 1)
-    assert np.array_equal(project(full, t).data, t.data)
-    assert np.linalg.norm(project(empty, t).data) == 0.0
-
-
-def test_project_idempotent_linear_contractive():
-    t = random_tensor(4, 3, 2, 7)
-    u = random_tensor(4, 3, 2, 8)
-    mask = bernoulli_mask(4, 3, 2, 0.5, 3)
-    once = project(mask, t)
-    assert np.array_equal(project(mask, once).data, once.data)
-    lin = project(mask, Tensor3(t.data + u.data))
-    assert np.allclose(lin.data, project(mask, t).data + project(mask, u).data)
-    assert np.linalg.norm(once.data) <= np.linalg.norm(t.data)
-
-
-def test_project_shape_mismatch():
-    with pytest.raises(ShapeMismatchError):
-        project(bernoulli_mask(2, 2, 2, 1.0, 1), random_tensor(2, 2, 3, 1))
 
 
 def test_mask_tube_dft_structure():
