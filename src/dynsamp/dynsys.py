@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 
 from .tensor3 import ShapeMismatchError, Tensor3, _columns, _from_columns, _philox, _tproducts
-from .tensor3 import as_float, as_int
+from .tensor3 import as_float, as_int, as_seed
 from .sampling import SampleMask, load_mask, save_mask
 from .t3io import read_json_object, read_t3, write_json, write_t3
 
@@ -35,10 +35,7 @@ class SampleData:
 
     def __init__(self, mask: SampleMask, observations, noise_sigma: float, seed: int):
         values = [_sampled(mask, obs, f"observation {t}") for t, obs in enumerate(observations)]
-        noise_sigma = as_float(noise_sigma, "noise_sigma")
-        if noise_sigma < 0:
-            raise ValueError(f"noise_sigma must be nonnegative, got {noise_sigma}")
-        self._set(mask, np.array(values), noise_sigma, as_int(seed, "seed"))
+        self._set(mask, np.array(values), _noise_level(noise_sigma, "noise_sigma"), as_seed(seed))
 
     @classmethod
     def _of_values(cls, mask, values, noise_sigma, seed) -> SampleData:
@@ -69,6 +66,14 @@ class SampleData:
             f"SampleData(dims={self.mask.dims}, T={self.horizon}, "
             f"sigma={self.noise_sigma}, seed={self.seed})"
         )
+
+
+def _noise_level(value, name: str) -> float:
+    """``value`` as a noise level: a finite number, not negative; errors name ``name``."""
+    sigma = as_float(value, name)
+    if sigma < 0:
+        raise ValueError(f"{name} must be nonnegative, got {sigma}")
+    return sigma
 
 
 def _sampled(mask: SampleMask, obs: Tensor3, name: str) -> np.ndarray:
@@ -120,12 +125,10 @@ def observe(trajectory, mask: SampleMask, sigma: float, seed: int) -> SampleData
     entry and per time step; the step-t stream is the seed's generator jumped
     t times, so observation t never depends on how many steps precede it.
     A step whose dims differ from the mask's raises ``ShapeMismatchError``,
-    and one whose signal, or signal plus noise, is not finite in float64
-    raises ``SampleOverflowError``; both name the step.
+    and one whose sampled signal, or sampled signal plus noise, is not finite
+    in float64 raises ``SampleOverflowError``; both name the step.
     """
-    sigma = as_float(sigma, "sigma")
-    if sigma < 0:
-        raise ValueError(f"sigma must be nonnegative, got {sigma}")
+    sigma, seed = _noise_level(sigma, "sigma"), as_seed(seed)
     philox = _philox(seed)
     selector = _columns(mask.indicator)
     values = []
@@ -133,15 +136,17 @@ def observe(trajectory, mask: SampleMask, sigma: float, seed: int) -> SampleData
         if ft.dims != mask.dims:
             raise ShapeMismatchError(f"step {t} has dims {ft.dims}, mask has {mask.dims}")
         data = ft.data
-        if sigma != 0.0:
+        if sigma != 0.0:  # over the whole step, so each step's stream stays pinned
             rng = np.random.Generator(philox.jumped(t))
-            with np.errstate(over="ignore"):
+            with np.errstate(over="ignore", invalid="ignore"):  # kept values checked below
                 data = data + sigma * rng.standard_normal(ft.dims)
-        if not np.isfinite(data).all():
-            source = "signal" if not np.isfinite(ft.data).all() else f"noise (sigma={sigma:g})"
+        kept = _columns(data)[selector]
+        if not np.isfinite(kept).all():
+            clean = np.isfinite(_columns(ft.data)[selector]).all()
+            source = f"noise (sigma={sigma:g})" if clean else "signal"
             raise SampleOverflowError(f"step {t}: the {source} overflows float64")
-        values.append(_columns(data)[selector])
-    return SampleData._of_values(mask, np.array(values), sigma, as_int(seed, "seed"))
+        values.append(kept)
+    return SampleData._of_values(mask, np.array(values), sigma, seed)
 
 
 # -- dataset directories -------------------------------------------------------
@@ -164,37 +169,23 @@ def save_sample_data(directory, samples: SampleData) -> None:
     write_json(directory / "meta.json", meta)
 
 
-def _meta_number(meta: dict, key: str, path, cast):
-    """``cast(meta[key])`` (``as_int`` or ``as_float``), else a one-line error."""
-    value = meta.get(key)
-    if value is None:
-        raise ValueError(f"{path}: missing '{key}'")
-    try:
-        return cast(value)
-    except ValueError:
-        noun = "an integer" if cast is as_int else "a number"
-        raise ValueError(f"{path}: '{key}' must be {noun}, got {value!r}") from None
-
-
 def load_sample_data(directory) -> SampleData:
     """Read a dataset directory written by ``save_sample_data``.
 
-    A ``meta.json`` that is not a JSON object, lacks a numeric ``T``,
-    ``sigma`` or ``seed``, has a negative ``sigma``, or whose ``dims`` differ
-    from the mask's raises ``ValueError`` naming the file.
+    A ``meta.json`` that is not a JSON object, whose ``T``, ``sigma`` or
+    ``seed`` is missing or breaks its argument's rule, or whose ``dims``
+    differ from the mask's raises ``ValueError`` naming the file and the key.
     """
     directory = Path(directory)
     meta_path = directory / "meta.json"
     if not meta_path.exists():
         raise FileNotFoundError(f"{directory}: missing meta.json")
     meta = read_json_object(meta_path)
-    T = _meta_number(meta, "T", meta_path, as_int)
+    T = as_int(meta.get("T"), f"{meta_path}: 'T'")
     if T < 1:
         raise ValueError(f"{meta_path}: 'T' must be at least 1, got {T}")
-    sigma = _meta_number(meta, "sigma", meta_path, as_float)
-    if sigma < 0:
-        raise ValueError(f"{meta_path}: 'sigma' must be nonnegative, got {sigma}")
-    seed = _meta_number(meta, "seed", meta_path, as_int)
+    sigma = _noise_level(meta.get("sigma"), f"{meta_path}: 'sigma'")
+    seed = as_seed(meta.get("seed"), f"{meta_path}: 'seed'")
     dims = meta.get("dims")
     if not (isinstance(dims, list) and all(type(d) is int for d in dims)):
         raise ValueError(f"{meta_path}: 'dims' must be a list of integers, got {dims!r}")

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .tensor3 import ShapeMismatchError, Tensor3, _philox, as_float, as_int
+from .tensor3 import ShapeMismatchError, Tensor3, _philox, as_float, as_int, as_seed
 from .t3io import T3FormatError, read_json_object, read_t3, write_json, write_t3
 
 
@@ -28,7 +28,7 @@ class SampleMask:
     __slots__ = ("indicator", "dims", "provenance")
 
     def __init__(self, indicator, provenance=None):
-        arr = np.ascontiguousarray(np.asarray(indicator, dtype=bool))
+        arr = np.array(indicator, dtype=bool, order="C")  # a copy: the caller keeps theirs
         if arr.ndim != 3 or min(arr.shape) < 1:
             raise ShapeMismatchError(f"mask needs a 3-way grid, got shape {arr.shape}")
         arr.setflags(write=False)
@@ -72,7 +72,7 @@ def bernoulli_mask(m: int, p: int, n: int, alpha: float, seed: int) -> SampleMas
     alpha = as_float(alpha, "alpha")
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
-    seed = as_int(seed, "seed")
+    seed = as_seed(seed)
     rng = np.random.Generator(_philox(seed))
     indicator = rng.random(dims) < alpha
     prov = {"type": "bernoulli", "alpha": alpha, "seed": seed, "exclusions": []}

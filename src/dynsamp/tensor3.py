@@ -87,6 +87,14 @@ def as_float(value, name: str | None = None) -> float:
     raise _rejected("a finite number", value, name)
 
 
+def as_seed(value, name: str | None = "seed") -> int:
+    """``value`` as a seed, the key of a Philox generator: an integer in [0, 2**128)."""
+    seed = as_int(value, name)
+    if not 0 <= seed < 2**128:
+        raise _rejected("an integer in [0, 2**128)", seed, name)
+    return seed
+
+
 # -- the t-product -----------------------------------------------------------
 
 
@@ -178,11 +186,8 @@ def rel_error(x: Tensor3, f: Tensor3) -> float:
 
 
 def _philox(seed: int) -> np.random.Philox:
-    """The bit generator of every seeded draw: Philox keyed on ``seed`` in [0, 2**128)."""
-    seed = as_int(seed, "seed")
-    if not 0 <= seed < 2**128:
-        raise _rejected("an integer in [0, 2**128)", seed, "seed")
-    return np.random.Philox(key=seed)
+    """The bit generator of every seeded draw: Philox keyed on ``as_seed(seed)``."""
+    return np.random.Philox(key=as_seed(seed))
 
 
 def random_tensor(m: int, p: int, n: int, seed: int) -> Tensor3:

@@ -231,6 +231,7 @@ def _with(dims, entry, value):
     "bad, sample_data_error, observe_error",
     [
         (_with((2, 2, 2), (1, 1, 1), 1.0), "observation 1 carries values off the mask", None),
+        (_with((2, 2, 2), (1, 1, 1), np.inf), "observation 1 carries values off the mask", None),
         (_with((2, 2, 2), (0, 0, 0), np.inf),
          "observation 1 carries a non-finite value on the mask",
          "step 1: the signal overflows float64"),
@@ -241,7 +242,7 @@ def _with(dims, entry, value):
          r"observation 1 has dims \(2, 2, 3\), mask has \(2, 2, 2\)",
          r"step 1 has dims \(2, 2, 3\), mask has \(2, 2, 2\)"),
     ],
-    ids=["off-mask", "inf-on-mask", "nan-on-mask", "wrong-dims"],
+    ids=["off-mask", "inf-off-mask", "inf-on-mask", "nan-on-mask", "wrong-dims"],
 )
 def test_sample_data_rejects_off_mask_support(bad, sample_data_error, observe_error):
     # only (0, 0, 0) is sampled; each entry point names the bad observation
@@ -328,10 +329,11 @@ def test_load_sample_data_missing_files(tmp_path):
     "change,message",
     [
         ({"T": 0}, "'T' must be at least 1, got 0"),
+        ({"seed": -1}, "'seed': expected an integer in [0, 2**128), got -1"),
         ({"dims": "4x3x2"}, "'dims' must be a list of integers, got '4x3x2'"),
         ({"dims": [4, 3, 2.0]}, "'dims' must be a list of integers, got [4, 3, 2.0]"),
     ],
-    ids=["T-zero", "dims-string", "dims-float"],
+    ids=["T-zero", "seed-negative", "dims-string", "dims-float"],
 )
 def test_load_sample_data_rejects_a_bad_meta_value(tmp_path, change, message):
     a, f = small_instance()

@@ -89,6 +89,8 @@ _SEED_ARGS = {
     ("random_tensor", "seed"): lambda v: random_tensor(2, 3, 2, v),
     ("bernoulli_mask", "seed"): lambda v: bernoulli_mask(2, 3, 2, 0.5, v),
     ("observe", "seed"): lambda v: observe([random_tensor(3, 4, 2, 1)], _problem()[1], 0.0, v),
+    ("SampleData", "seed"): lambda v: SampleData(
+        SampleMask(np.ones((1, 1, 1))), [Tensor3(np.ones((1, 1, 1)))], 0.0, v),
 }
 _REAL_ARGS = {
     ("bernoulli_mask", "alpha"): lambda v: bernoulli_mask(2, 3, 2, v, 1),

@@ -128,6 +128,16 @@ def test_mask_immutable():
         mask.dims = (1, 1, 1)
 
 
+def test_mask_copies_its_indicator_and_leaves_the_callers_array_writable():
+    ind = np.zeros((2, 3, 2), dtype=bool)
+    ind[0, 1, 0] = True
+    mask = SampleMask(ind)
+    ind[0, 0, 0] = True  # the caller can go on to build a second mask
+    assert ind.flags.writeable
+    assert mask.sample_count == 1 and not mask.indicator[0, 0, 0]
+    assert SampleMask(ind).sample_count == 2
+
+
 def test_mask_serialization_round_trip(tmp_path):
     mask = exclude_slab(bernoulli_mask(4, 5, 3, 0.6, 21), 2, 2)
     path = tmp_path / "mask.t3"
