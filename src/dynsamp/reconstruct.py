@@ -8,11 +8,11 @@ j is the spatial column
     x(j) = vec(F[:, j, :])  (F order, length m*n),
 
 and every sample (t, i, k) of column j contributes the row of bcirc(A)^t
-that produces entry (i, k) of the column at step t.  The stack of powers
-bcirc(A)^0, ..., bcirc(A)^(T-1) is computed once per call by evolving the
-m*n unit-basis slab to the longest horizon; column j's matrix is the subset
-of its rows that the mask selects, latest step first, and its right-hand
-side is the observed values at the same entries, in the same order.
+that produces entry (i, k) of the column at step t.  The t-product powers
+A^0, ..., A^(T-1), bcirc(A)^t = bcirc(A^t), are computed once per call in a
+lag table that holds each row of bcirc(A)^t as m*n contiguous values;
+column j's matrix is the rows that the mask selects, latest step first, and
+its right-hand side is the observed values at the same entries, in order.
 ``reconstruct_batch`` and ``system_condition`` go through one grouped
 walker: columns with the same horizons and sample pattern share their
 matrix, so each distinct matrix of a call is solved once, with the
@@ -32,6 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .tensor3 import ShapeMismatchError, Tensor3, _columns, _exponents, _from_columns
 from .tensor3 import as_float, as_int, rel_error as tensor_rel_error
@@ -119,32 +120,41 @@ def _check_problem(a: Tensor3, mask: SampleMask, samples: SampleData | None) -> 
         raise ValueError("mask does not match the mask the samples were taken on")
 
 
-def _rows(steps: np.ndarray, T: int, sel) -> np.ndarray:
-    """Rows ``sel`` of each step of ``steps`` up to horizon T, latest step
-    first; a (g, s) index array ``sel`` picks s rows for each of g systems."""
-    return steps[T - 1::-1, sel]
+def _rows(powers: np.ndarray, T: int, picks: np.ndarray) -> np.ndarray:
+    """Rows ``picks`` (..., s), r = i + m*k, of the ``_power_stack`` powers up
+    to horizon T, latest step first: a (..., T, s, m*n) array."""
+    m = powers.shape[1]
+    steps, picks = np.arange(T - 1, -1, -1)[:, None], picks[..., None, :]
+    return powers[steps, picks % m, picks // m]
 
 
 def _power_stack(a: Tensor3, T: int) -> np.ndarray:
-    """The (T, m*n, m*n) stack of bcirc(A)^0, ..., bcirc(A)^(T-1).
+    """The rows of bcirc(A)^0, ..., bcirc(A)^(T-1): a read-only (T, m, n, m*n)
+    view whose [t, i, k] is row r = i + m*k of bcirc(A)^t.
 
-    Row r = i + m*k of each power produces entry (i, k) of a column.  The
-    stack at horizon T is a prefix of the stack at any longer horizon, bit
-    for bit, because ``evolve`` computes each step from the one before.
-    Powers that overflow float64 raise ``SampleOverflowError`` at the first
-    such step.
+    Since bcirc(A)^t = bcirc(A^t) (Kilmer & Martin, LAA 435 (2011)), entry
+    (i + m*k, i' + m*k') of bcirc(A)^t is A^t[i, i', (k-k') mod n].  So the
+    view holds only the (T, m, 2n-1, m) lag table G[t, i, u, i'] =
+    A^t[i, i', (n-1-u) mod n], of which row i + m*k is the m*n contiguous
+    values G[t, i, n-1-k : 2n-1-k, :].  The powers at horizon T are a prefix
+    of those at any longer horizon, bit for bit, because ``evolve`` computes
+    each from the one before.  Powers that overflow float64 raise
+    ``SampleOverflowError`` at the first such step.
     """
     m, _, n = a.dims
-    # Lateral slice q of the basis slab is the unit (m, n) slab with a one at
-    # vec index q = i + m*k, so evolving it yields the columns of bcirc(A)^t.
-    basis = Tensor3(_from_columns(np.eye(m * n), m))
+    identity = np.eye(m)[:, :, None] * np.eye(1, n)  # the t-identity
     try:
-        powers = evolve(a, basis, T)
+        powers = evolve(a, Tensor3(identity, copy=False), T)
     except SampleOverflowError:
         raise SampleOverflowError(
             f"the powers of the operator overflow float64 by T={T}"
         ) from None
-    return np.stack([_columns(s.data).T for s in powers])
+    table = np.empty((T, m, 2 * n - 1, m))
+    for t, power in enumerate(powers):
+        lags = power.data.transpose(0, 2, 1)  # (i, k, i')
+        table[t, :, :n], table[t, :, n:] = lags[:, ::-1], lags[:, :0:-1]
+    windows = sliding_window_view(table.reshape(T, m, (2 * n - 1) * m), n * m, axis=2)
+    return windows[:, :, (n - 1) * m::-m]
 
 
 def _column_rhs(samples: SampleData) -> list[np.ndarray]:
@@ -163,7 +173,7 @@ def assemble_column_system(
     if not 0 <= j < p:
         raise IndexError(f"column {j} out of range for {p} columns")
     T, sels = samples.horizon, _columns(mask.indicator)
-    matrix = _rows(_power_stack(a, T), T, sels[j]).reshape(-1, m * n)
+    matrix = _rows(_power_stack(a, T), T, np.flatnonzero(sels[j])).reshape(-1, m * n)
     return ColumnSystem(j=j, matrix=matrix, rhs=_column_rhs(samples)[j])
 
 
@@ -327,8 +337,10 @@ def solve_column(system: ColumnSystem, tol: float | None = None):
     M, b = system.matrix, system.rhs
     if not M.any():
         raise UnrecoverableColumnError((system.j,))
-    A = np.concatenate([M, b.reshape(len(b), -1)], axis=1, dtype=np.float64)
-    ([(x, rank, kappa, residual)],), fits = _solve_stack(A[None], M.shape[1], tol)
+    B = b.reshape(len(b), -1)
+    A = np.empty((1, len(M), M.shape[1] + B.shape[1]))  # C order: LAPACK's bits follow it
+    np.concatenate([M, B], axis=1, out=A[0])
+    ([(x, rank, kappa, residual)],), fits = _solve_stack(A, M.shape[1], tol)
     if not fits[0]:
         raise _overflow(system.j)
     if b.ndim == 1:
@@ -338,7 +350,7 @@ def solve_column(system: ColumnSystem, tol: float | None = None):
 
 def _solve_groups(a: Tensor3, columns: list, tol, threads: int, kappa: bool = True) -> list:
     """``_solve_stack`` on each ``(horizons, selector, rhs, j)`` column, from
-    one power stack built to the longest horizon: per column, None where the
+    one ``_power_stack`` built to the longest horizon: per column, None where the
     selector picks no row, else one ``(x, rank, kappa, residual)`` at each
     horizon of the sorted tuple ``horizons``.  An ``rhs`` of None adds no
     right-hand side, and its x and residual are None.  ``j`` names the column
@@ -355,8 +367,8 @@ def _solve_groups(a: Tensor3, columns: list, tol, threads: int, kappa: bool = Tr
     for c, (Ts, sel, _, _) in enumerate(columns):
         groups.setdefault((Ts, sel.tobytes()), []).append(c)
     members = list(groups.values())
-    stack = _power_stack(a, max((Ts[-1] for Ts, *_ in columns), default=1))
-    mn = stack.shape[1]
+    powers = _power_stack(a, max((Ts[-1] for Ts, *_ in columns), default=1))
+    mn = powers.shape[-1]
     shapes: dict[tuple, list[int]] = {}
     for g, cs in enumerate(members):
         Ts, sel, rhs, _ = columns[cs[0]]
@@ -372,11 +384,11 @@ def _solve_groups(a: Tensor3, columns: list, tol, threads: int, kappa: bool = Tr
         Ts, s, k, gs = item
         picks = np.array([np.flatnonzero(columns[members[g][0]][1]) for g in gs])
         A = np.empty((len(gs), Ts[0], s, mn + k))
-        A[..., :mn] = _rows(stack, Ts[0], picks).swapaxes(0, 1)
+        A[..., :mn] = _rows(powers, Ts[0], picks)
         for i, g in enumerate(gs if k else ()):
             rhs = [columns[c][2] for c in members[g]]
             A[i, :, :, mn:] = np.reshape(rhs, (k, Ts[0], s)).transpose(1, 2, 0)
-        later = [_rows(stack[t:], T - t, picks).swapaxes(0, 1).reshape(len(gs), -1, mn)
+        later = [_rows(powers[t:], T - t, picks).reshape(len(gs), -1, mn)
                  for t, T in zip(Ts, Ts[1:])]
         return _solve_stack(A.reshape(len(gs), Ts[0] * s, mn + k), mn, tol, kappa, later)
 

@@ -2,6 +2,7 @@ import importlib
 import itertools
 import json
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,11 +26,12 @@ from dynsamp import (
 )
 from dynsamp.dynsys import SampleOverflowError
 from dynsamp.reconstruct import (
-    ColumnSystem, _condition_sweep, _default_tol, _solve_stack, assemble_column_system,
-    reconstruct_batch,
+    ColumnSystem, _condition_sweep, _default_tol, _power_stack, _rows, _solve_stack,
+    assemble_column_system, reconstruct_batch,
 )
 from dynsamp.tensor3 import ShapeMismatchError
 from oracles import (
+    block_circulant,
     brute_force_estimate,
     frequency_column_matrix,
     identity_tensor,
@@ -211,6 +213,49 @@ def test_spatial_system_matches_frequency_oracle_singular_values(m, p, n, T, alp
         s_sp = np.linalg.svd(spatial, compute_uv=False)
         s[: s_sp.size] = s_sp
         np.testing.assert_allclose(s, s_freq, rtol=1e-10, atol=1e-12 * s_freq[0])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    m=st.integers(1, 4),
+    n=st.integers(1, 5),
+    T=st.integers(1, 6),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_power_rows_are_the_rows_of_the_block_circulant_powers(m, n, T, seed):
+    """Every row that ``_rows`` gathers from ``_power_stack`` is the row of
+    bcirc(A^t), A^t from ``evolve`` on the t-identity, bit for bit, and the
+    row of bcirc(A)^t to roundoff; the powers at horizon T are a bitwise
+    prefix of those at T+3."""
+    a = random_tensor(m, m, n, seed)
+    powers = _power_stack(a, T)
+    rows = _rows(powers, T, np.arange(m * n))  # latest step first
+    bc = block_circulant(a)
+    for t, power in enumerate(evolve(a, identity_tensor(m, n), T)):
+        got = rows[T - 1 - t]
+        assert got.tobytes() == block_circulant(power).tobytes()
+        want = np.linalg.matrix_power(bc, t)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+    assert _power_stack(a, T + 3)[:T].tobytes() == powers.tobytes()
+
+
+def test_power_stack_keeps_its_lag_table_alone_and_peaks_below_one_and_six_tenths_of_it():
+    """At 40x40x8, T=10, the powers hold only the (T, m, 2n-1, m) lag table,
+    and the build peaks at that table plus the t-product powers it is
+    filled from, nothing of the (T, m*n, m*n) stack of dense powers."""
+    m, n, T = 40, 8, 10
+    a = random_tensor(m, m, n, 5)
+    table_bytes = T * m * (2 * n - 1) * m * 8
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        powers = _power_stack(a, T)
+        retained, peak = (b - before for b in tracemalloc.get_traced_memory())
+    finally:
+        tracemalloc.stop()
+    assert powers.shape == (T, m, n, m * n)
+    assert table_bytes <= retained < 1.01 * table_bytes
+    assert peak < 1.6 * table_bytes
 
 
 # -- solve_column -----------------------------------------------------------------
@@ -418,17 +463,22 @@ def test_assembled_column_solve_matches_reconstruct_bit_for_bit(m, p, n, T, shar
 
 
 def _assert_column_solves_match_reconstruct(indicator, T, seed):
-    """``solve_column`` on each column's ``assemble_column_system`` gives the
-    bits of that column of ``reconstruct``; returns the report."""
+    """``solve_column`` on each column's ``assemble_column_system``, and on a
+    Fortran-ordered copy of its matrix, gives the bits of that column of
+    ``reconstruct``; returns the report."""
     m, p, n = indicator.shape
     mask = SampleMask(indicator)
     a, f = random_tensor(m, m, n, seed), random_tensor(m, p, n, seed + 1)
     samples = observe(evolve(a, f, T), mask, 1e-3, seed + 2)
     report = reconstruct(a, mask, samples)
     for j in range(p):
-        x, rank, kappa, residual = solve_column(assemble_column_system(a, mask, samples, j))
-        assert x.tobytes() == report.estimate.data[:, j, :].ravel(order="F").tobytes()
-        assert (rank, kappa, residual) == (report.ranks[j], report.kappa[j], report.residuals[j])
+        system = assemble_column_system(a, mask, samples, j)
+        fortran = ColumnSystem(j, np.asfortranarray(system.matrix), system.rhs)
+        for x, rank, kappa, residual in (solve_column(system), solve_column(fortran)):
+            assert x.tobytes() == report.estimate.data[:, j, :].ravel(order="F").tobytes()
+            assert (rank, kappa, residual) == (
+                report.ranks[j], report.kappa[j], report.residuals[j]
+            )
     return report
 
 
