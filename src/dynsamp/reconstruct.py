@@ -15,12 +15,12 @@ column j's matrix is the rows that the mask selects, latest step first, and
 its right-hand side is the observed values at the same entries, in order.
 ``reconstruct_batch`` and ``system_condition`` go through one grouped
 walker: columns with the same horizons and sample pattern share their
-matrix, so each distinct matrix of a call is solved once, with the
-right-hand sides of all its columns across the problems of the call (a
-batch, at its one horizon) or with none (the condition sweep, at every
-horizon asked for).  Distinct matrices of one shape are walked as one
-stack, each LAPACK routine called once per stack, with the bits each matrix
-gets alone.
+matrix, solved once with the right-hand sides of all its columns across the
+problems of the call (a batch, at its one horizon) or with none (the
+condition sweep, at every horizon asked for).  Matrices of one shape are one
+stack, gathered once to the longest horizon, whose shorter horizons are its
+bottom row blocks; each LAPACK routine is called once per stack, with the
+bits each matrix gets alone.
 
 Columns with no samples yield an empty system and cannot be recovered; they
 raise ``UnrecoverableColumnError`` unless the caller asks for a partial
@@ -120,14 +120,6 @@ def _check_problem(a: Tensor3, mask: SampleMask, samples: SampleData | None) -> 
         raise ValueError("mask does not match the mask the samples were taken on")
 
 
-def _rows(powers: np.ndarray, T: int, picks: np.ndarray) -> np.ndarray:
-    """Rows ``picks`` (..., s), r = i + m*k, of the ``_power_stack`` powers up
-    to horizon T, latest step first: a (..., T, s, m*n) array."""
-    m = powers.shape[1]
-    steps, picks = np.arange(T - 1, -1, -1)[:, None], picks[..., None, :]
-    return powers[steps, picks % m, picks // m]
-
-
 def _power_stack(a: Tensor3, T: int) -> np.ndarray:
     """The rows of bcirc(A)^0, ..., bcirc(A)^(T-1): a read-only (T, m, n, m*n)
     view whose [t, i, k] is row r = i + m*k of bcirc(A)^t.
@@ -157,6 +149,16 @@ def _power_stack(a: Tensor3, T: int) -> np.ndarray:
     return windows[:, :, (n - 1) * m::-m]
 
 
+def _stack_rows(powers: np.ndarray, picks: np.ndarray, T: int, extra: int = 0) -> np.ndarray:
+    """A (g, T, s, m*n + extra) stack of rows ``picks`` (g, s), r = i + m*k, of
+    the ``_power_stack`` powers, written step by step, latest step first."""
+    m, mn = powers.shape[1], powers.shape[-1]
+    A = np.empty((len(picks), T, picks.shape[1], mn + extra))
+    for t in range(T):
+        A[:, T - 1 - t, :, :mn] = powers[t, picks % m, picks // m]
+    return A
+
+
 def _column_rhs(samples: SampleData) -> list[np.ndarray]:
     """Each column's sampled values, in system row order (latest step first)."""
     ends = np.cumsum(np.count_nonzero(samples.mask.indicator, axis=(0, 2)))[:-1]
@@ -172,8 +174,8 @@ def assemble_column_system(
     j = as_int(j, "j")
     if not 0 <= j < p:
         raise IndexError(f"column {j} out of range for {p} columns")
-    T, sels = samples.horizon, _columns(mask.indicator)
-    matrix = _rows(_power_stack(a, T), T, np.flatnonzero(sels[j])).reshape(-1, m * n)
+    T, picks = samples.horizon, np.flatnonzero(_columns(mask.indicator)[j])
+    matrix = _stack_rows(_power_stack(a, T), picks[None], T).reshape(-1, m * n)
     return ColumnSystem(j=j, matrix=matrix, rhs=_column_rhs(samples)[j])
 
 
@@ -268,39 +270,37 @@ def _finish(Rm: np.ndarray, C: np.ndarray, rows: int, tol=None, kappa: bool = Tr
 
 
 @_single_threaded_blas()
-def _solve_stack(A: np.ndarray, mn: int, tol=None, kappa: bool = True, later=()):
+def _solve_stack(A: np.ndarray, mn: int, tol=None, kappa: bool = True, heights=None):
     """``solve_column`` on each system ``A[i] = [M_i | B_i]`` of a (g, rows,
-    m*n + k) stack, and then at each longer horizon, whose new rows a (g,
-    rows', m*n) block of ``later`` holds; ``B`` is scaled in place.
+    m*n + k) stack, walked up its horizons; ``B`` is scaled in place.
 
-    Returns, per horizon, one ``(x, rank, kappa, residual)`` per member, ``x``
-    (m*n, k) and ``residual`` of length k, and a mask of the members whose
-    solutions and residuals fit in float64.  The walk: one Householder QR of
-    ``A`` gives its factor R; each later block, the rows of the steps it adds
-    latest step first, is stacked on R, and R becomes the R of one QR of
-    [block ; R] (Golub & Van Loan, Matrix Computations, section 6.5, on
-    appending rows), which has the singular values of the longer system.
-    Since rows run latest step first, a column's system at one horizon is the
-    bottom row block of its system at every longer one.  ``_finish`` takes
-    each horizon's answer from R under the cutoff of that horizon's whole
-    system.  Later blocks carry no right-hand side, so k = 0 wherever there
-    are any.  numpy's linalg functions run LAPACK once per matrix of a stack,
-    here on one OpenBLAS thread, so each member gets the bits of its walk
-    alone at any thread count.
+    ``heights`` (default: all rows) splits the rows, bottom up, into those of
+    the first horizon and those each longer one adds.  Returns, per horizon,
+    one ``(x, rank, kappa, residual)`` per member, ``x`` (m*n, k) and
+    ``residual`` (length k) those of the whole system and None before it, and
+    a mask of the members whose x and residual fit in float64.  One
+    Householder QR of the bottom rows gives their factor R; each range above
+    is stacked on R, and R becomes the R of one QR of [range ; R] (Golub &
+    Van Loan, Matrix Computations, section 6.5, on appending rows), with the
+    singular values of the longer system, whose cutoff ``_finish`` applies.
+    numpy's linalg functions run LAPACK once per matrix of a stack, here on
+    one OpenBLAS thread, so each member gets the bits of its walk alone at
+    any thread count.
     """
     M, B = A[:, :, :mn], A[:, :, mn:]
     exp = _exponents(B, axis=1)
     np.ldexp(B, -exp, out=B)
-    R, rows, walk = None, 0, []
-    for block in (A, *later):
-        rows += block.shape[1]
+    R, top, walk = None, A.shape[1], []
+    for h in heights or (top,):
+        block, top = A[:, top - h:top], top - h
         R = np.linalg.qr(block if R is None else np.concatenate([block, R], axis=1), mode="r")
-        walk.append(_finish(R[:, :mn, :mn], R[:, :mn, mn:], rows, tol, kappa))
-    x = walk[0][0]  # later blocks carry no right-hand side (k = 0)
+        walk.append(_finish(R[:, :mn, :mn], R[:, :mn, mn:], A.shape[1] - top, tol, kappa))
+    x = walk[-1][0]
     with np.errstate(over="ignore", invalid="ignore"):
         x, residual = np.ldexp(x, exp), np.ldexp(np.linalg.norm(M @ x - B, axis=1), exp[:, 0])
     fits = np.isfinite(x).all(axis=(1, 2)) & np.isfinite(residual).all(axis=1)
-    return [list(zip(x, ranks.tolist(), kappas, residual)) for _, ranks, kappas in walk], fits
+    ends = [([None] * len(A),) * 2] * (len(walk) - 1) + [(x, residual)]
+    return [list(zip(xs, r.tolist(), kaps, rs)) for (_, r, kaps), (xs, rs) in zip(walk, ends)], fits
 
 
 def _overflow(j: int) -> SampleOverflowError:
@@ -352,15 +352,16 @@ def _solve_groups(a: Tensor3, columns: list, tol, threads: int, kappa: bool = Tr
     """``_solve_stack`` on each ``(horizons, selector, rhs, j)`` column, from
     one ``_power_stack`` built to the longest horizon: per column, None where the
     selector picks no row, else one ``(x, rank, kappa, residual)`` at each
-    horizon of the sorted tuple ``horizons``.  An ``rhs`` of None adds no
-    right-hand side, and its x and residual are None.  ``j`` names the column
-    in the overflow error, raised for the first system that overflows.
+    horizon of the sorted tuple ``horizons``, x and residual at the longest
+    alone, where ``rhs`` gives the values in row order (None: no right-hand
+    side).  ``j`` names the column in the overflow error, raised for the
+    first system that overflows.
 
     Columns with equal ``(horizons, selector)`` share one system, in order of
     first appearance.  Systems of one shape (horizons, samples per step,
-    right-hand sides) go in stacks of at most ``_STACK_BYTES`` at the longest
-    horizon, one ``_solve_stack`` call and ``pmap`` item each; ``kappa``
-    False lets it skip the SVD of members certified full rank.
+    right-hand sides) go in ``_stack_rows`` stacks of at most ``_STACK_BYTES``,
+    one ``_solve_stack`` call and ``pmap`` item each; ``kappa`` False lets
+    it skip the SVD of members certified full rank.
     """
     threads = as_int(threads, "threads")
     groups: dict[tuple, list[int]] = {}
@@ -383,14 +384,12 @@ def _solve_groups(a: Tensor3, columns: list, tol, threads: int, kappa: bool = Tr
     def run(item):
         Ts, s, k, gs = item
         picks = np.array([np.flatnonzero(columns[members[g][0]][1]) for g in gs])
-        A = np.empty((len(gs), Ts[0], s, mn + k))
-        A[..., :mn] = _rows(powers, Ts[0], picks)
+        A = _stack_rows(powers, picks, Ts[-1], k)
         for i, g in enumerate(gs if k else ()):
             rhs = [columns[c][2] for c in members[g]]
-            A[i, :, :, mn:] = np.reshape(rhs, (k, Ts[0], s)).transpose(1, 2, 0)
-        later = [_rows(powers[t:], T - t, picks).reshape(len(gs), -1, mn)
-                 for t, T in zip(Ts, Ts[1:])]
-        return _solve_stack(A.reshape(len(gs), Ts[0] * s, mn + k), mn, tol, kappa, later)
+            A[i, :, :, mn:] = np.reshape(rhs, (k, Ts[-1], s)).transpose(1, 2, 0)
+        heights = [(T - t) * s for t, T in zip((0, *Ts), Ts)]
+        return _solve_stack(A.reshape(len(gs), Ts[-1] * s, mn + k), mn, tol, kappa, heights)
 
     results: list = [None] * len(columns)
     bad = []
@@ -399,7 +398,8 @@ def _solve_groups(a: Tensor3, columns: list, tol, threads: int, kappa: bool = Tr
             if not fits[i]:
                 bad.append(g)
             for n, c in enumerate(members[g]):
-                results[c] = [(x[:, n], rank, kap, float(res[n])) if k else (None, rank, kap, None)
+                results[c] = [(None, rank, kap, None) if x is None or not k
+                              else (x[:, n], rank, kap, float(res[n]))
                               for x, rank, kap, res in (at[i] for at in walk)]
     if bad:
         raise _overflow(columns[members[min(bad)][0]][3])

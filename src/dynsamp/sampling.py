@@ -8,6 +8,7 @@ be regenerated from their sidecar metadata alone.
 
 from __future__ import annotations
 
+from copy import deepcopy
 from pathlib import Path
 
 import numpy as np
@@ -22,10 +23,10 @@ class SampleMask:
     ``provenance`` is a JSON-serializable dict: {"type": "bernoulli",
     "alpha": a, "seed": s, "exclusions": [...]} or {"type": "custom",
     "exclusions": [...]}; slab exclusions append {"mode": 1|2|3,
-    "index": idx} entries.
+    "index": idx} entries.  The mask keeps its own copy and hands out copies.
     """
 
-    __slots__ = ("indicator", "dims", "provenance")
+    __slots__ = ("indicator", "dims", "_provenance")
 
     def __init__(self, indicator, provenance=None):
         arr = np.array(indicator, dtype=bool, order="C")  # a copy: the caller keeps theirs
@@ -35,10 +36,14 @@ class SampleMask:
         object.__setattr__(self, "indicator", arr)
         object.__setattr__(self, "dims", arr.shape)
         prov = {"type": "custom", "exclusions": []} if provenance is None else provenance
-        object.__setattr__(self, "provenance", prov)
+        object.__setattr__(self, "_provenance", deepcopy(prov))  # the caller keeps theirs
 
     def __setattr__(self, name, value):
         raise AttributeError("SampleMask is immutable")
+
+    @property
+    def provenance(self) -> dict:
+        return deepcopy(self._provenance)
 
     def as_tensor(self) -> Tensor3:
         """0/1 tensor with ones exactly on the sampled entries."""
@@ -57,7 +62,7 @@ class SampleMask:
     def __repr__(self) -> str:
         return (
             f"SampleMask(dims={self.dims}, samples={self.sample_count}, "
-            f"type={self.provenance.get('type')!r})"
+            f"type={self._provenance.get('type')!r})"
         )
 
 
@@ -97,10 +102,8 @@ def exclude_slab(mask: SampleMask, mode: int, index: int) -> SampleMask:
     sel = [slice(None)] * 3
     sel[axis] = index
     indicator[tuple(sel)] = False
-    prov = dict(mask.provenance)
-    prov["exclusions"] = list(mask.provenance.get("exclusions", [])) + [
-        {"mode": mode, "index": index}
-    ]
+    prov = mask.provenance
+    prov["exclusions"] = prov.get("exclusions", []) + [{"mode": mode, "index": index}]
     return SampleMask(indicator, prov)
 
 

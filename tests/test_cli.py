@@ -619,7 +619,8 @@ def test_a_signal_too_large_for_memory_is_a_config_error(tmp_path, argv):
 
 def test_a_dataset_too_large_for_memory_is_a_data_error(tmp_path):
     # Its one column system is 8022 x 20000 float64 values, 1.2 GiB: the
-    # system fits under the cap, but the rows gathered into it do not fit too.
+    # system fits under the cap, but one step's rows, gathered before they
+    # are written into it, do not fit too.
     ds = tmp_path / "ds"
     assert main(["simulate", "--out", str(ds), "--m", "1", "--p", "1", "--n", "20000",
                  "--T", "1"]) == 0
@@ -627,7 +628,7 @@ def test_a_dataset_too_large_for_memory_is_a_data_error(tmp_path):
     proc = run_capped(["reconstruct", str(ds)], tmp_path)
     assert proc.returncode == 4, proc.stderr
     assert re.fullmatch(
-        r"error: Unable to allocate [^\n]* shape \(1, 1, 8022, 20000\)[^\n]*\n", proc.stderr
+        r"error: Unable to allocate [^\n]* shape \(1, 8022, 20000\)[^\n]*\n", proc.stderr
     )
     assert dir_bytes(ds) == before
 

@@ -26,7 +26,7 @@ from dynsamp import (
 )
 from dynsamp.dynsys import SampleOverflowError
 from dynsamp.reconstruct import (
-    ColumnSystem, _condition_sweep, _default_tol, _power_stack, _rows, _solve_stack,
+    ColumnSystem, _condition_sweep, _default_tol, _power_stack, _solve_stack, _stack_rows,
     assemble_column_system, reconstruct_batch,
 )
 from dynsamp.tensor3 import ShapeMismatchError
@@ -223,13 +223,13 @@ def test_spatial_system_matches_frequency_oracle_singular_values(m, p, n, T, alp
     seed=st.integers(0, 2**32 - 1),
 )
 def test_power_rows_are_the_rows_of_the_block_circulant_powers(m, n, T, seed):
-    """Every row that ``_rows`` gathers from ``_power_stack`` is the row of
-    bcirc(A^t), A^t from ``evolve`` on the t-identity, bit for bit, and the
-    row of bcirc(A)^t to roundoff; the powers at horizon T are a bitwise
+    """Every row that ``_stack_rows`` gathers from ``_power_stack`` is the row
+    of bcirc(A^t), A^t from ``evolve`` on the t-identity, bit for bit, and
+    the row of bcirc(A)^t to roundoff; the powers at horizon T are a bitwise
     prefix of those at T+3."""
     a = random_tensor(m, m, n, seed)
     powers = _power_stack(a, T)
-    rows = _rows(powers, T, np.arange(m * n))  # latest step first
+    rows = _stack_rows(powers, np.arange(m * n)[None], T)[0]  # latest step first
     bc = block_circulant(a)
     for t, power in enumerate(evolve(a, identity_tensor(m, n), T)):
         got = rows[T - 1 - t]
@@ -419,22 +419,56 @@ def test_each_stack_member_matches_a_lone_solve_bit_for_bit(
     g, rows, mn, k, spread, duplicate, blocks, seed
 ):
     """A member of a stack gets the bits of ``solve_column`` on its system
-    alone: x, rank, kappa and residual, for any stack size; and, where later
-    row blocks walk it to longer horizons (k = 0), the bits of its own walk
-    alone at every horizon."""
+    alone: x, rank, kappa and residual, for any stack size; and, where row
+    blocks above the first horizon walk it to longer horizons (k = 0), the
+    bits of its own walk alone at every horizon."""
     rng = np.random.default_rng(seed)
     A = _stack(rng, g, rows, mn, k, spread)
     if duplicate and mn > 1:
         A[-1, :, 1] = A[-1, :, 0]  # a rank-deficient member
     later = [_stack(rng, g, r, mn, 0, spread) for r in blocks] if k == 0 else []
-    walk, fits = _solve_stack(A.copy(), mn, later=later)
-    assert len(walk) == 1 + len(later) and all(len(at) == g for at in walk) and all(fits)
+    heights = [rows] + [b.shape[1] for b in later]
+    whole = np.concatenate([*later[::-1], A], axis=1)  # the first horizon's rows at the bottom
+    walk, fits = _solve_stack(whole.copy(), mn, heights=heights)
+    assert len(walk) == len(heights) and all(len(at) == g for at in walk) and all(fits)
     for i, got in enumerate(walk[0]):
-        _assert_same_solution(got, solve_column(ColumnSystem(i, A[i, :, :mn], A[i, :, mn:])))
+        want = solve_column(ColumnSystem(i, A[i, :, :mn], A[i, :, mn:]))
+        assert got[1:3] == want[1:3]
+        if not later:
+            _assert_same_solution(got, want)
     for i in range(g):
-        alone, _ = _solve_stack(A[i:i + 1].copy(), mn, later=[b[i:i + 1] for b in later])
+        alone, _ = _solve_stack(whole[i:i + 1].copy(), mn, heights=heights)
         for at, want in zip(walk, alone, strict=True):
-            _assert_same_solution(at[i], want[0])
+            if at[i][0] is None:
+                assert at[i][1:3] == want[0][1:3] and want[0][0] is None
+            else:
+                _assert_same_solution(at[i], want[0])
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    g=st.integers(1, 4),
+    rows=st.integers(1, 10),
+    mn=st.integers(1, 8),
+    k=st.sampled_from([1, 3]),
+    blocks=st.lists(st.integers(1, 6), min_size=1, max_size=3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_a_walk_with_right_hand_sides_solves_its_longest_horizon(g, rows, mn, k, blocks, seed):
+    """Rows above the first horizon that carry right-hand sides walk each
+    member to its whole system: ``solve_column``'s rank on it and, on
+    well-conditioned draws, its x and residual to 1e-10 relative."""
+    A = _stack(np.random.default_rng(seed), g, rows + sum(blocks), mn, k, 0.0)
+    walk, fits = _solve_stack(A.copy(), mn, heights=[rows, *blocks])
+    assert all(fits)
+    for i, (x, rank, kappa, residual) in enumerate(walk[-1]):
+        x0, rank0, kappa0, residual0 = solve_column(ColumnSystem(i, A[i, :, :mn], A[i, :, mn:]))
+        assert rank == rank0
+        if rank0 == mn and kappa0 < 1e6:
+            scale = np.linalg.norm(A[i, :, mn:], axis=0)
+            np.testing.assert_allclose(x, x0, rtol=1e-10, atol=1e-10 * np.abs(x0).max())
+            assert np.all(np.abs(residual - residual0) <= 1e-10 * scale)
+            assert kappa == pytest.approx(kappa0, rel=1e-8)
 
 
 @settings(max_examples=40, deadline=None)
@@ -556,9 +590,9 @@ def _spy_stacks(monkeypatch) -> list:
     """Record (members, rows at the longest horizon, width) of each ``_solve_stack`` call."""
     solve, shapes = reconstruct_module._solve_stack, []
 
-    def spy(A, mn, tol=None, kappa=True, later=()):
-        shapes.append((A.shape[0], A.shape[1] + sum(b.shape[1] for b in later), A.shape[2]))
-        return solve(A, mn, tol, kappa, later)
+    def spy(A, mn, tol=None, kappa=True, heights=None):
+        shapes.append(A.shape)
+        return solve(A, mn, tol, kappa, heights)
 
     monkeypatch.setattr(reconstruct_module, "_solve_stack", spy)
     return shapes

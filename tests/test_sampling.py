@@ -138,6 +138,22 @@ def test_mask_copies_its_indicator_and_leaves_the_callers_array_writable():
     assert SampleMask(ind).sample_count == 2
 
 
+def test_mask_keeps_its_own_provenance(tmp_path):
+    prov = {"type": "custom", "exclusions": [{"mode": 1, "index": 0}]}
+    mask = SampleMask(np.ones((2, 2, 2), dtype=bool), prov)
+    prov["type"] = "edited"
+    prov["exclusions"].append({"mode": 2, "index": 1})
+    drawn = bernoulli_mask(2, 2, 2, 0.5, 3)
+    drawn.provenance["seed"] = 99
+    drawn.provenance["exclusions"].append({"mode": 3, "index": 0})
+    assert mask.provenance == {"type": "custom", "exclusions": [{"mode": 1, "index": 0}]}
+    assert drawn.provenance == {"type": "bernoulli", "alpha": 0.5, "seed": 3, "exclusions": []}
+    for name, m in (("mask", mask), ("drawn", drawn)):
+        save_mask(tmp_path / f"{name}.t3", m)
+        sidecar = json.loads((tmp_path / f"{name}.t3.json").read_text())
+        assert sidecar == m.provenance
+
+
 def test_mask_serialization_round_trip(tmp_path):
     mask = exclude_slab(bernoulli_mask(4, 5, 3, 0.6, 21), 2, 2)
     path = tmp_path / "mask.t3"
