@@ -114,7 +114,7 @@ def evolve(a: Tensor3, f: Tensor3, T: int) -> list[Tensor3]:
         for t, x in enumerate(_tproducts(a.data, f.data, T - 1), start=1):
             if not np.isfinite(x).all():
                 raise SampleOverflowError(f"step {t}: the signal overflows float64")
-            trajectory.append(Tensor3(x, copy=False))
+            trajectory.append(Tensor3(x))
     return trajectory
 
 

@@ -136,7 +136,7 @@ def _power_stack(a: Tensor3, T: int) -> np.ndarray:
     m, _, n = a.dims
     identity = np.eye(m)[:, :, None] * np.eye(1, n)  # the t-identity
     try:
-        powers = evolve(a, Tensor3(identity, copy=False), T)
+        powers = evolve(a, Tensor3(identity), T)
     except SampleOverflowError:
         raise SampleOverflowError(
             f"the powers of the operator overflow float64 by T={T}"
@@ -152,10 +152,10 @@ def _power_stack(a: Tensor3, T: int) -> np.ndarray:
 def _stack_rows(powers: np.ndarray, picks: np.ndarray, T: int, extra: int = 0) -> np.ndarray:
     """A (g, T, s, m*n + extra) stack of rows ``picks`` (g, s), r = i + m*k, of
     the ``_power_stack`` powers, written step by step, latest step first."""
-    m, mn = powers.shape[1], powers.shape[-1]
+    (k, i), mn = np.divmod(picks, powers.shape[1]), powers.shape[-1]
     A = np.empty((len(picks), T, picks.shape[1], mn + extra))
     for t in range(T):
-        A[:, T - 1 - t, :, :mn] = powers[t, picks % m, picks // m]
+        A[:, T - 1 - t, :, :mn] = powers[t, i, k]
     return A
 
 
@@ -276,31 +276,31 @@ def _solve_stack(A: np.ndarray, mn: int, tol=None, kappa: bool = True, heights=N
 
     ``heights`` (default: all rows) splits the rows, bottom up, into those of
     the first horizon and those each longer one adds.  Returns, per horizon,
-    one ``(x, rank, kappa, residual)`` per member, ``x`` (m*n, k) and
-    ``residual`` (length k) those of the whole system and None before it, and
-    a mask of the members whose x and residual fit in float64.  One
-    Householder QR of the bottom rows gives their factor R; each range above
-    is stacked on R, and R becomes the R of one QR of [range ; R] (Golub &
-    Van Loan, Matrix Computations, section 6.5, on appending rows), with the
-    singular values of the longer system, whose cutoff ``_finish`` applies.
-    numpy's linalg functions run LAPACK once per matrix of a stack, here on
-    one OpenBLAS thread, so each member gets the bits of its walk alone at
-    any thread count.
+    one ``(x, rank, kappa, residual)`` per member, ``x`` (m*n, k) that
+    horizon's solution and ``residual`` (length k) its misfit on the rows up
+    to that horizon, and a mask of the members whose x and residual fit in
+    float64 at every horizon.  One Householder QR of the bottom rows gives
+    their factor R; each range above is stacked on R, and R becomes the R of
+    one QR of [range ; R] (Golub & Van Loan, Matrix Computations, section
+    6.5, on appending rows), with the singular values of the longer system,
+    whose cutoff ``_finish`` applies.  numpy's linalg functions run LAPACK
+    once per matrix of a stack, here on one OpenBLAS thread, so each member
+    gets the bits of its walk alone at any thread count.
     """
     M, B = A[:, :, :mn], A[:, :, mn:]
     exp = _exponents(B, axis=1)
     np.ldexp(B, -exp, out=B)
-    R, top, walk = None, A.shape[1], []
+    R, top, walk, fits = None, A.shape[1], [], np.ones(len(A), dtype=bool)
     for h in heights or (top,):
         block, top = A[:, top - h:top], top - h
         R = np.linalg.qr(block if R is None else np.concatenate([block, R], axis=1), mode="r")
-        walk.append(_finish(R[:, :mn, :mn], R[:, :mn, mn:], A.shape[1] - top, tol, kappa))
-    x = walk[-1][0]
-    with np.errstate(over="ignore", invalid="ignore"):
-        x, residual = np.ldexp(x, exp), np.ldexp(np.linalg.norm(M @ x - B, axis=1), exp[:, 0])
-    fits = np.isfinite(x).all(axis=(1, 2)) & np.isfinite(residual).all(axis=1)
-    ends = [([None] * len(A),) * 2] * (len(walk) - 1) + [(x, residual)]
-    return [list(zip(xs, r.tolist(), kaps, rs)) for (_, r, kaps), (xs, rs) in zip(walk, ends)], fits
+        x, ranks, kappas = _finish(R[:, :mn, :mn], R[:, :mn, mn:], A.shape[1] - top, tol, kappa)
+        with np.errstate(over="ignore", invalid="ignore"):
+            residual = np.ldexp(np.linalg.norm(M[:, top:] @ x - B[:, top:], axis=1), exp[:, 0])
+            x = np.ldexp(x, exp)
+        fits &= np.isfinite(x).all(axis=(1, 2)) & np.isfinite(residual).all(axis=1)
+        walk.append(list(zip(x, ranks.tolist(), kappas, residual)))
+    return walk, fits
 
 
 def _overflow(j: int) -> SampleOverflowError:
@@ -352,10 +352,10 @@ def _solve_groups(a: Tensor3, columns: list, tol, threads: int, kappa: bool = Tr
     """``_solve_stack`` on each ``(horizons, selector, rhs, j)`` column, from
     one ``_power_stack`` built to the longest horizon: per column, None where the
     selector picks no row, else one ``(x, rank, kappa, residual)`` at each
-    horizon of the sorted tuple ``horizons``, x and residual at the longest
-    alone, where ``rhs`` gives the values in row order (None: no right-hand
-    side).  ``j`` names the column in the overflow error, raised for the
-    first system that overflows.
+    horizon of the sorted tuple ``horizons``, where ``rhs`` gives the values
+    in row order to the longest horizon (None: no right-hand side, and x and
+    residual None).  ``j`` names the column in the overflow error, raised for
+    the first system that overflows at any horizon.
 
     Columns with equal ``(horizons, selector)`` share one system, in order of
     first appearance.  Systems of one shape (horizons, samples per step,
@@ -398,8 +398,7 @@ def _solve_groups(a: Tensor3, columns: list, tol, threads: int, kappa: bool = Tr
             if not fits[i]:
                 bad.append(g)
             for n, c in enumerate(members[g]):
-                results[c] = [(None, rank, kap, None) if x is None or not k
-                              else (x[:, n], rank, kap, float(res[n]))
+                results[c] = [(x[:, n], rank, kap, float(res[n])) if k else (None, rank, kap, None)
                               for x, rank, kap, res in (at[i] for at in walk)]
     if bad:
         raise _overflow(columns[members[min(bad)][0]][3])

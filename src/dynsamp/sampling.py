@@ -47,7 +47,7 @@ class SampleMask:
 
     def as_tensor(self) -> Tensor3:
         """0/1 tensor with ones exactly on the sampled entries."""
-        return Tensor3(self.indicator.astype(np.float64), copy=False)
+        return Tensor3(self.indicator)
 
     @property
     def sample_count(self) -> int:

@@ -221,7 +221,7 @@ def loads_t3(text: str, path="<string>") -> Tensor3:
             pass
         else:
             if np.isfinite(values).all():
-                return Tensor3(values.reshape((m, p, n), order="F"), copy=False)
+                return Tensor3(values.reshape((m, p, n), order="F"))
     raise _first_bad_line(lines, want, path)
 
 

@@ -33,20 +33,18 @@ class ShapeMismatchError(ValueError):
 class Tensor3:
     """Immutable dense tensor of shape (m, p, n).
 
-    Input of any real dtype is stored as read-only float64; complex input
+    Input of any real dtype is stored as its own read-only, C-ordered
+    float64 copy, so the caller's array stays as it was; complex input
     raises ``ValueError``.
     """
 
     __slots__ = ("data", "dims")
 
-    def __init__(self, data, copy: bool = True):
+    def __init__(self, data):
         arr = np.asarray(data)
         if np.iscomplexobj(arr):
             raise ValueError(f"Tensor3 holds real data only, got dtype {arr.dtype}")
-        if copy:
-            arr = np.array(arr, dtype=np.float64, order="C")
-        else:
-            arr = np.ascontiguousarray(arr, dtype=np.float64)
+        arr = np.array(arr, dtype=np.float64, order="C")
         if arr.ndim != 3:
             raise ShapeMismatchError(
                 f"Tensor3 needs a 3-way array, got shape {arr.shape}"
@@ -122,7 +120,7 @@ def tprod(a: Tensor3, b: Tensor3) -> Tensor3:
         raise ShapeMismatchError(
             f"tprod needs (m,p,n)x(p,q,n), got {a.dims} and {b.dims}"
         )
-    return Tensor3(next(_tproducts(a.data, b.data, 1)), copy=False)
+    return Tensor3(next(_tproducts(a.data, b.data, 1)))
 
 
 def _columns(x: np.ndarray) -> np.ndarray:
@@ -198,4 +196,4 @@ def random_tensor(m: int, p: int, n: int, seed: int) -> Tensor3:
     """
     dims = tuple(as_int(v, name) for v, name in zip((m, p, n), "mpn"))
     rng = np.random.Generator(_philox(seed))
-    return Tensor3(rng.standard_normal(dims), copy=False)
+    return Tensor3(rng.standard_normal(dims))

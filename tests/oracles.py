@@ -11,7 +11,9 @@ is the t-product identity; the tensors they return are float64, as
 ``Tensor3`` requires.  ``dumps_t3_oracle`` and ``loads_t3_oracle`` are the T3 codec
 written one Python statement per entry, the reference for the library's
 vectorized one.  ``product_mask`` builds the product-form (lattice) sampling
-sets of the structural tests from an indicator.
+sets of the structural tests from an indicator.  ``dense_column_solve``
+solves one column system from dense powers of the block-circulant matrix
+and a full SVD, with no FFT, lag table, QR, certificate or horizon walk.
 """
 
 import math
@@ -39,6 +41,27 @@ def block_circulant(a) -> np.ndarray:
         for c in range(n):
             big[r * m : (r + 1) * m, c * m : (c + 1) * m] = data[:, :, (r - c) % n]
     return big
+
+
+def dense_column_solve(a, mask, j: int, T: int, b: np.ndarray):
+    """Minimum-norm least-squares solve of column ``j``'s system at horizon ``T``.
+
+    The matrix is the rows r = i + m*k of ``matrix_power(block_circulant(a),
+    t)`` at the entries (i, k) that the mask samples in column j, for t = T-1
+    down to 0; ``b`` (rows, k) holds the right-hand sides in that row order.
+    Singular values at or below the cutoff max(rows, m*n) * eps * s_max are
+    dropped.  Returns ``(x, rank, kappa, s, cutoff)``: ``x`` (m*n, k), kappa
+    the ratio of the largest kept singular value to the smallest, and ``s``
+    the singular values, so a caller can check their distance to the cutoff.
+    """
+    sel = mask.indicator[:, j, :].T.ravel()  # entry (i, k) at r = i + m*k
+    bc = block_circulant(a)
+    M = np.vstack([np.linalg.matrix_power(bc, t)[sel] for t in range(T - 1, -1, -1)])
+    u, s, vh = np.linalg.svd(M, full_matrices=False)
+    cutoff = max(M.shape) * np.finfo(np.float64).eps * s[0]
+    rank = int(np.count_nonzero(s > cutoff))
+    x = vh[:rank].T @ ((u[:, :rank].T @ b) / s[:rank, None])
+    return x, rank, float(s[0] / s[rank - 1]), s, cutoff
 
 
 def materialized_sampling_map(a, mask, T: int) -> np.ndarray:
@@ -177,7 +200,7 @@ def bcirc_oracle(a: Tensor3, b: Tensor3) -> Tensor3:
     out = np.empty((m, q, n))
     for k in range(n):
         out[:, :, k] = prod[k * m : (k + 1) * m, :]
-    return Tensor3(out, copy=False)
+    return Tensor3(out)
 
 
 def identity_tensor(m: int, n: int) -> Tensor3:
@@ -186,7 +209,7 @@ def identity_tensor(m: int, n: int) -> Tensor3:
         raise ValueError(f"identity_tensor needs m, n >= 1, got ({m}, {n})")
     data = np.zeros((m, m, n))
     data[:, :, 0] = np.eye(m)
-    return Tensor3(data, copy=False)
+    return Tensor3(data)
 
 
 def dumps_t3_oracle(t: Tensor3) -> str:
@@ -236,4 +259,4 @@ def loads_t3_oracle(text: str, path="<string>") -> Tensor3:
         values.append(value)
     if len(values) != want:
         raise T3FormatError(path, len(lines) + 1, f"expected {want} entries, got {len(values)}")
-    return Tensor3(np.array(values).reshape((m, p, n), order="F"), copy=False)
+    return Tensor3(np.array(values).reshape((m, p, n), order="F"))

@@ -26,13 +26,14 @@ from dynsamp import (
 )
 from dynsamp.dynsys import SampleOverflowError
 from dynsamp.reconstruct import (
-    ColumnSystem, _condition_sweep, _default_tol, _power_stack, _solve_stack, _stack_rows,
-    assemble_column_system, reconstruct_batch,
+    ColumnSystem, _condition_sweep, _default_tol, _power_stack, _solve_groups, _solve_stack,
+    _stack_rows, assemble_column_system, reconstruct_batch,
 )
 from dynsamp.tensor3 import ShapeMismatchError
 from oracles import (
     block_circulant,
     brute_force_estimate,
+    dense_column_solve,
     frequency_column_matrix,
     identity_tensor,
     mask_conv_matrix,
@@ -295,6 +296,14 @@ def test_solve_overflow_names_the_column():
         solve_column(system)
 
 
+def test_a_walk_that_overflows_at_a_shorter_horizon_does_not_fit():
+    # x = 1e300 / 1e-300 on the bottom row alone; the row above brings x back to 1e300
+    A = np.array([[[1.0, 1e300], [1e-300, 1e300]]])
+    ((short,), (whole,)), fits = _solve_stack(A, 1, heights=[1, 1])
+    assert np.isinf(short[0]).all() and whole[0][0, 0] == pytest.approx(1e300)
+    assert not fits[0]
+
+
 def test_solve_matches_materialized_map_pseudoinverse():
     a, f, mask, samples = make_instance(4, 3, 2, 4, 0.6, 520)
     S = materialized_sampling_map(a, mask, samples.horizon)
@@ -401,7 +410,7 @@ def _assert_same_solution(got, want):
     assert (rank, kappa) == (rank0, kappa0)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=100, deadline=None)
 @given(
     g=st.integers(1, 5),
     rows=st.integers(1, 14),
@@ -409,66 +418,94 @@ def _assert_same_solution(got, want):
     k=st.sampled_from([0, 1, 3]),
     spread=st.sampled_from([0.0, 8.0, 20.0]),
     duplicate=st.booleans(),
-    blocks=st.lists(st.integers(1, 6), max_size=2),
+    blocks=st.lists(st.integers(1, 6), max_size=3),
     seed=st.integers(0, 2**32 - 1),
 )
 @example(g=3, rows=4, mn=8, k=1, spread=0.0, duplicate=False, blocks=[], seed=0)  # rows < m*n
 @example(g=3, rows=12, mn=6, k=3, spread=0.0, duplicate=True, blocks=[], seed=1)  # rank-deficient
 @example(g=3, rows=2, mn=6, k=0, spread=8.0, duplicate=True, blocks=[3, 5], seed=2)  # walks to full rank
+@example(g=2, rows=3, mn=6, k=3, spread=0.0, duplicate=False, blocks=[2, 4, 1], seed=3)  # ... with rhs
 def test_each_stack_member_matches_a_lone_solve_bit_for_bit(
     g, rows, mn, k, spread, duplicate, blocks, seed
 ):
-    """A member of a stack gets the bits of ``solve_column`` on its system
-    alone: x, rank, kappa and residual, for any stack size; and, where row
-    blocks above the first horizon walk it to longer horizons (k = 0), the
-    bits of its own walk alone at every horizon."""
+    """A member of a stack gets the bits of its walk alone at every horizon
+    (x, rank, kappa and residual, for any stack size), and at the first
+    horizon the bits of ``solve_column`` on the bottom rows.  At each longer
+    horizon, on draws whose singular values keep clear of the cutoff, it
+    gets ``solve_column``'s rank on the rows up to that horizon and, where
+    kappa < 1e6, its x, kappa and residual to 1e-10 relative."""
     rng = np.random.default_rng(seed)
-    A = _stack(rng, g, rows, mn, k, spread)
+    A = _stack(rng, g, rows + sum(blocks), mn, k, spread)
     if duplicate and mn > 1:
         A[-1, :, 1] = A[-1, :, 0]  # a rank-deficient member
-    later = [_stack(rng, g, r, mn, 0, spread) for r in blocks] if k == 0 else []
-    heights = [rows] + [b.shape[1] for b in later]
-    whole = np.concatenate([*later[::-1], A], axis=1)  # the first horizon's rows at the bottom
-    walk, fits = _solve_stack(whole.copy(), mn, heights=heights)
+    heights = [rows, *blocks]  # the first horizon's rows at the bottom
+    walk, fits = _solve_stack(A.copy(), mn, heights=heights)
     assert len(walk) == len(heights) and all(len(at) == g for at in walk) and all(fits)
-    for i, got in enumerate(walk[0]):
-        want = solve_column(ColumnSystem(i, A[i, :, :mn], A[i, :, mn:]))
-        assert got[1:3] == want[1:3]
-        if not later:
-            _assert_same_solution(got, want)
     for i in range(g):
-        alone, _ = _solve_stack(whole[i:i + 1].copy(), mn, heights=heights)
+        alone, _ = _solve_stack(A[i:i + 1].copy(), mn, heights=heights)
         for at, want in zip(walk, alone, strict=True):
-            if at[i][0] is None:
-                assert at[i][1:3] == want[0][1:3] and want[0][0] is None
-            else:
-                _assert_same_solution(at[i], want[0])
+            _assert_same_solution(at[i], want[0])
+    for h, at in enumerate(walk):
+        top = A.shape[1] - sum(heights[:h + 1])
+        for i, (x, rank, kappa, residual) in enumerate(at):
+            want = solve_column(ColumnSystem(i, A[i, top:, :mn], A[i, top:, mn:]))
+            if h == 0:
+                _assert_same_solution((x, rank, kappa, residual), want)
+                continue
+            if spread == 20.0 or duplicate:  # singular values near the cutoff
+                continue
+            x0, rank0, kappa0, residual0 = want
+            assert rank == rank0
+            if rank0 == mn and kappa0 < 1e6:
+                scale = np.linalg.norm(A[i, top:, mn:], axis=0)
+                np.testing.assert_allclose(
+                    x, x0, rtol=1e-10, atol=1e-10 * np.abs(x0).max(initial=0.0)
+                )
+                assert np.all(np.abs(residual - residual0) <= 1e-10 * scale)
+                assert kappa == pytest.approx(kappa0, rel=1e-8)
 
 
-@settings(max_examples=40, deadline=None)
-@given(
-    g=st.integers(1, 4),
-    rows=st.integers(1, 10),
-    mn=st.integers(1, 8),
-    k=st.sampled_from([1, 3]),
-    blocks=st.lists(st.integers(1, 6), min_size=1, max_size=3),
-    seed=st.integers(0, 2**32 - 1),
-)
-def test_a_walk_with_right_hand_sides_solves_its_longest_horizon(g, rows, mn, k, blocks, seed):
-    """Rows above the first horizon that carry right-hand sides walk each
-    member to its whole system: ``solve_column``'s rank on it and, on
-    well-conditioned draws, its x and residual to 1e-10 relative."""
-    A = _stack(np.random.default_rng(seed), g, rows + sum(blocks), mn, k, 0.0)
-    walk, fits = _solve_stack(A.copy(), mn, heights=[rows, *blocks])
-    assert all(fits)
-    for i, (x, rank, kappa, residual) in enumerate(walk[-1]):
-        x0, rank0, kappa0, residual0 = solve_column(ColumnSystem(i, A[i, :, :mn], A[i, :, mn:]))
-        assert rank == rank0
-        if rank0 == mn and kappa0 < 1e6:
-            scale = np.linalg.norm(A[i, :, mn:], axis=0)
-            np.testing.assert_allclose(x, x0, rtol=1e-10, atol=1e-10 * np.abs(x0).max())
-            assert np.all(np.abs(residual - residual0) <= 1e-10 * scale)
+# How far, as a factor, every singular value of an oracle instance keeps
+# from the cutoff, so that roundoff cannot decide the two ranks apart.
+_ORACLE_MARGIN = 1e2
+
+
+@pytest.mark.parametrize("m, p, n, T, alpha, sigma, seed", [
+    (5, 4, 3, 12, 0.2, 1e-2, 10),
+    (4, 3, 2, 10, 0.25, 1e-3, 20),
+    (3, 4, 3, 12, 0.3, 1e-2, 30),
+])
+def test_every_horizon_of_a_noisy_walk_matches_the_dense_oracle(m, p, n, T, alpha, sigma, seed):
+    """One ``_solve_groups`` walk of horizons 1..T with noisy right-hand
+    sides gets, at every horizon, the rank of ``dense_column_solve`` and its
+    kappa and x to 1e-8 relative, rank-deficient horizons (T * s_j < m*n)
+    included; ``_condition_sweep`` over the same horizons gets its kappas
+    and K.  Precondition: every singular value lies at least a factor
+    ``_ORACLE_MARGIN`` from the cutoff."""
+    a, _, mask, samples = make_instance(m, p, n, T, alpha, seed, sigma)
+    sels = [mask.indicator[:, j, :].T.ravel() for j in range(p)]  # entry (i, k) at r = i + m*k
+    assert all(sel.any() for sel in sels)
+    rhs = [np.concatenate([obs.data[:, j, :].T.ravel()[sel] for obs in samples.observations[::-1]])
+           for j, sel in enumerate(sels)]  # latest step first
+    horizons = tuple(range(1, T + 1))
+    walks = _solve_groups(a, [(horizons, sel, b, j) for j, (sel, b) in enumerate(zip(sels, rhs))],
+                          None, 1)
+    sweep = _condition_sweep(a, mask, horizons)
+    deficient = 0
+    for h, (kappas, K) in zip(horizons, sweep):
+        want = []
+        for j, (sel, b) in enumerate(zip(sels, rhs)):
+            rows = h * np.count_nonzero(sel)
+            x0, rank0, kappa0, s, cutoff = dense_column_solve(a, mask, j, h, b[-rows:, None])
+            assert np.all((s > _ORACLE_MARGIN * cutoff) | (s < cutoff / _ORACLE_MARGIN))
+            x, rank, kappa, _ = walks[j][h - 1]
+            assert rank == rank0
             assert kappa == pytest.approx(kappa0, rel=1e-8)
+            assert np.linalg.norm(x - x0[:, 0]) <= 1e-8 * np.linalg.norm(x0)
+            deficient += rows < m * n
+            want.append(kappa0)
+        assert kappas == pytest.approx(want, rel=1e-8) and K == pytest.approx(max(want), rel=1e-8)
+    assert deficient
 
 
 @settings(max_examples=40, deadline=None)

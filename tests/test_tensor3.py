@@ -70,6 +70,17 @@ def test_immutability():
         t.data[0, 0, 0] = 1.0
 
 
+@pytest.mark.parametrize("x", [np.zeros((2, 2, 2)), np.zeros((2, 2, 2), order="F")])
+def test_tensor_copies_its_data_and_leaves_the_callers_array_writable(x):
+    t = Tensor3(x)
+    x[0, 0, 0] = 1.0  # the caller can go on to build a second tensor
+    assert x.flags.writeable
+    assert t.data[0, 0, 0] == 0.0 and t.data.flags.c_contiguous
+    assert Tensor3(x).data[0, 0, 0] == 1.0
+    with pytest.raises(TypeError):
+        Tensor3(x, copy=False)
+
+
 @pytest.mark.parametrize("seed", [2.5, True])
 def test_random_tensor_rejects_a_seed_that_is_not_an_integer(seed):
     with pytest.raises(ValueError, match=rf"^seed: expected an integer, got {seed!r}$"):
@@ -324,7 +335,7 @@ _NORMAL = st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=False
 def test_fro_norm_scales_by_powers_of_two_exactly(values, data):
     """The Frobenius norm ``_norm2`` scales by 2^k bit for bit while 2^k t stays normal."""
     flat = np.array(values)
-    t = Tensor3(flat.reshape(-1, 1, 1), copy=False)
+    t = Tensor3(flat.reshape(-1, 1, 1))
     norm = _norm2(t.data)
     assume(0.0 < norm < np.inf)
     # 2^k keeps every nonzero entry at or above 2^-1022 and the norm finite.

@@ -49,7 +49,8 @@ def largest_move(old: str, new: str):
                 return None
         elif x != y and not (math.isnan(x) and math.isnan(y)):
             move = abs(y - x) / abs(x) if x else math.inf
-            if not move <= best[0]:  # a nan move (from inf) counts as largest
+            # a nan move (from inf) counts as largest, and stays so
+            if not (move <= best[0] or math.isnan(best[0])):
                 best = (move, x, y)
     return best
 
