@@ -22,6 +22,7 @@ from pathlib import Path
 from .t3io import T3FormatError, read_t3, write_json, write_t3
 from .dynsys import SampleOverflowError, load_sample_data, save_sample_data
 from .reconstruct import UnrecoverableColumnError, reconstruct
+from .tensor3 import ShapeMismatchError
 from .experiments import (
     EXPERIMENT_KEYS,
     EXPERIMENT_KINDS,
@@ -165,6 +166,8 @@ def cmd_reconstruct(args) -> int:
         )
     except SampleOverflowError as err:  # the dataset's operator, horizon or values
         raise ValueError(f"{dataset}: {err}") from None
+    except ShapeMismatchError as err:  # the operator against the mask
+        raise ValueError(f"{a_path}: {err}") from None
 
     out = Path(args.out) if args.out else dataset
     out.mkdir(parents=True, exist_ok=True)

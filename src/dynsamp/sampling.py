@@ -8,7 +8,7 @@ be regenerated from their sidecar metadata alone.
 
 from __future__ import annotations
 
-from copy import deepcopy
+import json
 from pathlib import Path
 
 import numpy as np
@@ -20,10 +20,10 @@ from .t3io import T3FormatError, read_json_object, read_t3, write_json, write_t3
 class SampleMask:
     """Immutable boolean mask over an (m, p, n) grid.
 
-    ``provenance`` is a JSON-serializable dict: {"type": "bernoulli",
-    "alpha": a, "seed": s, "exclusions": [...]} or {"type": "custom",
-    "exclusions": [...]}; slab exclusions append {"mode": 1|2|3,
-    "index": idx} entries.  The mask keeps its own copy and hands out copies.
+    ``provenance`` is a JSON object: {"type": "bernoulli", "alpha": a, "seed":
+    s, "exclusions": [...]} or {"type": "custom", "exclusions": [...]}; slab
+    exclusions append {"mode": 1|2|3, "index": idx} entries.  The mask holds
+    it as JSON text, so a value JSON cannot hold raises here, and hands out copies.
     """
 
     __slots__ = ("indicator", "dims", "_provenance")
@@ -36,18 +36,16 @@ class SampleMask:
         object.__setattr__(self, "indicator", arr)
         object.__setattr__(self, "dims", arr.shape)
         prov = {"type": "custom", "exclusions": []} if provenance is None else provenance
-        object.__setattr__(self, "_provenance", deepcopy(prov))  # the caller keeps theirs
+        if not isinstance(prov, dict):
+            raise ValueError(f"provenance must be a JSON object, got {type(prov).__name__}")
+        object.__setattr__(self, "_provenance", json.dumps(prov))
 
     def __setattr__(self, name, value):
         raise AttributeError("SampleMask is immutable")
 
     @property
     def provenance(self) -> dict:
-        return deepcopy(self._provenance)
-
-    def as_tensor(self) -> Tensor3:
-        """0/1 tensor with ones exactly on the sampled entries."""
-        return Tensor3(self.indicator)
+        return json.loads(self._provenance)
 
     @property
     def sample_count(self) -> int:
@@ -62,7 +60,7 @@ class SampleMask:
     def __repr__(self) -> str:
         return (
             f"SampleMask(dims={self.dims}, samples={self.sample_count}, "
-            f"type={self._provenance.get('type')!r})"
+            f"type={self.provenance.get('type')!r})"
         )
 
 
@@ -113,7 +111,7 @@ def exclude_slab(mask: SampleMask, mode: int, index: int) -> SampleMask:
 def save_mask(path, mask: SampleMask) -> None:
     """Write ``<path>`` as T3 v1 (0/1 entries) plus a ``.json`` provenance sidecar."""
     path = Path(path)
-    write_t3(path, mask.as_tensor())
+    write_t3(path, Tensor3(mask.indicator))
     write_json(path.with_suffix(path.suffix + ".json"), mask.provenance)
 
 
@@ -131,8 +129,5 @@ def load_mask(path) -> SampleMask:
     if bad.size:
         raise T3FormatError(path, 2 + int(bad[0]), "mask entries must be 0 or 1")
     sidecar = path.with_suffix(path.suffix + ".json")
-    if sidecar.exists():
-        prov = read_json_object(sidecar)
-    else:
-        prov = {"type": "custom", "exclusions": []}
+    prov = read_json_object(sidecar) if sidecar.exists() else None
     return SampleMask(values != 0.0, prov)

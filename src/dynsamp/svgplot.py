@@ -11,11 +11,24 @@ import math
 _WIDTH, _HEIGHT = 720, 480
 _ML, _MR, _MT, _MB = 84, 24, 46, 62
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
+_GRID = "#dddddd"
 _LOG_FLOOR = 1e-16
 
 
 def _fmt(v: float) -> str:
     return f"{v:.2f}"
+
+
+def _text(x, y, size: int, body: str, anchor: str | None = "middle", extra: str = "") -> str:
+    """A ``<text>`` element; x and y are written as given, ``extra`` after the font."""
+    anchor_attr = f' text-anchor="{anchor}"' if anchor else ""
+    return (f'<text x="{x}" y="{y}"{anchor_attr} font-family="sans-serif" '
+            f'font-size="{size}"{extra}>{body}</text>')
+
+
+def _line(x1, y1, x2, y2, stroke: str, width) -> str:
+    return (f'<line x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}" '
+            f'stroke="{stroke}" stroke-width="{width}"/>')
 
 
 def _nice_ticks(lo: float, hi: float, axis: str) -> list[float]:
@@ -96,49 +109,30 @@ def render_plot(
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" '
         f'height="{_HEIGHT}" viewBox="0 0 {_WIDTH} {_HEIGHT}">',
         f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>',
-        f'<text x="{_WIDTH // 2}" y="24" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="16">{title}</text>',
+        _text(_WIDTH // 2, 24, 16, title),
     ]
 
     x_ticks = _nice_ticks(x_lo, x_hi, "x")
     y_ticks = _log_ticks(y_lo, y_hi) if logy else _nice_ticks(y_lo, y_hi, "y")
     for tx in x_ticks:
-        px = sx(tx)
-        out.append(
-            f'<line x1="{_fmt(px)}" y1="{_MT}" x2="{_fmt(px)}" '
-            f'y2="{_MT + plot_h}" stroke="#dddddd" stroke-width="1"/>'
-        )
-        out.append(
-            f'<text x="{_fmt(px)}" y="{_MT + plot_h + 20}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="12">{_tick_label(tx, False)}</text>'
-        )
+        px = _fmt(sx(tx))
+        out.append(_line(px, _MT, px, _MT + plot_h, _GRID, 1))
+        out.append(_text(px, _MT + plot_h + 20, 12, _tick_label(tx, False)))
     for ty in y_ticks:
         if not y_lo <= ty <= y_hi:
             continue
         py = sy(ty)
-        out.append(
-            f'<line x1="{_ML}" y1="{_fmt(py)}" x2="{_ML + plot_w}" '
-            f'y2="{_fmt(py)}" stroke="#dddddd" stroke-width="1"/>'
-        )
-        out.append(
-            f'<text x="{_ML - 8}" y="{_fmt(py + 4)}" text-anchor="end" '
-            f'font-family="sans-serif" font-size="12">{_tick_label(ty, logy)}</text>'
-        )
+        out.append(_line(_ML, _fmt(py), _ML + plot_w, _fmt(py), _GRID, 1))
+        out.append(_text(_ML - 8, _fmt(py + 4), 12, _tick_label(ty, logy), "end"))
 
     # axes on top of the grid
     out.append(
         f'<rect x="{_ML}" y="{_MT}" width="{plot_w}" height="{plot_h}" '
         f'fill="none" stroke="black" stroke-width="1"/>'
     )
-    out.append(
-        f'<text x="{_ML + plot_w / 2:.1f}" y="{_HEIGHT - 14}" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="14">{xlabel}</text>'
-    )
-    out.append(
-        f'<text x="20" y="{_MT + plot_h / 2:.1f}" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="14" '
-        f'transform="rotate(-90 20 {_MT + plot_h / 2:.1f})">{ylabel}</text>'
-    )
+    out.append(_text(f"{_ML + plot_w / 2:.1f}", _HEIGHT - 14, 14, xlabel))
+    mid = f"{_MT + plot_h / 2:.1f}"
+    out.append(_text(20, mid, 14, ylabel, extra=f' transform="rotate(-90 20 {mid})"'))
 
     for idx, (label, points) in enumerate(plotted):
         color = _PALETTE[idx % len(_PALETTE)]
@@ -158,14 +152,7 @@ def render_plot(
                 )
         if label:
             ly = _MT + 16 + 16 * idx
-            out.append(
-                f'<line x1="{_ML + plot_w - 120}" y1="{ly - 4}" '
-                f'x2="{_ML + plot_w - 96}" y2="{ly - 4}" stroke="{color}" '
-                f'stroke-width="2"/>'
-            )
-            out.append(
-                f'<text x="{_ML + plot_w - 90}" y="{ly}" font-family="sans-serif" '
-                f'font-size="12">{label}</text>'
-            )
+            out.append(_line(_ML + plot_w - 120, ly - 4, _ML + plot_w - 96, ly - 4, color, 2))
+            out.append(_text(_ML + plot_w - 90, ly, 12, label, None))
     out.append("</svg>")
     return "\n".join(out) + "\n"

@@ -222,6 +222,8 @@ DIMS_ERROR = " has dims (6, 4, 1), mask has (6, 4, 2)"
 DATA_ERRORS = {
     "obs-dims": ("obs_1.t3", lambda ds: np.zeros((6, 4, 1)), DIMS_ERROR),
     "obs-off-mask": ("obs_0.t3", _off_mask, " carries values off the mask"),
+    "operator-dims": ("A.t3", lambda ds: np.zeros((6, 6, 1)),
+                      ": operator dims (6, 6, 1) incompatible with mask dims (6, 4, 2)"),
     "truth-dims": ("F.t3", lambda ds: np.ones((6, 4, 1)), DIMS_ERROR),
     "truth-zero": ("F.t3", lambda ds: np.zeros((6, 4, 2)), ": ground truth has zero norm"),
 }

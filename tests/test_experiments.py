@@ -29,6 +29,7 @@ from dynsamp.experiments import (
 )
 from dynsamp.reconstruct import _condition_sweep, reconstruct_batch
 from dynsamp.svgplot import render_plot
+from oracles import dense_column_solve
 
 SMALL = {"m": 6, "p": 4, "n": 2, "seed": 9, "trials": 2}
 
@@ -372,3 +373,136 @@ def test_seed_rule_regenerates_a_slab_dim1_dim3_row():
     mask = exclude_slab(_hand_mask(cfg, 0.6), 3, 1)
     want = {"mode": 3, "excluded_index": 1, "rel_err": _hand_error(cfg, mask, 3, 1e-3, (3, 1))}
     assert run_experiment(cfg)[cfg.m + 1] == want
+
+
+# -- every kind's rows against the dense column oracle ---------------------------
+
+_ORACLE_MARGIN = 1e2  # every singular value lies at least this factor from the cutoff
+_ROUNDOFF_FLOOR = 1e-9  # sigma=0 errors below this, on both sides, are roundoff
+_MEASURED = ("mean_rel_err", "std_rel_err", "rel_err", "K")  # the other columns name the point
+
+
+def _dense_solve(a, mask, j, T, b, deficient):
+    """``dense_column_solve`` of column j, after its precondition: no singular
+    value near the cutoff, so library and oracle keep the same rank."""
+    x, _, kappa, s, cutoff = dense_column_solve(a, mask, j, T, b)
+    assert np.all((s > _ORACLE_MARGIN * cutoff) | (s < cutoff / _ORACLE_MARGIN))
+    deficient.append(T * np.count_nonzero(mask.indicator[:, j, :]) < a.dims[0] * a.dims[2])
+    return x, kappa
+
+
+def _dense_estimates(cfg, mask, T, units, deficient):
+    """Truth and the oracle's estimate of each ``(sigma, noise_key)`` unit
+    observed on ``mask`` at horizon T, rebuilt from SEED_RULE: each sampled
+    column solved with every unit as a right-hand side, the others zero-filled."""
+    m, p, n = cfg.m, cfg.p, cfg.n
+    a = random_tensor(m, m, n, derive_seed(cfg.seed, STREAM_OPERATOR))
+    f = random_tensor(m, p, n, derive_seed(cfg.seed, STREAM_SIGNAL))
+    traj = evolve(a, f, T)
+    steps = [observe(traj, mask, sigma, derive_seed(cfg.seed, STREAM_NOISE, *key)).observations[::-1]
+             for sigma, key in units]  # latest step first
+    est = np.zeros((len(units), m, p, n))
+    for j in range(p):
+        sel = mask.indicator[:, j, :].T.ravel()  # entry (i, k) at r = i + m*k
+        if sel.any():
+            b = np.column_stack([np.concatenate([o.data[:, j, :].T.ravel()[sel] for o in obs])
+                                 for obs in steps])
+            x, _ = _dense_solve(a, mask, j, T, b, deficient)
+            est[:, :, j, :] = x.T.reshape(len(units), n, m).transpose(0, 2, 1)
+    return f.data, est
+
+
+def _dense_errors(cfg, mask, T, units, deficient):
+    f, est = _dense_estimates(cfg, mask, T, units, deficient)
+    return [float(np.linalg.norm(e - f) / np.linalg.norm(f)) for e in est]
+
+
+def _oracle_recovery_vs_alpha(cfg, deficient):
+    rows = []
+    for g, alpha in enumerate(cfg.alphas):
+        errs = np.array([_dense_errors(cfg, _hand_mask(cfg, alpha, g, r), cfg.Ts[0],
+                                       [(cfg.sigmas[0], (g, r))], deficient)[0]
+                         for r in range(cfg.trials)])
+        rows.append({"alpha": alpha, "mean_rel_err": errs.mean(), "std_rel_err": errs.std()})
+    return rows
+
+
+def _oracle_pointwise_gap(cfg, deficient):
+    f, est = _dense_estimates(cfg, _hand_mask(cfg, cfg.alphas[0]), cfg.Ts[0],
+                              [(cfg.sigmas[0], (0, 0))], deficient)
+    return [{"index": i, "abs_gap": g} for i, g in enumerate(np.abs(est[0] - f).ravel())]
+
+
+def _oracle_optimal_T(cfg, deficient):
+    units = list(enumerate(cfg.sigmas))
+    errs = np.array([[_dense_errors(cfg, _hand_mask(cfg, cfg.alphas[0], 0, r), T,
+                                    [(sigma, (s, r)) for s, sigma in units], deficient)
+                      for r in range(cfg.trials)] for T in cfg.Ts]).mean(axis=1)
+    return [{"T": T, "sigma": sigma, "mean_rel_err": e}
+            for T, errs_T in zip(cfg.Ts, errs) for sigma, e in zip(cfg.sigmas, errs_T)]
+
+
+def _oracle_condition_vs_T(cfg, deficient):
+    a = random_tensor(cfg.m, cfg.m, cfg.n, derive_seed(cfg.seed, STREAM_OPERATOR))
+    mask = _hand_mask(cfg, cfg.alphas[0])
+    counts = np.count_nonzero(mask.indicator, axis=(0, 2))  # samples per column
+    return [{"T": T, "K": max(_dense_solve(a, mask, j, T, np.zeros((T * s, 1)), deficient)[1]
+                              for j, s in enumerate(counts))} for T in cfg.Ts]
+
+
+def _oracle_slab_errors(cfg, slabs, deficient):
+    base = _hand_mask(cfg, cfg.alphas[0])
+    return [_dense_errors(cfg, exclude_slab(base, mode, i), cfg.Ts[0],
+                          [(cfg.sigmas[0], key)], deficient)[0] for mode, i, key in slabs]
+
+
+def _oracle_conjecture_dim2(cfg, deficient):
+    errs = _oracle_slab_errors(cfg, [(2, j, (j, 0)) for j in range(cfg.p)], deficient)
+    return [{"excluded_j": j, "rel_err": e} for j, e in enumerate(errs)]
+
+
+def _oracle_slab_dim1_dim3(cfg, deficient):
+    slabs = [(1, i) for i in range(cfg.m)] + [(3, k) for k in range(cfg.n)]
+    errs = _oracle_slab_errors(cfg, [(mode, i, (mode, i)) for mode, i in slabs], deficient)
+    return [{"mode": mode, "excluded_index": i, "rel_err": e}
+            for (mode, i), e in zip(slabs, errs)]
+
+
+# kind -> (its tiny config, the oracle that rebuilds its rows)
+_ORACLE_KINDS = {
+    "recovery-vs-alpha": ({"T": 2, "alpha": [0.3, 0.6, 0.9], "sigma": 1e-2, "trials": 3},
+                          _oracle_recovery_vs_alpha),
+    "pointwise-gap": ({"T": 2, "alpha": 0.5, "sigma": 1e-3}, _oracle_pointwise_gap),
+    "optimal-T": ({"T": list(range(1, 11)), "alpha": 0.3, "sigma": [0.0, 1e-3], "trials": 2},
+                  _oracle_optimal_T),
+    "condition-vs-T": ({"T": list(range(1, 13)), "alpha": 0.5}, _oracle_condition_vs_T),
+    "conjecture-dim2": ({"T": 2, "alpha": 0.5, "sigma": 1e-2}, _oracle_conjecture_dim2),
+    "slab-dim1-dim3": ({"T": 2, "alpha": 0.7, "sigma": 0.0}, _oracle_slab_dim1_dim3),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_ORACLE_KINDS))
+def test_every_row_of_every_kind_matches_the_dense_oracle(kind):
+    """Each kind's rows, rebuilt from SEED_RULE with ``dense_column_solve``
+    column by column, agree with ``run_experiment``'s on a 5x4x3 instance
+    with rank-deficient horizons (T * s_j < m*n): errors and gaps to 1e-8
+    relative, or for sigma=0 both below ``_ROUNDOFF_FLOOR``, and K to 1e-8.
+    A pointwise-gap row set agrees as a vector, since a single gap may be
+    near zero.  Precondition: every singular value lies at least a factor
+    ``_ORACLE_MARGIN`` from the cutoff."""
+    raw, oracle = _ORACLE_KINDS[kind]
+    cfg = config_from_dict({"kind": kind, "m": 5, "p": 4, "n": 3, "seed": 16, **raw})
+    got, deficient = run_experiment(cfg), []
+    want = oracle(cfg, deficient)
+    assert any(deficient) and [list(row) for row in got] == [list(row) for row in want]
+    if kind == "pointwise-gap":
+        gaps, want_gaps = ([row["abs_gap"] for row in rows] for rows in (got, want))
+        assert np.linalg.norm(np.subtract(gaps, want_gaps)) <= 1e-8 * np.linalg.norm(want_gaps)
+        return
+    for row, want_row in zip(got, want):
+        sigma = row.get("sigma", cfg.sigmas[0])
+        for key, value in row.items():
+            if key not in _MEASURED:
+                assert value == want_row[key]
+            elif key == "K" or sigma > 0 or max(value, want_row[key]) >= _ROUNDOFF_FLOOR:
+                assert value == pytest.approx(want_row[key], rel=1e-8), (key, row)

@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 
 from dynsamp import (
+    SampleData,
     SampleMask,
     Tensor3,
     bernoulli_mask,
     exclude_slab,
     load_mask,
     save_mask,
+    save_sample_data,
 )
 from dynsamp.tensor3 import ShapeMismatchError
 from oracles import product_mask
@@ -104,20 +106,12 @@ def test_exclude_slab_validates_mode_and_index():
 def test_mask_tube_dft_structure():
     # fully sampled tube -> (n, 0, ..., 0); unsampled tube -> zero tube
     mask = product_mask(3, 4, 5, [0], [1])
-    phat = np.fft.fft(mask.as_tensor().data, axis=2)
+    phat = np.fft.fft(mask.indicator, axis=2)
     full_tube = phat[0, 1, :]
     expected = np.zeros(5, dtype=complex)
     expected[0] = 5.0
     assert np.allclose(full_tube, expected, atol=1e-12)
     assert np.allclose(phat[0, 0, :], 0.0, atol=1e-15)
-
-
-def test_as_tensor_is_binary():
-    mask = bernoulli_mask(4, 3, 2, 0.3, 11)
-    t = mask.as_tensor()
-    assert t.data.dtype == np.float64
-    assert set(np.unique(t.data)).issubset({0.0, 1.0})
-    assert int(t.data.sum()) == mask.sample_count
 
 
 def test_mask_immutable():
@@ -152,6 +146,41 @@ def test_mask_keeps_its_own_provenance(tmp_path):
         save_mask(tmp_path / f"{name}.t3", m)
         sidecar = json.loads((tmp_path / f"{name}.t3.json").read_text())
         assert sidecar == m.provenance
+
+
+@pytest.mark.parametrize("prov", ["bernoulli", ["type", "custom"], 3])
+def test_a_provenance_that_is_not_a_json_object_is_refused(prov):
+    with pytest.raises(ValueError, match=r"^provenance must be a JSON object, got \w+$"):
+        SampleMask(np.ones((2, 2, 2), dtype=bool), prov)
+
+
+@pytest.mark.parametrize("value", [np.int64(3), {1, 2}, object()])
+def test_a_provenance_json_cannot_hold_raises_before_any_file_is_written(tmp_path, value):
+    ds = tmp_path / "ds"
+    with pytest.raises(TypeError, match="not JSON serializable"):
+        mask = SampleMask(np.ones((2, 2, 2), dtype=bool), {"type": "custom", "seed": value})
+        save_sample_data(ds, SampleData(mask, [Tensor3(np.zeros((2, 2, 2)))], 0.0, 1))
+    assert not ds.exists()
+
+
+def test_every_mask_has_a_repr_and_keeps_its_provenance_through_save_and_load(tmp_path):
+    drawn = bernoulli_mask(4, 5, 3, 0.6, 21)
+    save_mask(tmp_path / "kept.t3", drawn)
+    save_mask(tmp_path / "bare.t3", drawn)
+    (tmp_path / "bare.t3.json").unlink()
+    masks = [  # (mask, its provenance type)
+        (drawn, "bernoulli"),
+        (exclude_slab(exclude_slab(drawn, 2, 2), 3, 0), "bernoulli"),
+        (SampleMask(drawn.indicator), "custom"),
+        (load_mask(tmp_path / "kept.t3"), "bernoulli"),
+        (load_mask(tmp_path / "bare.t3"), "custom"),
+    ]
+    for k, (mask, kind) in enumerate(masks):
+        assert repr(mask) == f"SampleMask(dims=(4, 5, 3), samples={mask.sample_count}, type={kind!r})"
+        save_mask(tmp_path / f"{k}.t3", mask)
+        back = load_mask(tmp_path / f"{k}.t3")
+        assert back.provenance == mask.provenance, k
+        assert np.array_equal(back.indicator, mask.indicator), k
 
 
 def test_mask_serialization_round_trip(tmp_path):
